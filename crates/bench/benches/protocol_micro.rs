@@ -2,8 +2,8 @@
 //! rounds per wall-clock second), across sizes and channel counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dsnet::{NetworkBuilder, Protocol};
-use dsnet_protocols::runner::{run_improved, RunConfig};
+use dsnet::{Broadcast, NetworkBuilder, Protocol};
+use dsnet_protocols::runner::{run, RunConfig};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -21,7 +21,8 @@ fn bench(c: &mut Criterion) {
                 channels: k,
                 ..Default::default()
             };
-            b.iter(|| black_box(run_improved(net.net(), net.sink(), &cfg).rounds))
+            let req = Broadcast::new(Protocol::ImprovedCff, net.sink());
+            b.iter(|| black_box(run(net.net(), &req, &cfg).outcome.rounds))
         });
     }
     g.finish();

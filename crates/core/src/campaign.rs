@@ -10,7 +10,7 @@
 
 use crate::builder::NetworkBuilder;
 use crate::experiments::common::SweepConfig;
-use crate::network::{Protocol, SensorNetwork};
+use crate::network::SensorNetwork;
 use dsnet_campaign::{
     CampaignResult, CampaignSpec, ChurnTemplate, FailureTemplate, Journal, MobilitySpec, Progress,
     ProtocolSpec, Trial, TrialRecord,
@@ -23,7 +23,7 @@ use dsnet_mobility::{
     GaussMarkov, GaussMarkovParams, MobileNetwork, MobilityConfig, MobilityModel, RandomWaypoint,
     WaypointParams,
 };
-use dsnet_protocols::runner::RunConfig;
+use dsnet_protocols::runner::{Broadcast, Protocol, RunConfig};
 use dsnet_radio::{FailurePlan, LossModel};
 use rand::seq::SliceRandom as _;
 use rand::Rng as _;
@@ -246,7 +246,8 @@ pub fn run_trial(trial: &Trial) -> TrialRecord {
         record_trace: trial.record_trace,
         ..RunConfig::default()
     };
-    let out = net.broadcast_from(protocol_of(trial.protocol), net.sink(), &cfg);
+    let req = Broadcast::new(protocol_of(trial.protocol), net.sink());
+    let out = net.run(&req, &cfg).outcome;
     TrialRecord {
         rounds: out.rounds,
         delivered: out.delivered as u64,

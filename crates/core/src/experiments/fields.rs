@@ -7,7 +7,7 @@
 //! of area) shrinks — and the CFF advantage persists everywhere.
 
 use crate::experiments::common::SweepConfig;
-use crate::network::Protocol;
+use crate::Protocol;
 use dsnet_metrics::{Series, Summary, SweepTable};
 
 /// Field sides swept (units of 100 m).

@@ -68,7 +68,7 @@ pub fn table_of(result: &CampaignResult) -> SweepTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Protocol;
+    use crate::Protocol;
 
     #[test]
     fn cff_awake_is_far_below_dfo() {

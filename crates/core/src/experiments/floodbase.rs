@@ -9,7 +9,7 @@
 //! is simultaneously exact, faster and asleep almost always.
 
 use crate::experiments::common::SweepConfig;
-use crate::network::Protocol;
+use crate::Protocol;
 use dsnet_geom::rng::derive_seed;
 use dsnet_metrics::{Series, Summary, SweepTable};
 use dsnet_protocols::flooding::run_flooding;

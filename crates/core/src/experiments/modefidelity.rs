@@ -11,7 +11,7 @@
 
 use crate::builder::NetworkBuilder;
 use crate::experiments::common::SweepConfig;
-use crate::network::Protocol;
+use crate::Protocol;
 use dsnet_cluster::SlotMode;
 use dsnet_metrics::{Series, Summary, SweepTable};
 

@@ -8,10 +8,9 @@
 
 use crate::builder::{GroupPlan, NetworkBuilder};
 use crate::experiments::common::SweepConfig;
-use crate::network::Protocol;
 use dsnet_metrics::{Series, Summary, SweepTable};
 use dsnet_protocols::multicast::relay_count;
-use dsnet_protocols::runner::{run_multicast_reliable, RunConfig};
+use dsnet_protocols::runner::{Broadcast, MulticastSlots, Protocol, RunConfig};
 
 /// Group membership probabilities swept.
 pub const DENSITIES: [f64; 5] = [0.02, 0.05, 0.10, 0.25, 1.0];
@@ -53,7 +52,8 @@ pub fn run(cfg: &SweepConfig) -> SweepTable {
                 .build()
                 .expect("build");
             let m = net.multicast(0);
-            let rel = run_multicast_reliable(net.mcnet(), net.sink(), 0, &RunConfig::default());
+            let req = Broadcast::multicast(net.sink(), 0, MulticastSlots::Session);
+            let rel = net.run(&req, &RunConfig::default()).outcome;
             let bc = net.broadcast(Protocol::ImprovedCff);
             a.push(m.rounds as f64);
             g.push(rel.rounds as f64);

@@ -8,7 +8,7 @@
 
 use crate::experiments::common::SweepConfig;
 use dsnet_metrics::{Series, Summary, SweepTable};
-use dsnet_protocols::runner::{run_cff_basic, run_improved, RunConfig};
+use dsnet_protocols::runner::{Broadcast, Protocol, RunConfig};
 
 /// Channel counts swept.
 pub const CHANNELS: [u8; 4] = [1, 2, 4, 8];
@@ -35,8 +35,12 @@ pub fn run(cfg: &SweepConfig) -> SweepTable {
                 channels: k,
                 ..Default::default()
             };
-            let out = run_improved(net.net(), net.sink(), &rcfg);
-            let cff1 = run_cff_basic(net.net(), net.sink(), &rcfg);
+            let out = net
+                .run(&Broadcast::new(Protocol::ImprovedCff, net.sink()), &rcfg)
+                .outcome;
+            let cff1 = net
+                .run(&Broadcast::new(Protocol::BasicCff, net.sink()), &rcfg)
+                .outcome;
             assert!(cff1.completed(), "Alg 1 k={k}");
             a.push(out.rounds as f64);
             e.push(cff1.rounds as f64);

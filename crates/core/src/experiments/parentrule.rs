@@ -8,7 +8,7 @@
 
 use crate::builder::NetworkBuilder;
 use crate::experiments::common::SweepConfig;
-use crate::network::Protocol;
+use crate::Protocol;
 use dsnet_cluster::ParentRule;
 use dsnet_metrics::{Series, Summary, SweepTable};
 

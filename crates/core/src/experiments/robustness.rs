@@ -6,10 +6,10 @@
 //! dead node; CFF keeps flooding through every surviving path.
 
 use crate::experiments::common::SweepConfig;
-use crate::network::Protocol;
+use crate::Protocol;
 use dsnet_geom::rng::{derive_seed, rng_from_seed};
 use dsnet_metrics::{Series, Summary, SweepTable};
-use dsnet_protocols::runner::RunConfig;
+use dsnet_protocols::runner::{Broadcast, RunConfig};
 use rand::seq::SliceRandom as _;
 
 /// Backbone failure counts swept.
@@ -46,8 +46,12 @@ pub fn run(cfg: &SweepConfig) -> SweepTable {
             for &v in &victims {
                 rcfg.failures.kill_node(v, 1);
             }
-            let cff_out = net.broadcast_from(Protocol::ImprovedCff, net.sink(), &rcfg);
-            let dfo_out = net.broadcast_from(Protocol::Dfo, net.sink(), &rcfg);
+            let cff_out = net
+                .run(&Broadcast::new(Protocol::ImprovedCff, net.sink()), &rcfg)
+                .outcome;
+            let dfo_out = net
+                .run(&Broadcast::new(Protocol::Dfo, net.sink()), &rcfg)
+                .outcome;
             a.push(cff_out.delivery_ratio());
             b.push(dfo_out.delivery_ratio());
         }

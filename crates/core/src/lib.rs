@@ -54,8 +54,9 @@ pub mod session;
 pub mod viz;
 
 pub use builder::{BuildError, GroupPlan, NetworkBuilder};
+pub use dsnet_protocols::runner::{Broadcast, Protocol};
 pub use multinet::{FailoverOutcome, MultiNet};
-pub use network::{NetworkStats, Protocol, SensorNetwork};
+pub use network::{NetworkStats, SensorNetwork};
 pub use session::{CommandRecord, CommandStatus, NetSession, SessionCommand, SessionSpec};
 
 // Re-export the layer crates so downstream users need a single dependency.

@@ -15,7 +15,7 @@
 use crate::network::SensorNetwork;
 use dsnet_cluster::{ClusterNet, ParentRule, SlotMode};
 use dsnet_graph::{traversal, NodeId};
-use dsnet_protocols::runner::{run_improved_detailed, BroadcastOutcome, RunConfig};
+use dsnet_protocols::runner::{run, Broadcast, BroadcastOutcome, Protocol, RunConfig};
 
 /// Several cluster structures over the same connectivity graph.
 #[derive(Debug, Clone)]
@@ -61,7 +61,8 @@ impl MultiNet {
         let mut covered: Vec<bool> = Vec::new();
         let mut total_rounds = 0u64;
         for net in &self.nets {
-            let (out, delivered_now) = run_improved_detailed(net, net.root(), cfg);
+            let attempt = run(net, &Broadcast::new(Protocol::ImprovedCff, net.root()), cfg);
+            let (out, delivered_now) = (attempt.outcome, attempt.received);
             total_rounds += out.rounds;
             // Merge coverage: a node counts as covered if any structure
             // delivered to it.
@@ -117,7 +118,6 @@ mod tests {
     use super::*;
     use crate::builder::NetworkBuilder;
     use dsnet_cluster::invariants;
-    use dsnet_protocols::runner::run_improved;
 
     fn sinks_for(net: &SensorNetwork, k: usize) -> Vec<NodeId> {
         // The original sink plus the geometrically farthest nodes.
@@ -178,7 +178,8 @@ mod tests {
         let mut cfg = RunConfig::default();
         cfg.failures.kill_node(victim, 1);
 
-        let single = run_improved(primary, primary.root(), &cfg);
+        let req = Broadcast::new(Protocol::ImprovedCff, primary.root());
+        let single = run(primary, &req, &cfg).outcome;
         let multi_out = multi.broadcast_failover(&cfg);
         assert!(
             multi_out.delivered >= single.delivered,

@@ -8,23 +8,9 @@ use dsnet_cluster::{ClusterNet, GroupId, McNet, MoveInReport};
 use dsnet_geom::{Deployment, Point2};
 use dsnet_graph::{degree, NodeId};
 use dsnet_protocols::knowledge::{KnowledgeCache, NetKnowledge};
-use dsnet_protocols::runner::{self, BroadcastOutcome, RunConfig};
-use dsnet_radio::Trace;
+use dsnet_protocols::runner::{self, Broadcast, BroadcastOutcome, MulticastSlots, Protocol};
+use dsnet_protocols::runner::{Run, RunConfig};
 use std::sync::Arc;
-
-/// Which broadcast protocol to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// Depth-first-order Eulerian-tour baseline of \[19\].
-    Dfo,
-    /// Algorithm 1: collision-free flooding over the whole CNet(G).
-    BasicCff,
-    /// Algorithm 2: the paper's improved two-phase CFF (default choice).
-    ImprovedCff,
-    /// Algorithm 1 hardened with bounded-retry NACK/retransmit epochs for
-    /// lossy channels.
-    ReliableCff,
-}
 
 /// Structural summary of a built network (the quantities plotted in
 /// Figures 10 and 11).
@@ -238,65 +224,36 @@ impl SensorNetwork {
 
     /// Broadcast from the sink with default settings.
     pub fn broadcast(&self, protocol: Protocol) -> BroadcastOutcome {
-        self.broadcast_from(protocol, self.sink(), &RunConfig::default())
+        let req = Broadcast::new(protocol, self.sink());
+        self.run(&req, &RunConfig::default()).outcome
     }
 
-    /// Broadcast from an arbitrary source with custom settings.
-    ///
-    /// The knowledge snapshot feeding the run is served by the network's
-    /// version-keyed [`KnowledgeCache`]: repeated broadcasts over an
-    /// unchanged structure skip the (dominant) snapshot rebuild, while any
-    /// structural mutation invalidates the cache automatically.
-    pub fn broadcast_from(
-        &self,
-        protocol: Protocol,
-        source: NodeId,
-        cfg: &RunConfig,
-    ) -> BroadcastOutcome {
-        let k = self.knowledge.get(self.net());
-        match protocol {
-            Protocol::Dfo => runner::run_dfo_with(self.net(), &k, source, cfg),
-            Protocol::BasicCff => runner::run_cff_basic_with(self.net(), &k, source, cfg),
-            Protocol::ImprovedCff => runner::run_improved_with(self.net(), &k, source, cfg),
-            Protocol::ReliableCff => runner::run_cff_reliable_with(self.net(), &k, source, cfg),
-        }
-    }
-
-    /// [`Self::broadcast_from`], additionally returning the run's event
-    /// trace — including any diagnostic warnings (e.g. the benign k=1
-    /// leaf-window collision note), which travel on the trace instead of
-    /// stderr.
-    pub fn broadcast_traced(
-        &self,
-        protocol: Protocol,
-        source: NodeId,
-        cfg: &RunConfig,
-    ) -> (BroadcastOutcome, Trace) {
-        let k = self.knowledge.get(self.net());
-        match protocol {
-            Protocol::Dfo => runner::run_dfo_traced(self.net(), &k, source, cfg),
-            Protocol::BasicCff => runner::run_cff_basic_traced(self.net(), &k, source, cfg),
-            Protocol::ImprovedCff => runner::run_improved_traced(self.net(), &k, source, cfg),
-            Protocol::ReliableCff => runner::run_cff_reliable_traced(self.net(), &k, source, cfg),
-        }
-    }
-
-    /// Multicast to `group` from the sink.
+    /// Multicast to `group` from the sink with default settings (the
+    /// paper's relay-pruned session).
     pub fn multicast(&self, group: GroupId) -> BroadcastOutcome {
-        self.multicast_from(group, self.sink(), &RunConfig::default())
+        let req = Broadcast::multicast(self.sink(), group, MulticastSlots::RelayPruned);
+        self.run(&req, &RunConfig::default()).outcome
     }
 
-    /// Multicast to `group` from an arbitrary source with custom settings.
-    /// The base knowledge snapshot comes from the network's cache (group
-    /// relay tables are applied on top per call).
-    pub fn multicast_from(
-        &self,
-        group: GroupId,
-        source: NodeId,
-        cfg: &RunConfig,
-    ) -> BroadcastOutcome {
+    /// Execute any broadcast or multicast request (see
+    /// [`runner::run`]) over this network.
+    ///
+    /// Unless the request brings its own, the knowledge snapshot feeding
+    /// the run is served by the network's version-keyed
+    /// [`KnowledgeCache`]: repeated runs over an unchanged structure skip
+    /// the (dominant) snapshot rebuild, while any structural mutation
+    /// invalidates the cache automatically. Multicasts apply their group
+    /// tables on top of that base snapshot per call.
+    pub fn run(&self, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
+        if req.knowledge.is_some() {
+            return runner::run(&self.mc, req, cfg);
+        }
         let k = self.knowledge.get(self.net());
-        runner::run_multicast_with(&self.mc, &k, source, group, cfg)
+        let req = Broadcast {
+            knowledge: Some(&k),
+            ..*req
+        };
+        runner::run(&self.mc, &req, cfg)
     }
 
     // ----- dynamics ---------------------------------------------------------

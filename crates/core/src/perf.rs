@@ -24,7 +24,7 @@ use crate::campaign_engine::{
     CampaignSpec, ChurnTemplate, FailureTemplate, LossSpec, MobilitySpec, ProtocolSpec,
 };
 use crate::protocols::runner::RunConfig;
-use crate::{NetworkBuilder, Protocol};
+use crate::{Broadcast, NetworkBuilder, Protocol};
 use dsnet_geom::rng::derive_seed;
 use dsnet_geom::{Deployment, DeploymentConfig};
 use dsnet_mobility::{MobileNetwork, MobilityConfig, RandomWaypoint, WaypointParams};
@@ -235,7 +235,7 @@ fn run_static(opts: &PerfOptions, name: &'static str, protocol: Protocol) -> Sce
     best_of(name, nodes as u64, reps, passes(opts), || {
         let (mut rounds, mut delivered, mut targets) = (0u64, 0u64, 0u64);
         for _ in 0..reps {
-            let out = net.broadcast_from(protocol, sink, &cfg);
+            let out = net.run(&Broadcast::new(protocol, sink), &cfg).outcome;
             rounds += out.rounds;
             delivered += out.delivered as u64;
             targets += out.targets as u64;
@@ -277,7 +277,9 @@ fn run_static_scaled(opts: &PerfOptions, name: &'static str) -> ScenarioResult {
     best_of(name, nodes as u64, reps, passes(opts), || {
         let (mut rounds, mut delivered, mut targets) = (0u64, 0u64, 0u64);
         for _ in 0..reps {
-            let out = net.broadcast_from(Protocol::ImprovedCff, sink, &cfg);
+            let out = net
+                .run(&Broadcast::new(Protocol::ImprovedCff, sink), &cfg)
+                .outcome;
             rounds += out.rounds;
             delivered += out.delivered as u64;
             targets += out.targets as u64;

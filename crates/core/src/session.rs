@@ -21,13 +21,13 @@
 //! counters-vs-timing split.
 
 use crate::builder::{BuildError, GroupPlan, NetworkBuilder};
-use crate::network::{Protocol, SensorNetwork};
+use crate::network::SensorNetwork;
 use dsnet_cluster::repair::RepairConfig;
 use dsnet_cluster::GroupId;
 use dsnet_geom::rng::{derive_seed, rng_from_seed};
 use dsnet_geom::Point2;
 use dsnet_graph::NodeId;
-use dsnet_protocols::runner::RunConfig;
+use dsnet_protocols::runner::{Broadcast, MulticastSlots, Protocol, RunConfig};
 use dsnet_radio::{FailurePlan, LossModel};
 use rand::Rng as _;
 use std::collections::BTreeSet;
@@ -379,7 +379,7 @@ impl NetSession {
                 record_trace: true,
                 ..RunConfig::default()
             };
-            let out = self.net.broadcast_from(protocol, src, &cfg);
+            let out = self.net.run(&Broadcast::new(protocol, src), &cfg).outcome;
             let delivery_ppm = (out.delivery_ratio() * 1e6).round() as i64;
             let fields = vec![
                 ("rounds".into(), out.rounds as i64),
@@ -428,7 +428,8 @@ impl NetSession {
             failures: self.failure_plan(),
             ..RunConfig::default()
         };
-        let out = self.net.multicast_from(group, src, &cfg);
+        let req = Broadcast::multicast(src, group, MulticastSlots::RelayPruned);
+        let out = self.net.run(&req, &cfg).outcome;
         let fields = vec![
             ("group".into(), i64::from(group)),
             ("rounds".into(), out.rounds as i64),

@@ -49,7 +49,7 @@ use dsnet_cluster::invariants::{check_core, DirtyAudit};
 use dsnet_cluster::{GroupId, McNet, MoveInReport, NodeStatus};
 use dsnet_geom::{Deployment, Point2};
 use dsnet_graph::NodeId;
-use dsnet_protocols::runner::run_improved_with;
+use dsnet_protocols::runner::{run, Broadcast, Protocol};
 use dsnet_protocols::{KnowledgeCache, RunConfig};
 use std::fmt;
 use std::time::Instant;
@@ -531,7 +531,11 @@ impl MobileNetwork {
                 record_trace: false,
                 ..RunConfig::default()
             };
-            let outcome = run_improved_with(self.mc.net(), &k, self.mc.net().root(), &probe_cfg);
+            let req = Broadcast {
+                knowledge: Some(&k),
+                ..Broadcast::new(Protocol::ImprovedCff, self.mc.net().root())
+            };
+            let outcome = run(&self.mc, &req, &probe_cfg).outcome;
             timings.probe_ns = t_probe.elapsed().as_nanos() as u64;
             let after = self.knowledge.full_stats();
             timings.cache_hits = after.hits - before.hits;

@@ -310,8 +310,12 @@ mod tests {
 mod multichannel_tests {
     use super::*;
     use crate::knowledge::build_knowledge;
-    use crate::runner::{run_cff_basic, RunConfig};
+    use crate::runner::{run, Broadcast, BroadcastOutcome, Protocol, RunConfig};
     use dsnet_cluster::ClusterNet;
+
+    fn basic(net: &ClusterNet, cfg: &RunConfig) -> BroadcastOutcome {
+        run(net, &Broadcast::new(Protocol::BasicCff, net.root()), cfg).outcome
+    }
 
     /// Bushy net so Δ' > 1 and channels have something to divide.
     fn bushy() -> ClusterNet {
@@ -335,7 +339,7 @@ mod multichannel_tests {
     fn multichannel_cff1_delivers_and_never_slower() {
         let net = bushy();
         let k = build_knowledge(&net);
-        let base = run_cff_basic(&net, net.root(), &RunConfig::default());
+        let base = basic(&net, &RunConfig::default());
         assert!(base.completed());
         let mut prev = base.rounds;
         for channels in [2u8, 4] {
@@ -343,7 +347,7 @@ mod multichannel_tests {
                 channels,
                 ..Default::default()
             };
-            let out = run_cff_basic(&net, net.root(), &cfg);
+            let out = basic(&net, &cfg);
             assert!(
                 out.completed(),
                 "k={channels}: {}/{}",
@@ -367,7 +371,7 @@ mod multichannel_tests {
             channels: 3,
             ..Default::default()
         };
-        let out = run_cff_basic(&net, net.root(), &cfg);
+        let out = basic(&net, &cfg);
         assert!(out.completed());
     }
 }

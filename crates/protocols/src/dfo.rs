@@ -166,7 +166,7 @@ mod tests {
         net
     }
 
-    fn run_dfo_raw(net: &ClusterNet, source: NodeId) -> (u64, Vec<Option<DfoProgram>>) {
+    fn dfo_raw(net: &ClusterNet, source: NodeId) -> (u64, Vec<Option<DfoProgram>>) {
         let k = build_knowledge(net);
         let mut engine = Engine::new(
             net.graph(),
@@ -187,7 +187,7 @@ mod tests {
     fn root_source_tour_takes_exactly_two_bt_edges() {
         let net = chain_net(9);
         let bt = net.backbone_tree();
-        let (rounds, programs) = run_dfo_raw(&net, net.root());
+        let (rounds, programs) = dfo_raw(&net, net.root());
         assert_eq!(rounds as usize, 2 * (bt.len() - 1));
         for u in net.tree().nodes() {
             assert!(programs[u.index()].as_ref().unwrap().received, "{u}");
@@ -205,7 +205,7 @@ mod tests {
             .find(|&u| net.status(u) == dsnet_cluster::NodeStatus::PureMember);
         if let Some(m) = member {
             let bt = net.backbone_tree();
-            let (rounds, programs) = run_dfo_raw(&net, m);
+            let (rounds, programs) = dfo_raw(&net, m);
             assert_eq!(rounds as usize, 2 * (bt.len() - 1) + 2);
             for u in net.tree().nodes() {
                 assert!(programs[u.index()].as_ref().unwrap().received);
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn every_backbone_node_transmits_its_degree_times() {
         let net = chain_net(7);
-        let (_rounds, programs) = run_dfo_raw(&net, net.root());
+        let (_rounds, programs) = dfo_raw(&net, net.root());
         let bt = net.backbone_tree();
         for u in bt.nodes() {
             let deg = bt.child_count(u) + usize::from(bt.parent(u).is_some());
@@ -236,7 +236,7 @@ mod tests {
         net.move_in(&[]).unwrap();
         net.move_in(&[NodeId(0)]).unwrap();
         net.move_in(&[NodeId(0)]).unwrap();
-        let (rounds, programs) = run_dfo_raw(&net, NodeId(0));
+        let (rounds, programs) = dfo_raw(&net, NodeId(0));
         assert_eq!(rounds, 1);
         for u in net.tree().nodes() {
             assert!(programs[u.index()].as_ref().unwrap().received);

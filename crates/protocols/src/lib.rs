@@ -50,4 +50,4 @@ pub mod reliable;
 pub mod runner;
 
 pub use knowledge::{KnowledgeCache, NetKnowledge, NodeKnowledge};
-pub use runner::{BroadcastOutcome, Coverage, RunConfig};
+pub use runner::{Broadcast, BroadcastOutcome, Coverage, Protocol, RunConfig};

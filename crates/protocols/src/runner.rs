@@ -1,10 +1,11 @@
-//! One-call experiment drivers.
+//! The one entry point of every protocol execution.
 //!
-//! Each `run_*` function snapshots the knowledge of a built
-//! [`ClusterNet`], instantiates the per-node programs, executes them on
-//! the radio engine (optionally under a failure plan) and condenses the
-//! run into a [`BroadcastOutcome`] — the unit every bench and figure in
-//! the evaluation is built from.
+//! [`run`] takes a [`Broadcast`] request — protocol, source, an optional
+//! multicast group, optional prebuilt knowledge — snapshots the knowledge
+//! of the structure if none was given, instantiates the per-node
+//! programs, executes them on the radio engine (optionally under a
+//! failure plan) and condenses the run into a [`BroadcastOutcome`] — the
+//! unit every bench and figure in the evaluation is built from.
 
 use crate::cff::CffProgram;
 use crate::dfo::DfoProgram;
@@ -29,7 +30,8 @@ pub struct RunConfig {
     pub failures: FailurePlan,
     /// Per-link Bernoulli loss (lossless by default).
     pub loss: LossModel,
-    /// Retry budget for the reliable flood (`run_cff_reliable` only).
+    /// Retry budget for the reliable flood ([`Protocol::ReliableCff`]
+    /// only).
     pub max_retries: u32,
     /// Record the event trace (needed for collision counts and
     /// [`BroadcastOutcome::coverage`]). On by default; turn off for large
@@ -168,55 +170,6 @@ fn coverage_from_trace(trace: &Trace, source: NodeId, targets: &[NodeId]) -> Opt
     })
 }
 
-/// Fold the raw engine outputs and per-node reception bitmap into a
-/// [`BroadcastOutcome`], splitting delivery by the alive-at-end
-/// denominator.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site per runner
-fn condense(
-    rounds: u64,
-    stop: StopReason,
-    energy: EnergyReport,
-    collisions: Option<usize>,
-    coverage: Option<Coverage>,
-    failures: &FailurePlan,
-    targets: &[NodeId],
-    received: &[bool],
-    bound: u64,
-) -> BroadcastOutcome {
-    let delivered = targets.iter().filter(|&&u| received[u.index()]).count();
-    let mut targets_alive = 0;
-    let mut delivered_alive = 0;
-    for &u in targets {
-        if failures.node_dead(u, rounds + 1) {
-            continue;
-        }
-        targets_alive += 1;
-        if received[u.index()] {
-            delivered_alive += 1;
-        }
-    }
-    BroadcastOutcome {
-        rounds,
-        stop,
-        delivered,
-        targets: targets.len(),
-        targets_alive,
-        delivered_alive,
-        energy,
-        collisions,
-        coverage,
-        bound,
-    }
-}
-
-fn engine_config(cfg: &RunConfig, max_rounds: u64) -> EngineConfig {
-    EngineConfig {
-        channels: cfg.channels,
-        max_rounds,
-        record_trace: cfg.record_trace,
-    }
-}
-
 /// Uplink positions: `pos[u] = j` when `u` is the `j`-th node on the
 /// source→root path (source = 0).
 fn uplink_positions(net: &ClusterNet, source: NodeId) -> Vec<Option<u64>> {
@@ -227,11 +180,11 @@ fn uplink_positions(net: &ClusterNet, source: NodeId) -> Vec<Option<u64>> {
     pos
 }
 
-/// Shared tail of every runner: bind programs to the graph, execute under
-/// the configured failures/loss, then condense outcome, delivery bitmap
-/// and trace. One body instead of four copies — and the trace comes back
-/// by value (via `Engine::into_parts`) so traced variants cost no clone.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site per runner
+/// Shared tail of every protocol arm of [`run`]: bind programs to the
+/// graph, execute under the configured failures/loss, then condense
+/// outcome, delivery bitmap and trace. The trace comes back by value
+/// (via `Engine::into_parts`), so returning it costs no clone.
+#[allow(clippy::too_many_arguments)] // internal plumbing, one call site per protocol
 fn drive<P: NodeProgram + Send>(
     net: &ClusterNet,
     source: NodeId,
@@ -241,21 +194,22 @@ fn drive<P: NodeProgram + Send>(
     targets: &[NodeId],
     make: impl FnMut(NodeId) -> P,
     received_flag: impl Fn(&P) -> bool,
-) -> (BroadcastOutcome, Vec<bool>, Trace)
+) -> Run
 where
     P::Msg: Send + Sync,
 {
-    let mut engine = Engine::new(net.graph(), engine_config(cfg, max_rounds), make);
+    let config = EngineConfig {
+        channels: cfg.channels,
+        max_rounds,
+        record_trace: cfg.record_trace,
+    };
+    let mut engine = Engine::new(net.graph(), config, make);
     engine.set_failures(cfg.failures.clone());
     engine.set_loss(cfg.loss);
     if let Some(plan) = &cfg.shards {
         engine.set_shards((**plan).clone(), cfg.threads);
     }
-    let out = if cfg.threads > 1 {
-        engine.run_parallel()
-    } else {
-        engine.run()
-    };
+    let out = engine.run();
     let collisions = engine.trace().try_collision_count();
     let energy = engine.energy_report();
     let coverage = coverage_from_trace(engine.trace(), source, targets);
@@ -263,263 +217,269 @@ where
     let received: Vec<bool> = (0..net.graph().capacity())
         .map(|i| programs[i].as_ref().is_some_and(&received_flag))
         .collect();
-    let outcome = condense(
-        out.rounds,
-        out.stop,
+    // Split delivery by the alive-at-end denominator.
+    let delivered = targets.iter().filter(|&&u| received[u.index()]).count();
+    let mut targets_alive = 0;
+    let mut delivered_alive = 0;
+    for &u in targets {
+        if cfg.failures.node_dead(u, out.rounds + 1) {
+            continue;
+        }
+        targets_alive += 1;
+        if received[u.index()] {
+            delivered_alive += 1;
+        }
+    }
+    let outcome = BroadcastOutcome {
+        rounds: out.rounds,
+        stop: out.stop,
+        delivered,
+        targets: targets.len(),
+        targets_alive,
+        delivered_alive,
         energy,
         collisions,
         coverage,
-        &cfg.failures,
-        targets,
-        &received,
         bound,
+    };
+    Run {
+        outcome,
+        received,
+        trace,
+    }
+}
+
+/// Which broadcast protocol to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// Depth-first-order Eulerian-tour baseline of \[19\].
+    Dfo,
+    /// Algorithm 1: collision-free flooding over the whole CNet(G).
+    BasicCff,
+    /// Algorithm 2: the paper's improved two-phase CFF (default choice).
+    ImprovedCff,
+    /// Algorithm 1 hardened with bounded-retry NACK/retransmit epochs for
+    /// lossy channels.
+    ReliableCff,
+}
+
+/// How a multicast session picks its time-slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MulticastSlots {
+    /// The paper's multicast: Algorithm 2 over the broadcast slots, with
+    /// the transmitter set pruned by MCNet's relay lists (see
+    /// [`crate::multicast`] for the delivery caveat this leaves).
+    RelayPruned,
+    /// Session slots: the initiator re-assigns time-slots over the
+    /// participating transmitter set (see
+    /// `dsnet_cluster::slots::session`), so Time-Slot Condition 2 holds
+    /// for the pruned session and delivery is guaranteed. Sessions have
+    /// fewer transmitters, so their `δ`/`Δ` (hence the windows) are
+    /// usually smaller than the broadcast ones.
+    Session,
+}
+
+/// One protocol execution request.
+#[derive(Debug, Clone, Copy)]
+pub struct Broadcast<'k> {
+    /// The protocol.
+    pub protocol: Protocol,
+    /// The initiating node.
+    pub source: NodeId,
+    /// Restrict delivery to one MCNet group, with the session's slot
+    /// mode (valid with [`Protocol::ImprovedCff`] over an [`McNet`]
+    /// only). `None` = broadcast to every node.
+    pub multicast: Option<(GroupId, MulticastSlots)>,
+    /// A prebuilt knowledge snapshot of the same structure (e.g. served
+    /// by a [`crate::knowledge::KnowledgeCache`]). `None` = build one
+    /// from scratch for this run.
+    pub knowledge: Option<&'k NetKnowledge>,
+}
+
+impl Broadcast<'_> {
+    /// A `protocol` broadcast from `source` over freshly built knowledge.
+    pub fn new(protocol: Protocol, source: NodeId) -> Self {
+        Self {
+            protocol,
+            source,
+            multicast: None,
+            knowledge: None,
+        }
+    }
+
+    /// An Algorithm 2 multicast to `group` from `source` over freshly
+    /// built knowledge.
+    pub fn multicast(source: NodeId, group: GroupId, slots: MulticastSlots) -> Self {
+        Self {
+            multicast: Some((group, slots)),
+            ..Self::new(Protocol::ImprovedCff, source)
+        }
+    }
+}
+
+/// Everything one execution produced.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The condensed outcome.
+    pub outcome: BroadcastOutcome,
+    /// Per-node delivery bitmap, indexed by node id.
+    pub received: Vec<bool>,
+    /// The event trace (disabled unless `RunConfig::record_trace`),
+    /// carrying diagnostic warnings such as the benign k=1 leaf-window
+    /// collision note.
+    pub trace: Trace,
+}
+
+/// The structure a [`Broadcast`] runs over: a bare CNet, or an MCNet
+/// whose groups a multicast can address.
+pub trait Structure {
+    /// The cluster structure.
+    fn cnet(&self) -> &ClusterNet;
+    /// The multicast overlay, if this structure has one.
+    fn mcnet(&self) -> Option<&McNet>;
+}
+
+impl Structure for ClusterNet {
+    fn cnet(&self) -> &ClusterNet {
+        self
+    }
+    fn mcnet(&self) -> Option<&McNet> {
+        None
+    }
+}
+
+impl Structure for McNet {
+    fn cnet(&self) -> &ClusterNet {
+        self.net()
+    }
+    fn mcnet(&self) -> Option<&McNet> {
+        Some(self)
+    }
+}
+
+/// Execute one broadcast or multicast on the radio engine and condense
+/// it — the single entry point every bench, figure, session and campaign
+/// trial goes through.
+pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
+    let (mc, net) = (net.mcnet(), net.cnet());
+    let owned;
+    let k = match req.knowledge {
+        Some(k) => k,
+        None => {
+            owned = build_knowledge(net);
+            &owned
+        }
+    };
+    let source = req.source;
+    assert!(
+        req.multicast.is_none() || req.protocol == Protocol::ImprovedCff,
+        "multicast runs Algorithm 2 only"
     );
-    (outcome, received, trace)
-}
-
-/// Run the DFO baseline broadcast (Section 3.2, from \[19\]).
-pub fn run_dfo(net: &ClusterNet, source: NodeId, cfg: &RunConfig) -> BroadcastOutcome {
-    run_dfo_with(net, &build_knowledge(net), source, cfg)
-}
-
-/// [`run_dfo`] over a prebuilt knowledge snapshot of the same `net`
-/// (e.g. served by a [`crate::knowledge::KnowledgeCache`]).
-pub fn run_dfo_with(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    run_dfo_traced(net, k, source, cfg).0
-}
-
-/// [`run_dfo_with`], additionally returning the run's event trace.
-pub fn run_dfo_traced(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> (BroadcastOutcome, Trace) {
-    let bound = analytic::dfo_rounds(
-        k.backbone_size,
-        k.of(source).status == NodeStatus::PureMember,
-    );
-    let targets: Vec<NodeId> = net.tree().nodes().collect();
-    let (outcome, _, trace) = drive(
-        net,
-        source,
-        cfg,
-        bound + 8,
-        bound,
-        &targets,
-        |u| DfoProgram::new(k, u, source),
-        |p| p.received,
-    );
-    (outcome, trace)
-}
-
-/// Run Algorithm 1 (basic collision-free flooding), with the paper's
-/// "Multi-Channels" remark honoured when `cfg.channels > 1`.
-pub fn run_cff_basic(net: &ClusterNet, source: NodeId, cfg: &RunConfig) -> BroadcastOutcome {
-    run_cff_basic_with(net, &build_knowledge(net), source, cfg)
-}
-
-/// [`run_cff_basic`] over a prebuilt knowledge snapshot of the same `net`.
-pub fn run_cff_basic_with(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    run_cff_basic_traced(net, k, source, cfg).0
-}
-
-/// [`run_cff_basic_with`], additionally returning the run's event trace.
-pub fn run_cff_basic_traced(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> (BroadcastOutcome, Trace) {
-    let session = Session::new(k, source, cfg.channels);
-    let bound = analytic::cff_basic_bound(k, session.offset, cfg.channels);
     let pos = uplink_positions(net, source);
-    let targets: Vec<NodeId> = net.tree().nodes().collect();
-    let (outcome, _, trace) = drive(
-        net,
-        source,
-        cfg,
-        bound + 4,
-        bound,
-        &targets,
-        |u| CffProgram::new(k, &session, u, pos[u.index()]),
-        |p| p.received,
-    );
-    (outcome, trace)
+    let all = || net.tree().nodes().collect::<Vec<NodeId>>();
+    match req.protocol {
+        Protocol::Dfo => {
+            let bound = analytic::dfo_rounds(
+                k.backbone_size,
+                k.of(source).status == NodeStatus::PureMember,
+            );
+            drive(
+                net,
+                source,
+                cfg,
+                bound + 8,
+                bound,
+                &all(),
+                |u| DfoProgram::new(k, u, source),
+                |p| p.received,
+            )
+        }
+        Protocol::BasicCff => {
+            let session = Session::new(k, source, cfg.channels);
+            let bound = analytic::cff_basic_bound(k, session.offset, cfg.channels);
+            drive(
+                net,
+                source,
+                cfg,
+                bound + 4,
+                bound,
+                &all(),
+                |u| CffProgram::new(k, &session, u, pos[u.index()]),
+                |p| p.received,
+            )
+        }
+        Protocol::ReliableCff => {
+            let session = Session::new(k, source, cfg.channels);
+            let bound =
+                analytic::cff_reliable_bound(k, session.offset, cfg.channels, cfg.max_retries);
+            drive(
+                net,
+                source,
+                cfg,
+                bound + 4,
+                bound,
+                &all(),
+                |u| ReliableCffProgram::new(k, &session, u, pos[u.index()], cfg.max_retries),
+                |p| p.received,
+            )
+        }
+        Protocol::ImprovedCff => match req.multicast {
+            None => drive_improved(net, k, source, cfg, &pos, |_| Participation::FULL, &all()),
+            Some((group, slots)) => {
+                let mc = mc.expect("a multicast needs an McNet");
+                let table = multicast::participation_table(mc, group);
+                let targets = multicast::targets(mc, group);
+                let part = |u: NodeId| table[u.index()];
+                match slots {
+                    MulticastSlots::RelayPruned => {
+                        drive_improved(net, k, source, cfg, &pos, part, &targets)
+                    }
+                    MulticastSlots::Session => {
+                        let tx = |u: NodeId| table[u.index()].tx;
+                        let rx = |u: NodeId| table[u.index()].rx;
+                        let slots = dsnet_cluster::slots::session::assign_session_slots(
+                            &net.view(),
+                            net.mode(),
+                            &tx,
+                            &rx,
+                        );
+                        let k = build_session_knowledge_from(net, k, &slots, &tx);
+                        drive_improved(net, &k, source, cfg, &pos, part, &targets)
+                    }
+                }
+            }
+        },
+    }
 }
 
-/// Run the bounded-retry **reliable** flood: Algorithm 1 extended with
-/// per-depth feedback windows, NACK/retransmit and `cfg.max_retries`
-/// retry epochs (see [`crate::reliable`]). Strictly slower than
-/// [`run_cff_basic`] when nothing is lost; strictly better at delivering
-/// when something is.
-pub fn run_cff_reliable(net: &ClusterNet, source: NodeId, cfg: &RunConfig) -> BroadcastOutcome {
-    run_cff_reliable_with(net, &build_knowledge(net), source, cfg)
-}
-
-/// [`run_cff_reliable`] over a prebuilt knowledge snapshot of the same
-/// `net`.
-pub fn run_cff_reliable_with(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    run_cff_reliable_traced(net, k, source, cfg).0
-}
-
-/// [`run_cff_reliable_with`], additionally returning the run's trace.
-pub fn run_cff_reliable_traced(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> (BroadcastOutcome, Trace) {
-    let session = Session::new(k, source, cfg.channels);
-    let bound = analytic::cff_reliable_bound(k, session.offset, cfg.channels, cfg.max_retries);
-    let pos = uplink_positions(net, source);
-    let targets: Vec<NodeId> = net.tree().nodes().collect();
-    let (outcome, _, trace) = drive(
-        net,
-        source,
-        cfg,
-        bound + 4,
-        bound,
-        &targets,
-        |u| ReliableCffProgram::new(k, &session, u, pos[u.index()], cfg.max_retries),
-        |p| p.received,
-    );
-    (outcome, trace)
-}
-
-/// Run Algorithm 2 (improved CFF) with `cfg.channels` radios.
-pub fn run_improved(net: &ClusterNet, source: NodeId, cfg: &RunConfig) -> BroadcastOutcome {
-    run_improved_with(net, &build_knowledge(net), source, cfg)
-}
-
-/// [`run_improved`] over a prebuilt knowledge snapshot of the same `net`.
+/// [`run`] of Algorithm 2 over a prebuilt knowledge snapshot of `net`,
+/// returning the outcome only.
 pub fn run_improved_with(
     net: &ClusterNet,
     k: &NetKnowledge,
     source: NodeId,
     cfg: &RunConfig,
 ) -> BroadcastOutcome {
-    run_improved_traced(net, k, source, cfg).0
+    let req = Broadcast {
+        knowledge: Some(k),
+        ..Broadcast::new(Protocol::ImprovedCff, source)
+    };
+    run(net, &req, cfg).outcome
 }
 
-/// [`run_improved_with`], additionally returning the run's event trace
-/// (including the benign k=1 leaf-window collision note, when it applies).
-pub fn run_improved_traced(
+fn drive_improved(
     net: &ClusterNet,
     k: &NetKnowledge,
     source: NodeId,
     cfg: &RunConfig,
-) -> (BroadcastOutcome, Trace) {
-    let all: Vec<NodeId> = net.tree().nodes().collect();
-    let (outcome, _, trace) =
-        run_improved_inner(net, k, source, cfg, |_u| Participation::FULL, &all);
-    (outcome, trace)
-}
-
-/// Run a group-`g` multicast over MCNet (Algorithm 2 pruned by
-/// relay-lists). Targets are the group members.
-pub fn run_multicast(
-    mc: &McNet,
-    source: NodeId,
-    group: GroupId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    run_multicast_with(mc, &build_knowledge(mc.net()), source, group, cfg)
-}
-
-/// [`run_multicast`] over a prebuilt knowledge snapshot of `mc.net()`.
-pub fn run_multicast_with(
-    mc: &McNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    group: GroupId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    let net = mc.net();
-    let table = multicast::participation_table(mc, group);
-    let targets = multicast::targets(mc, group);
-    run_improved_inner(net, k, source, cfg, |u| table[u.index()], &targets).0
-}
-
-/// Run a group-`g` multicast with **session slots**: the initiator
-/// re-assigns time-slots over the participating transmitter set (see
-/// `dsnet_cluster::slots::session`), so Time-Slot Condition 2 holds for
-/// the pruned session and delivery is guaranteed — and because sessions
-/// have fewer transmitters, the session `δ`/`Δ` (hence the windows) are
-/// usually smaller than the broadcast ones.
-pub fn run_multicast_reliable(
-    mc: &McNet,
-    source: NodeId,
-    group: GroupId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    run_multicast_reliable_with(mc, &build_knowledge(mc.net()), source, group, cfg)
-}
-
-/// [`run_multicast_reliable`] starting from a prebuilt *base* knowledge
-/// snapshot of `mc.net()` — the session rewrite is applied on a clone of
-/// the base, so the expensive base pass is amortised across sessions.
-pub fn run_multicast_reliable_with(
-    mc: &McNet,
-    base: &NetKnowledge,
-    source: NodeId,
-    group: GroupId,
-    cfg: &RunConfig,
-) -> BroadcastOutcome {
-    let net = mc.net();
-    let table = multicast::participation_table(mc, group);
-    let tx = |u: NodeId| table[u.index()].tx;
-    let rx = |u: NodeId| table[u.index()].rx;
-    let session_slots =
-        dsnet_cluster::slots::session::assign_session_slots(&net.view(), net.mode(), &tx, &rx);
-    let k = build_session_knowledge_from(net, base, &session_slots, &tx);
-    let targets = multicast::targets(mc, group);
-    run_improved_inner(net, &k, source, cfg, |u| table[u.index()], &targets).0
-}
-
-/// Like [`run_improved`], additionally returning the per-node delivery
-/// bitmap (indexed by node id) — used by multi-sink failover to merge
-/// coverage across structures.
-pub fn run_improved_detailed(
-    net: &ClusterNet,
-    source: NodeId,
-    cfg: &RunConfig,
-) -> (BroadcastOutcome, Vec<bool>) {
-    let k = build_knowledge(net);
-    let all: Vec<NodeId> = net.tree().nodes().collect();
-    let (outcome, received, _) =
-        run_improved_inner(net, &k, source, cfg, |_u| Participation::FULL, &all);
-    (outcome, received)
-}
-
-fn run_improved_inner(
-    net: &ClusterNet,
-    k: &NetKnowledge,
-    source: NodeId,
-    cfg: &RunConfig,
+    pos: &[Option<u64>],
     part: impl Fn(NodeId) -> Participation,
     targets: &[NodeId],
-) -> (BroadcastOutcome, Vec<bool>, Trace) {
+) -> Run {
     let session = Session::new(k, source, cfg.channels);
     let sched = Cff2Schedule::new(k, &session);
     let bound = analytic::improved_bound(k, session.offset, cfg.channels);
-    let pos = uplink_positions(net, source);
-    let (outcome, received, mut trace) = drive(
+    let mut run = drive(
         net,
         source,
         cfg,
@@ -535,8 +495,8 @@ fn run_improved_inner(
     // diagnostic fact, not a fault — it travels on the trace instead of
     // stderr, so quiet runs stay quiet.
     if cfg.channels == 1 {
-        if let Some(c) = outcome.collisions.filter(|&c| c > 0) {
-            trace.warn(format!(
+        if let Some(c) = run.outcome.collisions.filter(|&c| c > 0) {
+            run.trace.warn(format!(
                 "improved CFF on k=1 observed {c} benign leaf-window \
                  collision(s): leaves listen through the whole shared \
                  phase-2 window and may hear collisions at duplicated \
@@ -545,13 +505,22 @@ fn run_improved_inner(
             ));
         }
     }
-    (outcome, received, trace)
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsnet_cluster::ClusterNet;
+
+    fn go(net: &ClusterNet, p: Protocol, source: NodeId, cfg: &RunConfig) -> BroadcastOutcome {
+        run(net, &Broadcast::new(p, source), cfg).outcome
+    }
+
+    fn multicast(mc: &McNet, group: GroupId, cfg: &RunConfig) -> BroadcastOutcome {
+        let req = Broadcast::multicast(mc.net().root(), group, MulticastSlots::RelayPruned);
+        run(mc, &req, cfg).outcome
+    }
 
     fn chain_net(n: u32) -> ClusterNet {
         let mut net = ClusterNet::with_defaults();
@@ -571,9 +540,9 @@ mod tests {
         let net = chain_net(20);
         let cfg = RunConfig::default();
         for out in [
-            run_dfo(&net, net.root(), &cfg),
-            run_cff_basic(&net, net.root(), &cfg),
-            run_improved(&net, net.root(), &cfg),
+            go(&net, Protocol::Dfo, net.root(), &cfg),
+            go(&net, Protocol::BasicCff, net.root(), &cfg),
+            go(&net, Protocol::ImprovedCff, net.root(), &cfg),
         ] {
             // Time-Slot Condition 2 guarantees delivery (every receiver has
             // at least one clean slot); stray collision events at duplicated
@@ -597,8 +566,8 @@ mod tests {
     fn improved_beats_dfo_on_rounds_and_awake() {
         let net = chain_net(40);
         let cfg = RunConfig::default();
-        let dfo = run_dfo(&net, net.root(), &cfg);
-        let cff2 = run_improved(&net, net.root(), &cfg);
+        let dfo = go(&net, Protocol::Dfo, net.root(), &cfg);
+        let cff2 = go(&net, Protocol::ImprovedCff, net.root(), &cfg);
         assert!(
             cff2.rounds < dfo.rounds,
             "cff2 {} !< dfo {}",
@@ -633,10 +602,10 @@ mod tests {
         let mut cfg = RunConfig::default();
         cfg.failures.kill_node(victim, 1);
 
-        let dfo = run_dfo(&net, net.root(), &cfg);
+        let dfo = go(&net, Protocol::Dfo, net.root(), &cfg);
         assert!(!dfo.completed(), "DFO must stall on a dead token holder");
 
-        let cff2 = run_improved(&net, net.root(), &cfg);
+        let cff2 = go(&net, Protocol::ImprovedCff, net.root(), &cfg);
         // Flooding routes around the dead head: everyone else receives.
         assert_eq!(
             cff2.delivered,
@@ -661,8 +630,7 @@ mod tests {
             mc.move_in(&nbrs, groups).unwrap();
         }
         let cfg = RunConfig::default();
-        let root = mc.net().root();
-        let out = run_multicast(&mc, root, 1, &cfg);
+        let out = multicast(&mc, 1, &cfg);
         assert!(out.targets > 0);
         assert!(
             out.completed(),
@@ -671,7 +639,7 @@ mod tests {
             out.targets
         );
         // An empty group costs nothing and completes instantly.
-        let empty = run_multicast(&mc, root, 99, &cfg);
+        let empty = multicast(&mc, 99, &cfg);
         assert_eq!(empty.targets, 0);
         assert_eq!(empty.delivery_ratio(), 1.0);
     }
@@ -683,10 +651,10 @@ mod tests {
             channels: 2,
             ..Default::default()
         };
-        let out = run_improved(&net, net.root(), &cfg);
+        let out = go(&net, Protocol::ImprovedCff, net.root(), &cfg);
         assert!(out.completed());
         let cfg1 = RunConfig::default();
-        let base = run_improved(&net, net.root(), &cfg1);
+        let base = go(&net, Protocol::ImprovedCff, net.root(), &cfg1);
         assert!(out.rounds <= base.rounds);
     }
 
@@ -700,8 +668,8 @@ mod tests {
                 max_retries: 3,
                 ..Default::default()
             };
-            let basic = run_cff_basic(&net, net.root(), &cfg);
-            let reliable = run_cff_reliable(&net, net.root(), &cfg);
+            let basic = go(&net, Protocol::BasicCff, net.root(), &cfg);
+            let reliable = go(&net, Protocol::ReliableCff, net.root(), &cfg);
             assert!(
                 reliable.delivered >= basic.delivered,
                 "seed {seed}: reliable {} < basic {}",
@@ -719,7 +687,7 @@ mod tests {
     fn reliable_cff_lossless_matches_basic_delivery() {
         let net = chain_net(15);
         let cfg = RunConfig::default();
-        let out = run_cff_reliable(&net, net.root(), &cfg);
+        let out = go(&net, Protocol::ReliableCff, net.root(), &cfg);
         assert!(out.completed());
         assert_eq!(out.delivery_ratio(), 1.0);
         assert_eq!(out.delivery_ratio_alive(), 1.0);
@@ -731,7 +699,7 @@ mod tests {
         let net = chain_net(12);
         let mut cfg = RunConfig::default();
         cfg.failures.kill_node(NodeId(5), 1);
-        let out = run_cff_basic(&net, net.root(), &cfg);
+        let out = go(&net, Protocol::BasicCff, net.root(), &cfg);
         assert_eq!(out.targets, 12);
         assert_eq!(out.targets_alive, 11);
         assert!(!out.completed(), "the dead node cannot receive");
@@ -743,7 +711,7 @@ mod tests {
     #[test]
     fn coverage_quantiles_are_ordered_and_complete() {
         let net = chain_net(20);
-        let out = run_cff_basic(&net, net.root(), &RunConfig::default());
+        let out = go(&net, Protocol::BasicCff, net.root(), &RunConfig::default());
         let cov = out.coverage.expect("trace was on");
         let (t50, t90, t_full) = (cov.t50.unwrap(), cov.t90.unwrap(), cov.t_full.unwrap());
         assert!(t50 <= t90 && t90 <= t_full);
@@ -753,7 +721,9 @@ mod tests {
             record_trace: false,
             ..Default::default()
         };
-        assert!(run_cff_basic(&net, net.root(), &cfg).coverage.is_none());
+        assert!(go(&net, Protocol::BasicCff, net.root(), &cfg)
+            .coverage
+            .is_none());
     }
 
     #[test]
@@ -761,7 +731,7 @@ mod tests {
         let net = chain_net(10);
         let mut cfg = RunConfig::default();
         cfg.failures.kill_node(NodeId(4), 1);
-        let out = run_cff_basic(&net, net.root(), &cfg);
+        let out = go(&net, Protocol::BasicCff, net.root(), &cfg);
         assert!(!out.completed());
         assert!(out.coverage.unwrap().t_full.is_none());
     }
@@ -775,9 +745,9 @@ mod tests {
             .find(|&u| net.status(u) == NodeStatus::PureMember);
         if let Some(m) = member {
             let cfg = RunConfig::default();
-            assert!(run_dfo(&net, m, &cfg).completed());
-            assert!(run_cff_basic(&net, m, &cfg).completed());
-            assert!(run_improved(&net, m, &cfg).completed());
+            assert!(go(&net, Protocol::Dfo, m, &cfg).completed());
+            assert!(go(&net, Protocol::BasicCff, m, &cfg).completed());
+            assert!(go(&net, Protocol::ImprovedCff, m, &cfg).completed());
         }
     }
 }

@@ -12,8 +12,8 @@
 //!    against the *global* `tx_on` table, buffers its dropped
 //!    receptions in per-cell scratch, and applies `on_receive` for
 //!    clean single-transmitter rounds. Writes stay within the node's
-//!    own cell, so cells resolve independently (and, under
-//!    [`Engine::run_parallel`], concurrently).
+//!    own cell, so cells resolve independently (and, with more than
+//!    one worker, concurrently).
 //! 3. **Merge** — the per-cell buffers are serialised into the trace
 //!    in canonical global id order and the done/undone counters are
 //!    aggregated, in deterministic cell order.
@@ -176,11 +176,11 @@ struct CellScratch {
 }
 
 /// Raw views of the per-node struct-of-arrays tables, so the act and
-/// resolve passes can be shared verbatim between the sequential and the
-/// scoped-thread paths. Within a round, each node id is touched by
-/// exactly one cell and each cell by exactly one worker, so all writes
-/// through these pointers are disjoint; cross-cell *reads* (`tx_on`,
-/// `tx_msg`) only target values frozen by the previous pass barrier.
+/// resolve passes run the same code inline and on scoped workers.
+/// Within a round, each node id is touched by exactly one cell and each
+/// cell by exactly one worker, so all writes through these pointers are
+/// disjoint; cross-cell *reads* (`tx_on`, `tx_msg`) only target values
+/// frozen by the previous pass barrier.
 struct Tables<P: NodeProgram> {
     programs: *mut Option<P>,
     meters: *mut EnergyMeter,
@@ -512,7 +512,7 @@ pub struct Engine<'g, P: NodeProgram> {
     csr_adj: Vec<NodeId>,
     /// Installed cell partition (single implicit cell until set).
     plan: Option<ShardPlan>,
-    /// Worker threads for [`Engine::run_parallel`].
+    /// Worker threads for [`Engine::run`] (capped at the cell count).
     threads: usize,
     /// Scratch: this round's transmit channel per node id ([`NO_TX`] =
     /// silent).
@@ -624,7 +624,7 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     }
 
     /// Install a cell partition and a worker-thread count for
-    /// [`Engine::run_parallel`]. The plan must cover exactly the
+    /// [`Engine::run`]. The plan must cover exactly the
     /// program-bearing node ids. The partition and thread count are
     /// invisible in every output — they only change *where* each node's
     /// round is resolved.
@@ -652,11 +652,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     /// The connectivity graph the engine runs against.
     pub fn graph(&self) -> &'g Graph {
         self.graph
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> Round {
-        self.round
     }
 
     /// The (possibly disabled) event trace.
@@ -713,43 +708,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
         }
     }
 
-    /// Death/revival notifications (trace only — the network can't
-    /// observe them). `affected_sorted` is precomputed in id order by
-    /// `set_failures`, so no per-round collection or sort happens here.
-    fn trace_failures(&mut self, round: Round) {
-        if self.trace.is_enabled() && !self.affected_sorted.is_empty() {
-            for &node in &self.affected_sorted {
-                if self.failures.dies_at(node, round) {
-                    self.trace.push(TraceEvent::NodeDeath { round, node });
-                } else if self.failures.revives_at(node, round) {
-                    self.trace.push(TraceEvent::NodeRevive { round, node });
-                }
-            }
-        }
-    }
-
-    /// Aggregate the per-cell done deltas (or, with failures installed,
-    /// re-scan exactly like the pre-sharding engine did: nodes dead in
-    /// `round + 1` don't block completion while they're dark).
-    fn round_done(&mut self, round: Round) -> bool {
-        if self.failures_empty {
-            let mut undone = self.undone as i64;
-            for sc in &self.cells_scratch {
-                undone += sc.undone_delta;
-            }
-            self.undone = undone as usize;
-            self.undone == 0
-        } else {
-            self.programs
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| {
-                    p.is_some() && !self.failures.node_dead(NodeId(*i as u32), round + 1)
-                })
-                .all(|(_, p)| p.as_ref().unwrap().done())
-        }
-    }
-
     /// Credit every remaining hinted-away round as sleep, so meters read
     /// identically to a run that consulted each node every round.
     fn flush_sleep(&mut self) {
@@ -765,141 +723,80 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
         }
     }
 
-    /// Execute a single round sequentially. Returns `true` if every live
-    /// node is done (checked *after* the round).
-    ///
-    /// Note for direct steppers: batched sleep credits are flushed by
-    /// [`Engine::run`]/[`Engine::run_parallel`]; after raw `step()` calls
-    /// the sleep meters of programs with wake hints lag until the next
-    /// consultation.
-    pub fn step(&mut self) -> bool {
-        self.ensure_plan();
-        self.round += 1;
-        let round = self.round;
-        self.trace_failures(round);
-        let t = tables!(self);
-        let env = pass_env!(self);
-        let plan = self.plan.as_ref().unwrap();
-        let cells = plan.cells();
-        // Safety: sequential — one thread touches every cell, and the
-        // raw table views don't alias the plan/scratch/trace fields.
-        unsafe {
-            for (c, cell) in cells.iter().enumerate() {
-                pass_act(
-                    &env,
-                    t,
-                    cell,
-                    &mut *self.cells_scratch.as_mut_ptr().add(c),
-                    round,
-                );
-            }
-            for c in 0..cells.len() {
-                pass_resolve(&env, t, &mut *self.cells_scratch.as_mut_ptr().add(c), round);
-            }
-        }
-        if self.trace.is_enabled() {
-            let cells_ptr = CellsPtr(self.cells_scratch.as_mut_ptr());
-            let n_cells = self.cells_scratch.len();
-            unsafe {
-                emit_round(
-                    t,
-                    &cells_ptr,
-                    n_cells,
-                    &mut self.trace,
-                    &mut self.order,
-                    &mut self.drop_buf,
-                    round,
-                );
-            }
-        }
-        self.round_done(round)
-    }
-
     /// Run until all live nodes are done or the round limit is hit.
-    pub fn run(&mut self) -> RunOutcome {
-        let mut stop = StopReason::RoundLimit;
-        while self.round < self.config.max_rounds {
-            if self.step() {
-                stop = StopReason::AllDone;
-                break;
-            }
-        }
-        self.flush_sleep();
-        RunOutcome {
-            rounds: self.round,
-            stop,
-        }
-    }
-
-    /// Run with the installed shard plan resolved by `threads` scoped
-    /// workers. Produces byte-identical traces, meters and outcomes to
-    /// [`Engine::run`] — the cells are resolved concurrently but merged
-    /// in the same canonical order.
-    pub fn run_parallel(&mut self) -> RunOutcome
+    ///
+    /// With one effective worker (`threads` from [`Engine::set_shards`],
+    /// capped at the cell count) the act and resolve passes run inline
+    /// on the calling thread; with more, scoped workers resolve the
+    /// cells concurrently behind per-pass barriers. Either way the
+    /// main thread serialises the trace and checks completion, so the
+    /// outputs are byte-identical at any worker count.
+    pub fn run(&mut self) -> RunOutcome
     where
         P: Send,
         P::Msg: Send + Sync,
     {
         self.ensure_plan();
-        let threads = self.threads.min(self.cells_scratch.len().max(1));
-        if threads <= 1 {
-            return self.run();
-        }
+        let n_cells = self.cells_scratch.len();
+        let workers = self.threads.min(n_cells).max(1);
         let max_rounds = self.config.max_rounds;
         let cap = self.programs.len();
         let t = tables!(self);
         let cells_ptr = CellsPtr(self.cells_scratch.as_mut_ptr());
-        let n_cells = self.cells_scratch.len();
         let env = pass_env!(self);
-        let plan = self.plan.as_ref().unwrap();
+        let cells = self.plan.as_ref().unwrap().cells();
         let trace = &mut self.trace;
         let order = &mut self.order;
         let drop_buf = &mut self.drop_buf;
         let affected = &self.affected_sorted;
         let round_now = AtomicU64::new(self.round);
         let stop_flag = AtomicBool::new(false);
-        let gate_a = Barrier::new(threads + 1);
-        let gate_b = Barrier::new(threads + 1);
-        let gate_c = Barrier::new(threads + 1);
-        let mut round = self.round;
-        let mut undone = self.undone as i64;
-        let mut stop = StopReason::RoundLimit;
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let env = &env;
-                let plan = &*plan;
-                let cells_ptr = &cells_ptr;
-                let round_now = &round_now;
-                let stop_flag = &stop_flag;
-                let (gate_a, gate_b, gate_c) = (&gate_a, &gate_b, &gate_c);
-                s.spawn(move || loop {
-                    gate_a.wait();
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let round = round_now.load(Ordering::Acquire);
-                    // Static cell → worker map: any map works (outputs
-                    // are partition-invariant); a fixed one keeps each
-                    // cell's scratch on one thread for the whole run.
-                    unsafe {
-                        for c in (w..plan.cells().len()).step_by(threads) {
-                            let sc = &mut *cells_ptr.0.add(c);
-                            pass_act(env, t, &plan.cells()[c], sc, round);
+        let gate_a = Barrier::new(workers + 1);
+        let gate_b = Barrier::new(workers + 1);
+        let gate_c = Barrier::new(workers + 1);
+        let (round, undone, stop) = std::thread::scope(|s| {
+            if workers > 1 {
+                for w in 0..workers {
+                    let (env, cells_ptr) = (&env, &cells_ptr);
+                    let (round_now, stop_flag) = (&round_now, &stop_flag);
+                    let (gate_a, gate_b, gate_c) = (&gate_a, &gate_b, &gate_c);
+                    s.spawn(move || loop {
+                        gate_a.wait();
+                        if stop_flag.load(Ordering::Acquire) {
+                            break;
                         }
-                    }
-                    gate_b.wait();
-                    unsafe {
-                        for c in (w..plan.cells().len()).step_by(threads) {
-                            let sc = &mut *cells_ptr.0.add(c);
-                            pass_resolve(env, t, sc, round);
+                        let round = round_now.load(Ordering::Acquire);
+                        // Static cell → worker map: any map works (outputs
+                        // are partition-invariant); a fixed one keeps each
+                        // cell's scratch on one thread for the whole run.
+                        // SAFETY: cells are striped over workers, so this
+                        // worker alone touches cell `c`'s scratch and ids;
+                        // the main thread waits at `gate_b` meanwhile.
+                        unsafe {
+                            for c in (w..cells.len()).step_by(workers) {
+                                pass_act(env, t, &cells[c], &mut *cells_ptr.0.add(c), round);
+                            }
                         }
-                    }
-                    gate_c.wait();
-                });
+                        gate_b.wait();
+                        // SAFETY: as above; every act write landed before
+                        // `gate_b`, so cross-cell `tx_on`/`tx_msg` reads
+                        // see the finished round.
+                        unsafe {
+                            for c in (w..cells.len()).step_by(workers) {
+                                pass_resolve(env, t, &mut *cells_ptr.0.add(c), round);
+                            }
+                        }
+                        gate_c.wait();
+                    });
+                }
             }
+            let (mut round, mut undone) = (self.round, self.undone as i64);
+            let mut stop = StopReason::RoundLimit;
             while round < max_rounds {
                 round += 1;
-                // Death/revival prologue (main thread owns the trace).
+                // Death/revival notifications (trace only — the network
+                // can't observe them), in the id order `set_failures`
+                // precomputed.
                 if trace.is_enabled() && !affected.is_empty() {
                     for &node in affected.iter() {
                         if env.failures.dies_at(node, round) {
@@ -909,10 +806,26 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                         }
                     }
                 }
-                round_now.store(round, Ordering::Release);
-                gate_a.wait();
-                gate_b.wait();
-                gate_c.wait();
+                if workers > 1 {
+                    round_now.store(round, Ordering::Release);
+                    gate_a.wait();
+                    gate_b.wait();
+                    gate_c.wait();
+                } else {
+                    // SAFETY: one thread touches every cell, and the raw
+                    // table views don't alias the plan/scratch/trace.
+                    unsafe {
+                        for (c, cell) in cells.iter().enumerate() {
+                            pass_act(&env, t, cell, &mut *cells_ptr.0.add(c), round);
+                        }
+                        for c in 0..n_cells {
+                            pass_resolve(&env, t, &mut *cells_ptr.0.add(c), round);
+                        }
+                    }
+                }
+                // SAFETY (this and the done check): the workers, if any,
+                // are parked at `gate_a`, so the main thread has the
+                // tables and cell scratch to itself.
                 if trace.is_enabled() {
                     unsafe {
                         emit_round(t, &cells_ptr, n_cells, trace, order, drop_buf, round);
@@ -926,7 +839,8 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                     }
                     undone == 0
                 } else {
-                    // Same dead-node-exempt scan as the sequential path.
+                    // Nodes dead in `round + 1` don't block completion
+                    // while they're dark.
                     unsafe {
                         (0..cap).all(|i| match (*t.programs.add(i)).as_ref() {
                             None => true,
@@ -941,8 +855,11 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                     break;
                 }
             }
-            stop_flag.store(true, Ordering::Release);
-            gate_a.wait();
+            if workers > 1 {
+                stop_flag.store(true, Ordering::Release);
+                gate_a.wait();
+            }
+            (round, undone, stop)
         });
         self.round = round;
         self.undone = undone.max(0) as usize;

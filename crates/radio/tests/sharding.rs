@@ -1,15 +1,15 @@
-//! Property tests of the cell-sharded delivery path against the plain
-//! sequential engine.
+//! Property tests of the cell-sharded delivery path against the
+//! one-worker, single-cell engine run.
 //!
 //! The engine's contract is that the spatial partition and the worker
 //! count are *invisible*: for the same graph, programs, loss model and
-//! failure plan, a run sharded over any cell partition — executed
-//! sequentially or on N threads — must produce the same event trace
-//! (deliveries, collisions, link drops, in the same order), the same
-//! per-node energy meters and the same outcome as the unsharded engine.
-//! These tests generate random unit-disk graphs and random partitions —
-//! including empty cells and the single-cell edge case — and require
-//! exactly that.
+//! failure plan, a run sharded over any cell partition — its passes
+//! executed inline by one worker or by N scoped workers — must produce
+//! the same event trace (deliveries, collisions, link drops, in the same
+//! order), the same per-node energy meters and the same outcome as the
+//! unsharded engine. These tests generate random unit-disk graphs and
+//! random partitions — including empty cells and the single-cell edge
+//! case — and require exactly that.
 
 use dsnet_graph::{Graph, NodeId};
 use dsnet_radio::{
@@ -78,8 +78,8 @@ struct RunResult {
 }
 
 /// One full run: fresh engine over `graph`/`table`, with the given
-/// loss/failure configuration and (optionally) a shard plan + thread
-/// count. `plan: None` is the plain sequential baseline.
+/// loss/failure configuration and (optionally) a shard plan + worker
+/// count. `plan: None` is the one-worker, single-cell reference.
 #[allow(clippy::too_many_arguments)]
 fn run_once(
     g: &Graph,
@@ -110,15 +110,10 @@ fn run_once(
         fp.kill_node_for(victim, 3, 2);
         engine.set_failures(fp);
     }
-    let sharded = plan.is_some();
     if let Some(plan) = plan {
         engine.set_shards(plan, threads);
     }
-    let outcome = if sharded && threads > 1 {
-        engine.run_parallel()
-    } else {
-        engine.run()
-    };
+    let outcome = engine.run();
     let n = g.capacity();
     RunResult {
         outcome,
@@ -152,10 +147,11 @@ fn assert_same(label: &str, base: &RunResult, other: &RunResult) -> Result<(), T
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    /// Sharded delivery (sequential and 2/3-threaded, over a random
-    /// partition with guaranteed empty cells, and over one big cell)
-    /// matches the plain engine on random unit-disk graphs with random
-    /// scripts, channel loss and a transient node outage.
+    /// Sharded delivery (1, 2 and 3 workers over a random partition
+    /// with guaranteed empty cells, and 2 requested workers over one
+    /// big cell) matches the one-worker, single-cell run on random
+    /// unit-disk graphs with random scripts, channel loss and a
+    /// transient node outage.
     #[test]
     fn sharded_delivery_matches_sequential(
         points in prop::collection::vec((0.0..SIDE, 0.0..SIDE), 3..20),
@@ -197,8 +193,8 @@ proptest! {
             assert_same(&format!("random partition, {threads} thread(s)"), &base, &sharded)?;
         }
 
-        // Single-cell edge case: every node in one cell, which makes the
-        // "parallel" path a one-worker pipeline.
+        // Single-cell edge case: every node in one cell, which caps the
+        // two requested workers at one.
         let single = run_once(
             &g, &table, channels, loss_ppm, loss_seed, kill,
             Some(ShardPlan::single((0..n as u32).map(NodeId))), 2,

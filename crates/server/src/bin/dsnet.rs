@@ -17,8 +17,7 @@
 //!                 [--compare BASELINE.json] [--max-regress 0.15] [--quiet]
 //! dsnet scale     --nodes 10000 --seed 7 [--threads T] [--shards CELLS] \
 //!                 [--protocol cff|cff1|rcff|dfo] [--channels k] [--quiet]
-//! dsnet serve     [--tcp ADDR] [--unix PATH] [--max-sessions N] \
-//!                 [--io reactor|threads] [--shards N] [--poll-ms MS] [--quiet]
+//! dsnet serve     [--tcp ADDR] [--unix PATH] [--max-sessions N] [--shards N] [--quiet]
 //! dsnet client    (--tcp ADDR | --unix PATH) [--session NAME] [--binary] \
 //!                 (--ping | --create | --destroy | --script FILE [--keep] | \
 //!                  --stream | --peek | --watch [--count K] | --shutdown) \
@@ -48,14 +47,16 @@ use dsnet::campaign_engine::{
     CampaignSpec, ChurnTemplate, FailureTemplate, Journal, LossSpec, MobilitySpec, Progress,
     ProtocolSpec, TrialRecord,
 };
-use dsnet::protocols::runner::{run_multicast_reliable, RunConfig};
+use dsnet::protocols::runner::{MulticastSlots, RunConfig};
 use dsnet::session::render_stream;
 use dsnet::viz::{render_svg, VizOptions};
-use dsnet::{GroupPlan, NetSession, NetworkBuilder, Protocol, SensorNetwork, SessionSpec};
+use dsnet::{
+    Broadcast, GroupPlan, NetSession, NetworkBuilder, Protocol, SensorNetwork, SessionSpec,
+};
 use dsnet_graph::NodeId;
 use dsnet_radio::LossModel;
-use dsnet_server::protocol::parse_script;
-use dsnet_server::{run_script, Client, ClientError, FrameFormat, IoMode, ServeOptions, Server};
+use dsnet_server::protocol::{parse_script, protocol_from_label};
+use dsnet_server::{run_script, Client, ClientError, FrameFormat, ServeOptions, Server};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -98,9 +99,7 @@ struct Args {
     tcp: Option<String>,
     unix_sock: Option<String>,
     max_sessions: usize,
-    io: IoMode,
     shards: usize,
-    poll_ms: u64,
     binary: bool,
     session: Option<String>,
     script: Option<String>,
@@ -148,9 +147,7 @@ impl Default for Args {
             tcp: None,
             unix_sock: None,
             max_sessions: 0,
-            io: IoMode::default(),
             shards: 0,
-            poll_ms: 0,
             binary: false,
             session: None,
             script: None,
@@ -179,7 +176,7 @@ fn usage() -> ! {
          scale: dsnet scale --nodes N --seed S [--threads T] [--shards CELLS] \
          [--protocol cff|cff1|rcff|dfo] [--channels K] [--quiet]\n\
          serve: dsnet serve [--tcp ADDR] [--unix PATH] [--max-sessions N] \
-         [--io reactor|threads] [--shards N] [--poll-ms MS] [--quiet]\n\
+         [--shards N] [--quiet]\n\
          client: dsnet client (--tcp ADDR | --unix PATH) [--session NAME] [--binary] \
          (--ping | --create | --destroy | --script FILE [--keep] | --stream | \
          --peek | --watch [--count K] | --shutdown) \
@@ -217,15 +214,7 @@ fn parse() -> (String, Args) {
             "--epochs" => a.epochs = val().parse().unwrap_or_else(|_| usage()),
             "--out" => a.out = val(),
             "--reliable" => a.reliable = true,
-            "--protocol" => {
-                a.protocol = match val().as_str() {
-                    "cff" => Protocol::ImprovedCff,
-                    "cff1" => Protocol::BasicCff,
-                    "rcff" | "reliable" => Protocol::ReliableCff,
-                    "dfo" => Protocol::Dfo,
-                    _ => usage(),
-                }
-            }
+            "--protocol" => a.protocol = protocol_from_label(&val()).unwrap_or_else(|| usage()),
             "--loss" => a.losses = parse_list(&val(), LossSpec::parse),
             "--repair" => a.repair = parse_list(&val(), parse_repair),
             "--mobility" => a.mobility = parse_list(&val(), MobilitySpec::parse),
@@ -250,9 +239,7 @@ fn parse() -> (String, Args) {
             "--tcp" => a.tcp = Some(val()),
             "--unix" => a.unix_sock = Some(val()),
             "--max-sessions" => a.max_sessions = val().parse().unwrap_or_else(|_| usage()),
-            "--io" => a.io = IoMode::from_label(&val()).unwrap_or_else(|| usage()),
             "--shards" => a.shards = val().parse().unwrap_or_else(|_| usage()),
-            "--poll-ms" => a.poll_ms = val().parse().unwrap_or_else(|_| usage()),
             "--binary" => a.binary = true,
             "--session" => a.session = Some(val()),
             "--script" => {
@@ -576,7 +563,8 @@ fn run_scale_cmd(a: &Args) {
         ..RunConfig::default()
     };
     let t1 = std::time::Instant::now();
-    let (out, trace) = net.broadcast_traced(a.protocol, net.sink(), &cfg);
+    let run = net.run(&Broadcast::new(a.protocol, net.sink()), &cfg);
+    let (out, trace) = (run.outcome, run.trace);
     let run_ms = t1.elapsed().as_secs_f64() * 1e3;
     if !a.quiet {
         eprintln!(
@@ -628,9 +616,7 @@ fn run_serve_cmd(a: &Args) {
         tcp: a.tcp.clone(),
         unix: a.unix_sock.clone().map(PathBuf::from),
         max_sessions: a.max_sessions,
-        io: a.io,
         shards: a.shards,
-        poll_ms: a.poll_ms,
         ..ServeOptions::default()
     };
     dsnet_server::install_sigint_handler();
@@ -647,10 +633,7 @@ fn run_serve_cmd(a: &Args) {
     println!("ready ({} session slots)", server.host().max_sessions());
     let _ = std::io::stdout().flush();
     if !a.quiet {
-        eprintln!(
-            "dsnet-server up ({} engine); Ctrl-C or the wire 'shutdown' op drains and exits",
-            a.io.label()
-        );
+        eprintln!("dsnet-server up; Ctrl-C or the wire 'shutdown' op drains and exits");
     }
     server.wait();
     if !a.quiet {
@@ -808,7 +791,7 @@ fn main() {
                 max_retries: a.retries,
                 ..Default::default()
             };
-            let out = net.broadcast_from(a.protocol, source, &cfg);
+            let out = net.run(&Broadcast::new(a.protocol, source), &cfg).outcome;
             println!(
                 "{:?} from {source}: {} rounds (bound {}), {}/{} delivered \
                  (ratio {:.3}, alive-ratio {:.3}), max awake {}, mean awake {:.1}",
@@ -826,7 +809,8 @@ fn main() {
         "multicast" => {
             let net = build(&a, true);
             let out = if a.reliable {
-                run_multicast_reliable(net.mcnet(), net.sink(), 0, &RunConfig::default())
+                let req = Broadcast::multicast(net.sink(), 0, MulticastSlots::Session);
+                net.run(&req, &RunConfig::default()).outcome
             } else {
                 net.multicast(0)
             };

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use dsnet::protocols::knowledge::NetKnowledge;
 use dsnet::session::{render_record, render_stream};
@@ -57,23 +57,10 @@ impl Default for HostConfig {
     }
 }
 
-/// One trace subscriber: either a channel drained by a dedicated
-/// connection thread, or a callback invoked inline (the reactor pushes
-/// the rendered line straight into a connection's write queue).
-enum Watcher {
-    Channel(mpsc::Sender<String>),
-    Callback(Box<dyn FnMut(&str) -> bool + Send>),
-}
-
-impl Watcher {
-    /// Deliver one line; false means the subscriber is gone.
-    fn deliver(&mut self, line: &str) -> bool {
-        match self {
-            Watcher::Channel(tx) => tx.send(line.to_string()).is_ok(),
-            Watcher::Callback(f) => f(line),
-        }
-    }
-}
+/// One trace subscriber: a callback invoked inline (the reactor pushes
+/// the rendered line straight into a connection's write queue). It
+/// returns false once the subscriber is gone.
+type Watcher = Box<dyn FnMut(&str) -> bool + Send>;
 
 /// One tenant slot: the session plus its trace subscribers.
 struct SessionSlot {
@@ -268,7 +255,7 @@ impl Host {
         if !lines.is_empty() {
             let mut watchers = slot.watchers.lock().expect("watchers lock");
             for line in &lines {
-                watchers.retain_mut(|w| w.deliver(line));
+                watchers.retain_mut(|w| w(line));
             }
         }
         out
@@ -282,23 +269,11 @@ impl Host {
         Ok(render_stream(session.spec(), session.records(), false))
     }
 
-    /// Subscribe to a session's trace: the returned receiver yields one
-    /// deterministic event line per subsequently applied command, until
-    /// the session is destroyed.
-    pub fn watch(&self, name: &str) -> Result<mpsc::Receiver<String>, HostError> {
-        let slot = self.slot(name)?;
-        let (tx, rx) = mpsc::channel();
-        slot.watchers
-            .lock()
-            .expect("watchers lock")
-            .push(Watcher::Channel(tx));
-        Ok(rx)
-    }
-
     /// Subscribe to a session's trace with an inline callback: `sink`
-    /// runs once per subsequently applied command (under the slot's
+    /// receives one deterministic event line per subsequently applied
+    /// command, until the session is destroyed. It runs under the slot's
     /// watcher lock, after the session lock is released — keep it
-    /// cheap and non-blocking, e.g. a [`dsnet_netio::PushHandle`]
+    /// cheap and non-blocking (e.g. a [`dsnet_netio::PushHandle`]
     /// enqueue). Returning false unsubscribes.
     pub fn watch_fn(
         &self,
@@ -309,7 +284,7 @@ impl Host {
         slot.watchers
             .lock()
             .expect("watchers lock")
-            .push(Watcher::Callback(Box::new(sink)));
+            .push(Box::new(sink));
         Ok(())
     }
 
@@ -374,6 +349,7 @@ pub struct PeekReport {
 mod tests {
     use super::*;
     use dsnet::Protocol;
+    use std::sync::mpsc;
 
     fn small_spec(seed: u64) -> SessionSpec {
         SessionSpec {
@@ -458,12 +434,20 @@ mod tests {
         host.destroy("a").unwrap();
     }
 
+    /// Subscribe a watcher that forwards every line into a channel.
+    fn watch_channel(host: &Host, name: &str) -> mpsc::Receiver<String> {
+        let (tx, rx) = mpsc::channel();
+        host.watch_fn(name, move |line| tx.send(line.to_string()).is_ok())
+            .unwrap();
+        rx
+    }
+
     #[test]
     fn watchers_see_subsequent_records() {
         let host = Host::new(HostConfig::default());
         host.create("a", small_spec(7)).unwrap();
         host.apply("a", &SessionCommand::Snapshot).unwrap();
-        let rx = host.watch("a").unwrap();
+        let rx = watch_channel(&host, "a");
         host.apply("a", &SessionCommand::Kill { node: 1 }).unwrap();
         host.apply("a", &SessionCommand::Snapshot).unwrap();
         let first = rx.recv().unwrap();
@@ -522,7 +506,7 @@ mod tests {
     fn apply_batch_feeds_watchers_in_order() {
         let host = Host::new(HostConfig::default());
         host.create("s", small_spec(7)).unwrap();
-        let rx = host.watch("s").unwrap();
+        let rx = watch_channel(&host, "s");
         host.apply_batch(
             "s",
             &[SessionCommand::Kill { node: 1 }, SessionCommand::Snapshot],

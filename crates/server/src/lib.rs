@@ -15,7 +15,7 @@
 //! | [`json`] | integer-only JSON value model + the binary codec (no external deps) |
 //! | [`protocol`] | framing, request/response grammar, format negotiation, error taxonomy |
 //! | [`host`] | the multi-tenant session host (capacity, drain, watch) |
-//! | [`server`] | both I/O engines — the sharded `dsnet-netio` reactor (default) and the thread-per-connection fallback — plus graceful shutdown and SIGINT |
+//! | [`server`] | the daemon on the sharded `dsnet-netio` reactor, plus graceful shutdown and SIGINT |
 //! | [`client`] | blocking client + scripted session runner |
 //! | [`perf`] | the `serve_sessions` ledger scenarios (600/5k/20k) |
 //!
@@ -29,11 +29,10 @@
 //! per-session event stream (`stream` op, [`dsnet::session::render_stream`]
 //! with timing off) byte-identical to the same sequence applied directly
 //! to a [`dsnet::NetSession`]. Both paths run the same executor; the
-//! server adds transport, never semantics — on either engine
-//! ([`server::IoMode`]) and under either payload format
-//! ([`protocol::FrameFormat`]). CI pins this with the `server` and
-//! `server-reactor` determinism-smoke axes; the cross-product
-//! (engine × format) is asserted in `tests/reactor.rs`.
+//! server adds transport, never semantics — under either payload format
+//! ([`protocol::FrameFormat`]). CI pins this with the `server-reactor`
+//! determinism-smoke axis; both formats are asserted in
+//! `tests/reactor.rs`.
 
 pub mod client;
 pub mod host;
@@ -47,4 +46,4 @@ pub use host::{Host, HostConfig, HostError, PeekReport};
 pub use protocol::{
     Body, ErrKind, FrameFormat, Op, PayloadFault, Request, Response, WireError, MAX_FRAME,
 };
-pub use server::{install_sigint_handler, IoMode, ServeOptions, Server};
+pub use server::{install_sigint_handler, ServeOptions, Server};

@@ -1,19 +1,12 @@
 //! The long-lived daemon: TCP and unix-socket listeners around a
 //! [`Host`], with graceful shutdown.
 //!
-//! Two I/O engines share the listeners, the dispatch table, and the
-//! shutdown path:
-//!
-//! - [`IoMode::Reactor`] (the default): a sharded readiness reactor
-//!   ([`dsnet_netio`]) multiplexes every connection across
-//!   `min(cores, 8)` event loops — no per-connection thread, no idle
-//!   wakeups. Pipelined command bursts to one session are applied as a
-//!   batch under a single slot-lock acquisition
-//!   ([`Host::apply_batch`]), and watch subscribers push rendered
-//!   event lines straight into the owning shard's write queue.
-//! - [`IoMode::Threads`]: the original thread-per-connection engine
-//!   with short read timeouts (kept as a fallback and as a behavioural
-//!   reference — both engines produce byte-identical streams).
+//! A sharded readiness reactor ([`dsnet_netio`]) multiplexes every
+//! connection across `min(cores, 8)` event loops — no per-connection
+//! thread, no idle wakeups. Pipelined command bursts to one session are
+//! applied as a batch under a single slot-lock acquisition
+//! ([`Host::apply_batch`]), and watch subscribers push rendered event
+//! lines straight into the owning shard's write queue.
 //!
 //! Shutdown — whether from SIGINT, the wire `shutdown` op, or
 //! [`Server::begin_shutdown`] — follows one path: the host starts
@@ -23,17 +16,14 @@
 //! connections a grace period to finish their reads and disconnect
 //! before hard-stopping the stragglers at their next frame boundary.
 //! The wait itself is readiness-driven: a stop wake-pipe and a SIGINT
-//! self-pipe replace the old fixed-interval polling, so an idle daemon
-//! burns no wakeups and shutdown latency is bounded by a single poll
-//! wakeup rather than a sleep tick.
+//! self-pipe, so an idle daemon burns no wakeups and shutdown latency
+//! is bounded by a single poll wakeup rather than a sleep tick.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dsnet::SessionCommand;
@@ -46,55 +36,24 @@ use dsnet_netio::{
 use crate::host::{Host, HostConfig, HostError};
 use crate::json::{obj, Json};
 use crate::protocol::{
-    decode_request_bytes, encode_response_bytes, spec_to_json, write_frame_bytes, Body, ErrKind,
-    FrameFormat, Op, PayloadFault, Request, Response, WireError, MAX_FRAME,
+    decode_request_bytes, encode_response_bytes, spec_to_json, Body, ErrKind, FrameFormat, Op,
+    PayloadFault, Response, WireError, MAX_FRAME,
 };
 
-/// Default poll interval for stop-flag checks in the thread engine's
-/// accept and read loops.
-const POLL: Duration = Duration::from_millis(25);
+/// Back-off before retrying a failed stop-wait poll.
+const POLL_RETRY: Duration = Duration::from_millis(25);
 
 /// Grace period for draining clients to finish their reads and hang up
 /// before the hard stop.
 const DRAIN_GRACE: Duration = Duration::from_secs(3);
 
-/// Bound on the hard stop itself (thread engine: time for connection
-/// threads to hit their next frame boundary; reactor: flush + close).
+/// Bound on the hard stop itself (flush + close).
 const HARD_STOP_BOUND: Duration = Duration::from_secs(1);
-
-/// Which I/O engine drives connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// Sharded readiness reactor (event loops, batched dispatch).
-    #[default]
-    Reactor,
-    /// Thread-per-connection with blocking reads (fallback engine).
-    Threads,
-}
-
-impl IoMode {
-    /// Stable CLI label.
-    pub fn label(self) -> &'static str {
-        match self {
-            IoMode::Reactor => "reactor",
-            IoMode::Threads => "threads",
-        }
-    }
-
-    /// Parse a CLI label.
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "reactor" => IoMode::Reactor,
-            "threads" => IoMode::Threads,
-            _ => return None,
-        })
-    }
-}
 
 /// How the daemon listens and how many tenants it admits.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// TCP bind address (e.g. `127.0.0.1:7app` or `127.0.0.1:0` for an
+    /// TCP bind address (e.g. `127.0.0.1:7878` or `127.0.0.1:0` for an
     /// ephemeral port). `None` = no TCP listener.
     pub tcp: Option<String>,
     /// Unix-socket path. `None` = no unix listener. The file is created
@@ -102,19 +61,12 @@ pub struct ServeOptions {
     pub unix: Option<PathBuf>,
     /// Session capacity (`0` = the [`HostConfig`] default).
     pub max_sessions: usize,
-    /// Connection engine (default [`IoMode::Reactor`]).
-    pub io: IoMode,
-    /// Reactor event loops (`0` = `min(cores, 8)`). Ignored by the
-    /// thread engine.
+    /// Reactor event loops (`0` = `min(cores, 8)`).
     pub shards: usize,
     /// Close a connection parked mid-frame for this many milliseconds
     /// (`0` = the reactor default, 30 s). Connections idle *between*
-    /// frames — watchers included — are never deadlined. Ignored by
-    /// the thread engine, whose mid-frame reads block indefinitely.
+    /// frames — watchers included — are never deadlined.
     pub read_deadline_ms: u64,
-    /// Thread-engine poll interval in milliseconds (`0` = 25). Ignored
-    /// by the reactor, which has no polling loops.
-    pub poll_ms: u64,
 }
 
 /// Shutdown trigger shared by every place that can request a stop: the
@@ -137,23 +89,13 @@ impl StopSignal {
     }
 }
 
-enum Engine {
-    Reactor(Reactor),
-    Threads {
-        hard_stop: Arc<AtomicBool>,
-        active_conns: Arc<AtomicUsize>,
-        accept_threads: Vec<JoinHandle<()>>,
-        poll: Duration,
-    },
-}
-
 /// A running daemon. Dropping it does *not* stop the threads — call
 /// [`Server::begin_shutdown`] then [`Server::wait`].
 pub struct Server {
     host: Arc<Host>,
     signal: StopSignal,
     stop_rx: WakeReader,
-    engine: Engine,
+    reactor: Reactor,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
 }
@@ -180,123 +122,44 @@ impl Server {
             waker: stop_waker,
         };
 
-        let tcp_listener = match &opts.tcp {
-            None => None,
-            Some(addr) => Some(TcpListener::bind(addr)?),
-        };
-        let tcp_addr = match &tcp_listener {
-            None => None,
-            Some(l) => Some(l.local_addr()?),
-        };
-        let unix_listener = match &opts.unix {
-            None => None,
-            Some(path) => {
-                // A stale socket file from a crashed daemon blocks bind.
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
-                Some(UnixListener::bind(path)?)
+        let mut listeners = Vec::new();
+        let mut tcp_addr = None;
+        if let Some(addr) = &opts.tcp {
+            let listener = TcpListener::bind(addr)?;
+            tcp_addr = Some(listener.local_addr()?);
+            listeners.push(NetListener::Tcp(listener));
+        }
+        if let Some(path) = &opts.unix {
+            // A stale socket file from a crashed daemon blocks bind.
+            if path.exists() {
+                std::fs::remove_file(path)?;
             }
+            listeners.push(NetListener::Unix(UnixListener::bind(path)?));
+        }
+        let factory: HandlerFactory = {
+            let host = host.clone();
+            let signal = signal.clone();
+            Arc::new(move || {
+                Box::new(ConnHandler::new(host.clone(), signal.clone())) as Box<dyn Handler>
+            })
         };
-
-        let engine = match opts.io {
-            IoMode::Reactor => {
-                let mut listeners = Vec::new();
-                if let Some(l) = tcp_listener {
-                    listeners.push(NetListener::Tcp(l));
-                }
-                if let Some(l) = unix_listener {
-                    listeners.push(NetListener::Unix(l));
-                }
-                let factory: HandlerFactory = {
-                    let host = host.clone();
-                    let signal = signal.clone();
-                    Arc::new(move || {
-                        Box::new(ConnHandler::new(host.clone(), signal.clone())) as Box<dyn Handler>
-                    })
-                };
-                let config = ReactorConfig {
-                    shards: opts.shards,
-                    max_frame: MAX_FRAME as usize,
-                    read_deadline: if opts.read_deadline_ms == 0 {
-                        ReactorConfig::default().read_deadline
-                    } else {
-                        Some(Duration::from_millis(opts.read_deadline_ms))
-                    },
-                    ..ReactorConfig::default()
-                };
-                Engine::Reactor(Reactor::start(listeners, factory, config)?)
-            }
-            IoMode::Threads => {
-                let poll = if opts.poll_ms == 0 {
-                    POLL
-                } else {
-                    Duration::from_millis(opts.poll_ms)
-                };
-                let hard_stop = Arc::new(AtomicBool::new(false));
-                let active_conns = Arc::new(AtomicUsize::new(0));
-                let mut accept_threads = Vec::new();
-                if let Some(listener) = tcp_listener {
-                    listener.set_nonblocking(true)?;
-                    let ctx = ThreadCtx {
-                        host: host.clone(),
-                        signal: signal.clone(),
-                        hard_stop: hard_stop.clone(),
-                        conns: active_conns.clone(),
-                        poll,
-                    };
-                    accept_threads.push(std::thread::spawn(move || {
-                        accept_loop(
-                            move || match listener.accept() {
-                                Ok((s, _)) => {
-                                    s.set_nonblocking(false).ok();
-                                    s.set_nodelay(true).ok();
-                                    Some(Ok(Box::new(s) as Box<dyn Conn>))
-                                }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                                Err(e) => Some(Err(e)),
-                            },
-                            ctx,
-                        );
-                    }));
-                }
-                if let Some(listener) = unix_listener {
-                    listener.set_nonblocking(true)?;
-                    let ctx = ThreadCtx {
-                        host: host.clone(),
-                        signal: signal.clone(),
-                        hard_stop: hard_stop.clone(),
-                        conns: active_conns.clone(),
-                        poll,
-                    };
-                    accept_threads.push(std::thread::spawn(move || {
-                        accept_loop(
-                            move || match listener.accept() {
-                                Ok((s, _)) => {
-                                    s.set_nonblocking(false).ok();
-                                    Some(Ok(Box::new(s) as Box<dyn Conn>))
-                                }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                                Err(e) => Some(Err(e)),
-                            },
-                            ctx,
-                        );
-                    }));
-                }
-                Engine::Threads {
-                    hard_stop,
-                    active_conns,
-                    accept_threads,
-                    poll,
-                }
-            }
+        let config = ReactorConfig {
+            shards: opts.shards,
+            max_frame: MAX_FRAME as usize,
+            read_deadline: if opts.read_deadline_ms == 0 {
+                ReactorConfig::default().read_deadline
+            } else {
+                Some(Duration::from_millis(opts.read_deadline_ms))
+            },
+            ..ReactorConfig::default()
         };
+        let reactor = Reactor::start(listeners, factory, config)?;
 
         Ok(Server {
             host,
             signal,
             stop_rx,
-            engine,
+            reactor,
             tcp_addr,
             unix_path: opts.unix.clone(),
         })
@@ -318,9 +181,7 @@ impl Server {
     /// expires.
     pub fn begin_shutdown(&self) {
         self.host.begin_drain();
-        if let Engine::Reactor(reactor) = &self.engine {
-            reactor.begin_drain();
-        }
+        self.reactor.begin_drain();
         self.signal.trigger();
     }
 
@@ -337,52 +198,21 @@ impl Server {
         // begin_shutdown may have been called externally without
         // SIGINT; make sure the host drains either way.
         self.host.begin_drain();
-        match self.engine {
-            Engine::Reactor(reactor) => {
-                reactor.begin_drain();
-                // Grace: draining clients may still fetch streams; the
-                // wait returns early once every connection is gone.
-                reactor.wait_idle(DRAIN_GRACE);
-                reactor.hard_stop();
-                reactor.wait_idle(HARD_STOP_BOUND);
-                reactor.join();
-            }
-            Engine::Threads {
-                hard_stop,
-                active_conns,
-                accept_threads,
-                poll,
-            } => {
-                for t in accept_threads {
-                    let _ = t.join();
-                }
-                let deadline = std::time::Instant::now() + DRAIN_GRACE;
-                while active_conns.load(Ordering::SeqCst) > 0
-                    && std::time::Instant::now() < deadline
-                {
-                    std::thread::sleep(poll);
-                }
-                // Hard stop: remaining connection threads exit at their
-                // next frame boundary / poll tick. Bounded wait so a
-                // peer that went silent mid-frame cannot pin us here.
-                hard_stop.store(true, Ordering::SeqCst);
-                let deadline = std::time::Instant::now() + HARD_STOP_BOUND;
-                while active_conns.load(Ordering::SeqCst) > 0
-                    && std::time::Instant::now() < deadline
-                {
-                    std::thread::sleep(poll);
-                }
-            }
-        }
+        self.reactor.begin_drain();
+        // Grace: draining clients may still fetch streams; the wait
+        // returns early once every connection is gone.
+        self.reactor.wait_idle(DRAIN_GRACE);
+        self.reactor.hard_stop();
+        self.reactor.wait_idle(HARD_STOP_BOUND);
+        self.reactor.join();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
     }
 }
 
-/// Readiness-driven replacement for the old 25 ms stop-flag sleep
-/// loop: block on the stop wake-pipe and the SIGINT self-pipe until
-/// either fires. The SIGINT pipe is deliberately never drained — once
+/// Block on the stop wake-pipe and the SIGINT self-pipe until either
+/// fires. The SIGINT pipe is deliberately never drained — once
 /// readable it stays readable, which makes the sticky `SIGINT` flag
 /// and the poll agree forever after.
 fn block_until_stop(signal: &StopSignal, stop_rx: &mut WakeReader) {
@@ -403,18 +233,18 @@ fn block_until_stop(signal: &StopSignal, stop_rx: &mut WakeReader) {
             });
         }
         if poll_fds(&mut fds, -1).is_err() {
-            // Poll itself failing is pathological; degrade to the old
-            // sleep loop rather than spinning.
-            std::thread::sleep(POLL);
+            // Poll itself failing is pathological; back off rather
+            // than spinning.
+            std::thread::sleep(POLL_RETRY);
         }
         stop_rx.drain();
     }
 }
 
-// ---- reactor engine -----------------------------------------------------
+// ---- connections --------------------------------------------------------
 
-/// Per-connection protocol state for the reactor engine: the
-/// negotiated frame format, watch mode, and the current command batch.
+/// Per-connection protocol state: the negotiated frame format, watch
+/// mode, and the current command batch.
 ///
 /// Consecutive `cmd` requests for the same session within one
 /// readiness burst are applied through [`Host::apply_batch`] under a
@@ -465,8 +295,7 @@ impl Handler for ConnHandler {
     fn on_frames(&mut self, frames: Vec<Vec<u8>>, cx: &mut ConnCx<'_>) -> Action {
         if self.watching {
             // A watching connection is a one-way event stream; frames
-            // sent after the watch request are dropped, matching the
-            // thread engine (which stops reading entirely).
+            // sent after the watch request are dropped.
             return Action::Continue;
         }
         for frame in frames {
@@ -489,6 +318,9 @@ impl Handler for ConnHandler {
                     return Action::Close;
                 }
             };
+            if !matches!(req.op, Op::Cmd { .. }) {
+                self.flush_cmds(cx);
+            }
             match req.op {
                 Op::Cmd { session, cmd } => {
                     if self.batch_session.as_deref() != Some(session.as_str()) {
@@ -498,49 +330,40 @@ impl Handler for ConnHandler {
                     self.batch_ids.push(req.id);
                     self.batch_cmds.push(cmd);
                 }
-                op => {
-                    self.flush_cmds(cx);
-                    match op {
-                        Op::Frames { format } => {
-                            // Ack in the old format, switch after.
-                            self.reply(req.id, frames_ack(format), cx);
-                            self.format = format;
+                Op::Frames { format } => {
+                    // Ack in the old format, switch after.
+                    let ack = Body::Ok(obj(vec![("format", Json::Str(format.label().into()))]));
+                    self.reply(req.id, ack, cx);
+                    self.format = format;
+                }
+                Op::Watch { session } => {
+                    let push = cx.push_handle();
+                    let format = self.format;
+                    let registered = self.host.watch_fn(&session, move |line| {
+                        push.push(encode_response_bytes(
+                            &Response {
+                                id: 0,
+                                body: Body::Event(Json::Str(line.to_string())),
+                            },
+                            format,
+                        ))
+                    });
+                    match registered {
+                        Ok(()) => {
+                            // The ack is queued in this handler call;
+                            // pushes are merged between handler calls,
+                            // so it always precedes the first event.
+                            let ack = Body::Ok(obj(vec![("watching", Json::Str(session))]));
+                            self.reply(req.id, ack, cx);
+                            self.watching = true;
+                            return Action::Continue;
                         }
-                        Op::Watch { session } => {
-                            let push = cx.push_handle();
-                            let format = self.format;
-                            let registered = self.host.watch_fn(&session, move |line| {
-                                push.push(encode_response_bytes(
-                                    &Response {
-                                        id: 0,
-                                        body: Body::Event(Json::Str(line.to_string())),
-                                    },
-                                    format,
-                                ))
-                            });
-                            match registered {
-                                Ok(()) => {
-                                    // The ack is queued in this handler
-                                    // call; pushes are merged between
-                                    // handler calls, so it always
-                                    // precedes the first event.
-                                    self.reply(
-                                        req.id,
-                                        Body::Ok(obj(vec![("watching", Json::Str(session))])),
-                                        cx,
-                                    );
-                                    self.watching = true;
-                                    return Action::Continue;
-                                }
-                                Err(e) => self.reply(req.id, host_err_body(e), cx),
-                            }
-                        }
-                        op => {
-                            let body = op_body(&op, &self.host, &self.signal)
-                                .expect("cmd/watch/frames handled above");
-                            self.reply(req.id, body, cx);
-                        }
+                        Err(e) => self.reply(req.id, host_err_body(e), cx),
                     }
+                }
+                op => {
+                    let body = op_body(&op, &self.host, &self.signal);
+                    self.reply(req.id, body, cx);
                 }
             }
         }
@@ -551,7 +374,6 @@ impl Handler for ConnHandler {
     fn on_bad_frame(&mut self, err: &FrameError, cx: &mut ConnCx<'_>) {
         // Frame-level fault: report it, then the reactor closes —
         // framing is unrecoverable once the byte stream is misaligned.
-        // Reuse the wire-error text the thread engine always sent.
         let detail = match err {
             FrameError::Oversized { len, max } => WireError::Oversized {
                 len: *len as u32,
@@ -572,220 +394,7 @@ impl Handler for ConnHandler {
     }
 }
 
-// ---- thread engine ------------------------------------------------------
-
-/// A bidirectional client connection (TCP or unix).
-trait Conn: Read + Write + Send {
-    fn set_read_timeout_conn(&self, d: Option<Duration>) -> std::io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_read_timeout_conn(&self, d: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(d)
-    }
-}
-
-impl Conn for UnixStream {
-    fn set_read_timeout_conn(&self, d: Option<Duration>) -> std::io::Result<()> {
-        self.set_read_timeout(d)
-    }
-}
-
-/// Everything a thread-engine connection needs, cloned per accept.
-#[derive(Clone)]
-struct ThreadCtx {
-    host: Arc<Host>,
-    signal: StopSignal,
-    hard_stop: Arc<AtomicBool>,
-    conns: Arc<AtomicUsize>,
-    poll: Duration,
-}
-
-fn accept_loop(mut accept: impl FnMut() -> Option<std::io::Result<Box<dyn Conn>>>, ctx: ThreadCtx) {
-    while !ctx.signal.is_stopped() {
-        match accept() {
-            None => std::thread::sleep(ctx.poll),
-            Some(Err(_)) => std::thread::sleep(ctx.poll),
-            Some(Ok(stream)) => {
-                let ctx = ctx.clone();
-                ctx.conns.fetch_add(1, Ordering::SeqCst);
-                std::thread::spawn(move || {
-                    handle_conn(stream, &ctx);
-                    ctx.conns.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        }
-    }
-}
-
-/// Outcome of a stop-aware frame read.
-enum FrameRead {
-    Frame(Vec<u8>),
-    Closed,
-    Stopped,
-}
-
-/// Like [`crate::protocol::read_frame_bytes`] but wakes every read
-/// timeout to check the hard-stop flag. At a frame boundary a hard stop
-/// closes the connection; mid-frame the remaining bytes are awaited so
-/// an in-flight request is never torn. The drain flag deliberately does
-/// *not* end the read loop: draining clients may still fetch streams
-/// and snapshots.
-fn read_frame_stoppable(r: &mut impl Read, stop: &AtomicBool) -> Result<FrameRead, WireError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        if filled == 0 && stop.load(Ordering::SeqCst) {
-            return Ok(FrameRead::Stopped);
-        }
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(FrameRead::Closed),
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    got: filled,
-                    want: 4,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let len = u32::from_be_bytes(header);
-    if len > MAX_FRAME {
-        return Err(WireError::Oversized {
-            len,
-            max: MAX_FRAME,
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut filled = 0;
-    while filled < payload.len() {
-        match r.read(&mut payload[filled..]) {
-            Ok(0) => {
-                return Err(WireError::Truncated {
-                    got: filled,
-                    want: payload.len(),
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(FrameRead::Frame(payload))
-}
-
-fn respond(
-    stream: &mut dyn Conn,
-    id: u64,
-    body: Body,
-    format: FrameFormat,
-) -> Result<(), WireError> {
-    let payload = encode_response_bytes(&Response { id, body }, format);
-    let mut w = &mut *stream as &mut dyn Write;
-    write_frame_bytes(&mut w, &payload)
-}
-
-fn handle_conn(mut stream: Box<dyn Conn>, ctx: &ThreadCtx) {
-    let _ = stream.set_read_timeout_conn(Some(ctx.poll));
-    let mut format = FrameFormat::Json;
-    loop {
-        let frame = match read_frame_stoppable(&mut stream, &ctx.hard_stop) {
-            Ok(FrameRead::Frame(f)) => f,
-            Ok(FrameRead::Closed | FrameRead::Stopped) => return,
-            Err(WireError::Io(_)) => return,
-            Err(e) => {
-                // Frame-level fault: report it, then close — framing is
-                // unrecoverable once the byte stream is misaligned.
-                let _ = respond(
-                    stream.as_mut(),
-                    0,
-                    Body::Err {
-                        kind: ErrKind::MalformedFrame,
-                        detail: e.to_string(),
-                    },
-                    format,
-                );
-                return;
-            }
-        };
-        let req = match decode_request_bytes(&frame, format) {
-            Ok(req) => req,
-            Err(fault) => {
-                let keep = matches!(fault, PayloadFault::Grammar(_));
-                let _ = respond(
-                    stream.as_mut(),
-                    0,
-                    Body::Err {
-                        kind: ErrKind::MalformedFrame,
-                        detail: fault.detail().to_string(),
-                    },
-                    format,
-                );
-                if keep {
-                    // Grammar-level fault: the framing is intact, so
-                    // the connection stays usable.
-                    continue;
-                }
-                return;
-            }
-        };
-        if let Op::Frames { format: next } = req.op {
-            // Ack in the old format, switch after.
-            if respond(stream.as_mut(), req.id, frames_ack(next), format).is_err() {
-                return;
-            }
-            format = next;
-            continue;
-        }
-        match dispatch(&req, &ctx.host, &ctx.signal) {
-            Dispatch::Reply(body) => {
-                if respond(stream.as_mut(), req.id, body, format).is_err() {
-                    return;
-                }
-            }
-            Dispatch::EnterWatch { ack, rx } => {
-                if respond(stream.as_mut(), req.id, ack, format).is_err() {
-                    return;
-                }
-                // The connection becomes a one-way event stream: each
-                // applied record arrives as an id-0 event frame carrying
-                // the deterministic record line.
-                loop {
-                    match rx.recv_timeout(ctx.poll) {
-                        Ok(line) => {
-                            let body = Body::Event(Json::Str(line));
-                            if respond(stream.as_mut(), 0, body, format).is_err() {
-                                return;
-                            }
-                        }
-                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                            if ctx.signal.is_stopped() {
-                                return;
-                            }
-                        }
-                        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---- shared dispatch ----------------------------------------------------
+// ---- dispatch -----------------------------------------------------------
 
 fn host_err_body(e: HostError) -> Body {
     Body::Err {
@@ -794,13 +403,7 @@ fn host_err_body(e: HostError) -> Body {
     }
 }
 
-/// The `frames` op's ack body (sent in the pre-switch format).
-fn frames_ack(format: FrameFormat) -> Body {
-    Body::Ok(obj(vec![("format", Json::Str(format.label().into()))]))
-}
-
-/// Render one command outcome — the single rendering both engines and
-/// both the single and batched apply paths share.
+/// Render one command outcome.
 fn cmd_outcome_body(outcome: Result<dsnet::CommandRecord, HostError>) -> Body {
     match outcome {
         Ok(record) => {
@@ -827,33 +430,12 @@ fn cmd_outcome_body(outcome: Result<dsnet::CommandRecord, HostError>) -> Body {
     }
 }
 
-enum Dispatch {
-    Reply(Body),
-    EnterWatch {
-        ack: Body,
-        rx: std::sync::mpsc::Receiver<String>,
-    },
-}
-
-fn dispatch(req: &Request, host: &Arc<Host>, signal: &StopSignal) -> Dispatch {
-    if let Op::Watch { session } = &req.op {
-        return match host.watch(session) {
-            Ok(rx) => Dispatch::EnterWatch {
-                ack: Body::Ok(obj(vec![("watching", Json::Str(session.clone()))])),
-                rx,
-            },
-            Err(e) => Dispatch::Reply(host_err_body(e)),
-        };
-    }
-    Dispatch::Reply(op_body(&req.op, host, signal).expect("watch handled above"))
-}
-
-/// Body for every op that answers with a single reply. `None` for
-/// [`Op::Watch`], whose lifecycle is engine-specific. [`Op::Frames`]
-/// yields its ack body — the actual format switch is connection state
-/// owned by the engines.
-fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Option<Body> {
-    Some(match op {
+/// Body for every op that answers with a single, stateless reply.
+/// `cmd` (batched), `frames` (a format switch) and `watch` (a
+/// subscription) change connection state and are handled by
+/// [`ConnHandler`] itself.
+fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Body {
+    match op {
         Op::Ping => Body::Ok(obj(vec![
             ("pong", Json::Int(1)),
             ("sessions", Json::Int(host.session_count() as i64)),
@@ -875,7 +457,6 @@ fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Option<Body> {
             ])),
             Err(e) => host_err_body(e),
         },
-        Op::Cmd { session, cmd } => cmd_outcome_body(host.apply(session, cmd)),
         Op::Stream { session } => match host.stream(session) {
             Ok(text) => Body::Ok(obj(vec![("stream", Json::Str(text))])),
             Err(e) => host_err_body(e),
@@ -893,8 +474,9 @@ fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Option<Body> {
             ])),
             Err(e) => host_err_body(e),
         },
-        Op::Frames { format } => frames_ack(*format),
-        Op::Watch { .. } => return None,
+        Op::Cmd { .. } | Op::Frames { .. } | Op::Watch { .. } => {
+            unreachable!("connection-state ops are handled by the handler")
+        }
         Op::Shutdown => {
             host.begin_drain();
             signal.trigger();
@@ -903,7 +485,7 @@ fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Option<Body> {
                 ("sessions", Json::Int(host.session_count() as i64)),
             ]))
         }
-    })
+    }
 }
 
 // ---- SIGINT -------------------------------------------------------------

@@ -1,6 +1,6 @@
-//! Reactor-engine integration tests: the sharded readiness reactor must
-//! serve the exact streams the thread engine and the library-direct
-//! executor produce, over both payload formats, while keeping its
+//! Reactor integration tests: the sharded readiness reactor must serve
+//! the exact streams the library-direct executor produces, over both
+//! payload formats, while keeping its
 //! multiplexing guarantees — a peer stalled mid-frame cannot stall its
 //! shard, pipelined frames answer in order, and shutdown latency is
 //! bounded by the reactor, not by polling loops.
@@ -16,13 +16,12 @@ use dsnet_server::protocol::{
     decode_response_bytes, encode_request_bytes, read_frame_bytes, write_frame_bytes, Body,
     FrameFormat, Op, Request,
 };
-use dsnet_server::{run_script, Client, IoMode, ServeOptions, Server};
+use dsnet_server::{run_script, Client, ServeOptions, Server};
 
-fn serve(io: IoMode, shards: usize, read_deadline_ms: u64) -> (Server, String) {
+fn serve(shards: usize, read_deadline_ms: u64) -> (Server, String) {
     let server = Server::start(&ServeOptions {
         tcp: Some("127.0.0.1:0".into()),
         max_sessions: 64,
-        io,
         shards,
         read_deadline_ms,
         ..ServeOptions::default()
@@ -79,33 +78,31 @@ fn daemon_stream(addr: &str, format: FrameFormat) -> String {
     report.stream
 }
 
-/// The tentpole determinism contract across all three execution paths
-/// and both payload formats: reactor daemon, thread daemon and the
-/// library-direct executor all yield byte-identical streams.
+/// The tentpole determinism contract across both payload formats: the
+/// reactor daemon and the library-direct executor yield byte-identical
+/// streams.
 #[test]
-fn reactor_threads_and_direct_streams_are_byte_identical() {
+fn reactor_and_direct_streams_are_byte_identical() {
     let want = direct_stream();
-    for io in [IoMode::Reactor, IoMode::Threads] {
-        let (server, addr) = serve(io, 0, 0);
-        for format in [FrameFormat::Json, FrameFormat::Binary] {
-            assert_eq!(
-                daemon_stream(&addr, format),
-                want,
-                "stream drift on {io:?}/{format:?}"
-            );
-        }
-        let mut client = Client::connect_tcp(&addr).expect("connect");
-        client.shutdown().expect("shutdown");
-        drop(client);
-        server.wait();
+    let (server, addr) = serve(0, 0);
+    for format in [FrameFormat::Json, FrameFormat::Binary] {
+        assert_eq!(
+            daemon_stream(&addr, format),
+            want,
+            "stream drift on {format:?}"
+        );
     }
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    drop(client);
+    server.wait();
 }
 
 /// Mid-connection format negotiation: a session driven half in JSON and
 /// half in binary (switched between commands) records the same stream.
 #[test]
 fn mid_connection_negotiation_preserves_the_stream() {
-    let (server, addr) = serve(IoMode::Reactor, 0, 0);
+    let (server, addr) = serve(0, 0);
     let mut client = Client::connect_tcp(&addr).expect("connect");
     let cmds = script();
     client.create("s", spec()).expect("create");
@@ -132,7 +129,7 @@ fn mid_connection_negotiation_preserves_the_stream() {
 /// binary event frames.
 #[test]
 fn binary_watcher_receives_events() {
-    let (server, addr) = serve(IoMode::Reactor, 0, 0);
+    let (server, addr) = serve(0, 0);
     let mut driver = Client::connect_tcp(&addr).expect("driver connect");
     driver.create("s", spec()).expect("create");
 
@@ -171,7 +168,7 @@ fn binary_watcher_receives_events() {
 /// closed by the deadline.
 #[test]
 fn stalled_peer_is_deadlined_while_neighbor_progresses() {
-    let (server, addr) = serve(IoMode::Reactor, 1, 250);
+    let (server, addr) = serve(1, 250);
 
     // Write a frame header promising 100 bytes, deliver 10, then stall.
     let mut stalled = TcpStream::connect(&addr).expect("stalled connect");
@@ -207,7 +204,7 @@ fn stalled_peer_is_deadlined_while_neighbor_progresses() {
 /// read — answer strictly in request order with matching ids.
 #[test]
 fn pipelined_requests_answer_in_order() {
-    let (server, addr) = serve(IoMode::Reactor, 0, 0);
+    let (server, addr) = serve(0, 0);
     let mut raw = TcpStream::connect(&addr).expect("connect");
 
     let mut batch = Vec::new();
@@ -267,7 +264,7 @@ fn pipelined_requests_answer_in_order() {
 /// the full drain grace.
 #[test]
 fn shutdown_latency_is_bounded() {
-    let (server, addr) = serve(IoMode::Reactor, 0, 0);
+    let (server, addr) = serve(0, 0);
     let mut client = Client::connect_tcp(&addr).expect("connect");
     client.create("s", spec()).expect("create");
     client.shutdown().expect("shutdown op");

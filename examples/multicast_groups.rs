@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release --example multicast_groups`
 
 use dsnet::protocols::multicast::relay_count;
-use dsnet::protocols::runner::{run_multicast_reliable, RunConfig};
-use dsnet::{GroupPlan, NetworkBuilder, Protocol};
+use dsnet::protocols::runner::{MulticastSlots, RunConfig};
+use dsnet::{Broadcast, GroupPlan, NetworkBuilder, Protocol};
 
 const GROUP_NAMES: [&str; 3] = ["temperature", "vibration", "acoustic"];
 
@@ -36,8 +36,8 @@ fn main() {
         // the odd delivery (reported honestly below). The session-slot
         // variant re-assigns slots over the participants and is exact.
         let paper = network.multicast(g);
-        let reliable =
-            run_multicast_reliable(network.mcnet(), network.sink(), g, &RunConfig::default());
+        let req = Broadcast::multicast(network.sink(), g, MulticastSlots::Session);
+        let reliable = network.run(&req, &RunConfig::default()).outcome;
         let work = paper.energy.total_listen + paper.energy.total_tx;
         println!(
             "multicast '{}': {} members, {} relays — paper {} rounds {}/{}, reliable {} rounds {}/{}, {} radio-on rounds ({:.0}% of broadcast)",

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example multichannel`
 
-use dsnet::protocols::runner::{run_improved, RunConfig};
-use dsnet::NetworkBuilder;
+use dsnet::protocols::runner::RunConfig;
+use dsnet::{Broadcast, NetworkBuilder, Protocol};
 
 fn main() {
     let network = NetworkBuilder::paper(400, 77)
@@ -28,7 +28,8 @@ fn main() {
             channels: k,
             ..Default::default()
         };
-        let out = run_improved(network.net(), network.sink(), &cfg);
+        let req = Broadcast::new(Protocol::ImprovedCff, network.sink());
+        let out = network.run(&req, &cfg).outcome;
         println!(
             "{:>3}  {:>7}  {:>10}  {:>9}  {:>6}/{}",
             k,

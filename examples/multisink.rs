@@ -6,8 +6,8 @@
 
 use dsnet::geom::rng::{derive_seed, rng_from_seed};
 use dsnet::graph::NodeId;
-use dsnet::protocols::runner::RunConfig;
-use dsnet::{MultiNet, NetworkBuilder};
+use dsnet::protocols::runner::{run, RunConfig};
+use dsnet::{Broadcast, MultiNet, NetworkBuilder, Protocol};
 use rand::seq::SliceRandom as _;
 
 fn main() {
@@ -52,7 +52,8 @@ fn main() {
         }
 
         let single = multi.structures()[0].clone();
-        let single_out = dsnet::protocols::runner::run_improved(&single, single.root(), &cfg);
+        let req = Broadcast::new(Protocol::ImprovedCff, single.root());
+        let single_out = run(&single, &req, &cfg).outcome;
         let multi_out = multi.broadcast_failover(&cfg);
         println!(
             "{f:2} failures: single sink {:5.1}%  |  failover ({} attempts, {} rounds) {:5.1}%",

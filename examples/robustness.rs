@@ -15,7 +15,7 @@ use dsnet::geom::rng::{derive_seed, rng_from_seed};
 use dsnet::graph::NodeId;
 use dsnet::protocols::runner::RunConfig;
 use dsnet::radio::LossModel;
-use dsnet::{NetworkBuilder, Protocol};
+use dsnet::{Broadcast, NetworkBuilder, Protocol};
 use rand::seq::SliceRandom as _;
 
 fn main() {
@@ -47,8 +47,12 @@ fn main() {
         for &v in &victims {
             cfg.failures.kill_node(v, 1);
         }
-        let cff = network.broadcast_from(Protocol::ImprovedCff, network.sink(), &cfg);
-        let dfo = network.broadcast_from(Protocol::Dfo, network.sink(), &cfg);
+        let cff = network
+            .run(&Broadcast::new(Protocol::ImprovedCff, network.sink()), &cfg)
+            .outcome;
+        let dfo = network
+            .run(&Broadcast::new(Protocol::Dfo, network.sink()), &cfg)
+            .outcome;
         println!(
             "{:>9}  {:>13.1}%  {:>13.1}%",
             f,
@@ -78,8 +82,12 @@ fn main() {
             max_retries: 4,
             ..RunConfig::default()
         };
-        let basic = network.broadcast_from(Protocol::BasicCff, network.sink(), &cfg);
-        let reliable = network.broadcast_from(Protocol::ReliableCff, network.sink(), &cfg);
+        let basic = network
+            .run(&Broadcast::new(Protocol::BasicCff, network.sink()), &cfg)
+            .outcome;
+        let reliable = network
+            .run(&Broadcast::new(Protocol::ReliableCff, network.sink()), &cfg)
+            .outcome;
         println!(
             "{:>8.0}%  {:>13.1}%  {:>13.1}%",
             100.0 * loss,

@@ -11,12 +11,10 @@
 #   loss            lossy channels × repair × transient outages
 #   mobility-audit  long-horizon motion with dirty-scoped invariant
 #                   auditing on every maintenance epoch
-#   server          scripted session through a live thread-engine daemon
-#                   vs the same script applied library-direct
-#                   (byte-identical streams)
-#   server-reactor  same script through a reactor-engine daemon, driven
-#                   once over JSON frames and once over negotiated
-#                   binary frames, both byte-identical to library-direct
+#   server-reactor  scripted session through a live reactor daemon,
+#                   driven once over JSON frames and once over negotiated
+#                   binary frames, both byte-identical to the same script
+#                   applied library-direct
 #   resume          crash a journaled campaign at a fixed injected point,
 #                   resume from the journal, and require the resumed
 #                   artifacts byte-identical to an uninterrupted run
@@ -31,12 +29,12 @@
 #                   across 1 vs 2 worker threads
 #
 # Artifacts are left in the working directory as t<axis><threads>.json /
-# .csv (tserver_*.stream for the server axis) so CI can upload them on
-# failure.
+# .csv (tserver_*.stream for the server-reactor axis) so CI can upload
+# them on failure.
 set -euo pipefail
 
 if [ "$#" -lt 1 ]; then
-    echo "usage: $0 <core|mobility|loss|mobility-audit|server|server-reactor|resume|scale|knowledge> [...]" >&2
+    echo "usage: $0 <core|mobility|loss|mobility-audit|server-reactor|resume|scale|knowledge> [...]" >&2
     exit 2
 fi
 
@@ -66,7 +64,7 @@ axis_flags() {
                   --mobility rwp0.08x40p1,gm0.05x40"
             ;;
         *)
-            echo "unknown axis: $1 (want core, mobility, loss, mobility-audit, server, server-reactor, resume, scale, or knowledge)" >&2
+            echo "unknown axis: $1 (want core, mobility, loss, mobility-audit, server-reactor, resume, scale, or knowledge)" >&2
             exit 2
             ;;
     esac
@@ -168,14 +166,12 @@ EOS
     cmp tknowledge_r1.csv tknowledge_r2.csv
 }
 
-# Server determinism: boot a unix-socket daemon on the given I/O engine
-# ($1: reactor|threads), run a fixed churn-heavy script through
-# `client --script` once per requested framing ($2...: "" for JSON,
-# "--binary" for negotiated binary frames), run the same script
-# library-direct, and require every stream byte-identical.
+# Server determinism: boot a unix-socket daemon, run a fixed churn-heavy
+# script through `client --script` once per requested framing ($@: ""
+# for JSON, "--binary" for negotiated binary frames), run the same
+# script library-direct, and require every stream byte-identical.
 server_smoke() {
-    local engine="$1"; shift
-    local sock="tserver-$engine.sock" script="tserver.script" pid framing tag
+    local sock="tserver.sock" script="tserver.script" pid framing tag
     rm -f "$sock"
     # Build up front so the daemon's socket-wait window below never
     # races a cold compile.
@@ -190,7 +186,7 @@ server_smoke() {
 {"cmd": "revive", "node": 3}
 {"cmd": "snapshot"}
 EOS
-    "${DSNET[@]}" serve --unix "$sock" --io "$engine" --max-sessions 4 --quiet &
+    "${DSNET[@]}" serve --unix "$sock" --max-sessions 4 --quiet &
     pid=$!
     for _ in $(seq 1 100); do
         [ -S "$sock" ] && break
@@ -205,23 +201,17 @@ EOS
         # shellcheck disable=SC2086  # framing is "" or a single flag
         "${DSNET[@]}" client --unix "$sock" $framing \
             --session "smoke-$tag" --script "$script" \
-            --nodes 40 --seed 2007 > "tserver_${engine}_${tag}.stream"
-        cmp "tserver_${engine}_${tag}.stream" tserver_direct.stream
+            --nodes 40 --seed 2007 > "tserver_reactor_${tag}.stream"
+        cmp "tserver_reactor_${tag}.stream" tserver_direct.stream
     done
     "${DSNET[@]}" client --unix "$sock" --shutdown > /dev/null
     wait "$pid"
 }
 
 for axis in "$@"; do
-    if [ "$axis" = server ]; then
-        echo "=== determinism smoke: server ==="
-        server_smoke threads ""
-        echo "=== server: thread-engine daemon and library-direct streams identical ==="
-        continue
-    fi
     if [ "$axis" = server-reactor ]; then
         echo "=== determinism smoke: server-reactor ==="
-        server_smoke reactor "" "--binary"
+        server_smoke "" "--binary"
         echo "=== server-reactor: reactor daemon (JSON and binary framing) matches library-direct ==="
         continue
     fi

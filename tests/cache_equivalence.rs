@@ -1,11 +1,11 @@
-//! The knowledge cache is a pure memoisation: broadcasts served through
-//! [`SensorNetwork`]'s version-keyed [`KnowledgeCache`] must be
-//! *byte-identical* — same outcome, same [`TraceEvent`] stream, same
-//! warnings — to runs over a knowledge snapshot rebuilt from scratch,
-//! no matter what sequence of structural mutations (churn, repair)
-//! preceded them, and campaign artifacts must stay thread-invariant
-//! across every axis (loss, repair, mobility) now that trials run
-//! through the cache.
+//! The knowledge cache is a pure memoisation: broadcasts and multicasts
+//! served through [`SensorNetwork`]'s version-keyed [`KnowledgeCache`]
+//! must be *byte-identical* — same outcome, same delivery bitmap, same
+//! [`TraceEvent`] stream, same warnings — to runs over a knowledge
+//! snapshot rebuilt from scratch, no matter what sequence of structural
+//! mutations (churn, repair) preceded them, and campaign artifacts must
+//! stay thread-invariant across every axis (loss, repair, mobility) now
+//! that trials run through the cache.
 //!
 //! Also pins the diagnostic-warning contract: the benign k=1
 //! leaf-window collision note of Algorithm 2 travels on the trace, never
@@ -15,12 +15,9 @@ use dsnet::campaign_engine::{render_csv, render_json, CampaignSpec, MobilitySpec
 use dsnet::cluster::repair::RepairConfig;
 use dsnet::graph::NodeId;
 use dsnet::protocols::knowledge::build_knowledge;
-use dsnet::protocols::runner::{
-    run_cff_basic_traced, run_cff_reliable_traced, run_dfo_traced, run_improved_traced,
-    BroadcastOutcome, RunConfig,
-};
-use dsnet::radio::{LossModel, Trace};
-use dsnet::{NetworkBuilder, Protocol, SensorNetwork};
+use dsnet::protocols::runner::{self, MulticastSlots, RunConfig};
+use dsnet::radio::LossModel;
+use dsnet::{Broadcast, GroupPlan, NetworkBuilder, Protocol, SensorNetwork};
 use proptest::prelude::*;
 
 /// Apply a mutation sequence driven by proptest-chosen picks: leaves,
@@ -53,42 +50,39 @@ fn mutate(net: &mut SensorNetwork, ops: &[(u8, u16)]) {
     net.check();
 }
 
-/// Run `protocol` twice — once through the network's cache, once over a
+/// Run `req` twice — once through the network's cache, once over a
 /// freshly built knowledge snapshot — and demand identical results.
-fn assert_cached_matches_fresh(net: &SensorNetwork, protocol: Protocol, cfg: &RunConfig) {
-    let source = net.sink();
-    let (cached_out, cached_trace): (BroadcastOutcome, Trace) =
-        net.broadcast_traced(protocol, source, cfg);
+fn assert_cached_matches_fresh(net: &SensorNetwork, req: Broadcast<'_>, cfg: &RunConfig) {
+    let label = format!("{:?} {:?}", req.protocol, req.multicast);
+    let cached = net.run(&req, cfg);
     let fresh_k = build_knowledge(net.net());
-    let (fresh_out, fresh_trace) = match protocol {
-        Protocol::Dfo => run_dfo_traced(net.net(), &fresh_k, source, cfg),
-        Protocol::BasicCff => run_cff_basic_traced(net.net(), &fresh_k, source, cfg),
-        Protocol::ImprovedCff => run_improved_traced(net.net(), &fresh_k, source, cfg),
-        Protocol::ReliableCff => run_cff_reliable_traced(net.net(), &fresh_k, source, cfg),
+    let fresh_req = Broadcast {
+        knowledge: Some(&fresh_k),
+        ..req
     };
-    assert_eq!(cached_out.rounds, fresh_out.rounds, "{protocol:?} rounds");
+    let fresh = runner::run(net.mcnet(), &fresh_req, cfg);
+    let (cached_out, fresh_out) = (&cached.outcome, &fresh.outcome);
+    assert_eq!(cached_out.rounds, fresh_out.rounds, "{label} rounds");
     assert_eq!(
         cached_out.delivered, fresh_out.delivered,
-        "{protocol:?} delivered"
+        "{label} delivered"
     );
-    assert_eq!(
-        cached_out.targets, fresh_out.targets,
-        "{protocol:?} targets"
-    );
-    assert_eq!(cached_out.bound, fresh_out.bound, "{protocol:?} bound");
+    assert_eq!(cached_out.targets, fresh_out.targets, "{label} targets");
+    assert_eq!(cached_out.bound, fresh_out.bound, "{label} bound");
     assert_eq!(
         cached_out.collisions, fresh_out.collisions,
-        "{protocol:?} collisions"
+        "{label} collisions"
+    );
+    assert_eq!(cached.received, fresh.received, "{label} delivery bitmap");
+    assert_eq!(
+        cached.trace.events(),
+        fresh.trace.events(),
+        "{label} trace events diverged between cached and fresh knowledge"
     );
     assert_eq!(
-        cached_trace.events(),
-        fresh_trace.events(),
-        "{protocol:?} trace events diverged between cached and fresh knowledge"
-    );
-    assert_eq!(
-        cached_trace.warnings(),
-        fresh_trace.warnings(),
-        "{protocol:?} warnings diverged"
+        cached.trace.warnings(),
+        fresh.trace.warnings(),
+        "{label} warnings diverged"
     );
 }
 
@@ -96,25 +90,35 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// The tentpole equivalence: for any mutation history, every
-    /// protocol's cached run equals its from-scratch run — lossless and
-    /// under seeded channel loss.
+    /// protocol's cached run — both multicast slot modes included —
+    /// equals its from-scratch run, lossless and under seeded channel
+    /// loss.
     #[test]
     fn cached_broadcasts_equal_uncached_after_arbitrary_mutations(
         n in 30usize..80,
         seed in 0u64..500,
         ops in prop::collection::vec((any::<u8>(), any::<u16>()), 0..12),
     ) {
-        let mut net = NetworkBuilder::paper_field(10.0, n, seed).build().unwrap();
+        let mut net = NetworkBuilder::paper_field(10.0, n, seed)
+            .groups(GroupPlan {
+                groups: 1,
+                membership: 0.3,
+            })
+            .build()
+            .unwrap();
         mutate(&mut net, &ops);
 
         let cfg = RunConfig::default();
-        for protocol in [
-            Protocol::Dfo,
-            Protocol::BasicCff,
-            Protocol::ImprovedCff,
-            Protocol::ReliableCff,
+        let sink = net.sink();
+        for req in [
+            Broadcast::new(Protocol::Dfo, sink),
+            Broadcast::new(Protocol::BasicCff, sink),
+            Broadcast::new(Protocol::ImprovedCff, sink),
+            Broadcast::new(Protocol::ReliableCff, sink),
+            Broadcast::multicast(sink, 0, MulticastSlots::RelayPruned),
+            Broadcast::multicast(sink, 0, MulticastSlots::Session),
         ] {
-            assert_cached_matches_fresh(&net, protocol, &cfg);
+            assert_cached_matches_fresh(&net, req, &cfg);
         }
 
         // Seeded loss: the LossModel stream is a function of (seed, round,
@@ -124,7 +128,7 @@ proptest! {
             max_retries: 3,
             ..RunConfig::default()
         };
-        assert_cached_matches_fresh(&net, Protocol::ReliableCff, &lossy);
+        assert_cached_matches_fresh(&net, Broadcast::new(Protocol::ReliableCff, net.sink()), &lossy);
     }
 }
 
@@ -134,12 +138,20 @@ proptest! {
 #[test]
 fn cache_stays_fresh_across_each_mutation_step() {
     let mut net = NetworkBuilder::paper_field(10.0, 60, 9).build().unwrap();
-    assert_cached_matches_fresh(&net, Protocol::ImprovedCff, &RunConfig::default());
+    assert_cached_matches_fresh(
+        &net,
+        Broadcast::new(Protocol::ImprovedCff, net.sink()),
+        &RunConfig::default(),
+    );
 
     let nodes: Vec<NodeId> = net.net().tree().nodes().collect();
     let victim = *nodes.iter().rev().find(|&&u| u != net.sink()).unwrap();
     net.leave(victim).unwrap();
-    assert_cached_matches_fresh(&net, Protocol::ImprovedCff, &RunConfig::default());
+    assert_cached_matches_fresh(
+        &net,
+        Broadcast::new(Protocol::ImprovedCff, net.sink()),
+        &RunConfig::default(),
+    );
 
     let anchor = net.position(net.sink());
     net.join(
@@ -147,12 +159,20 @@ fn cache_stays_fresh_across_each_mutation_step() {
         &[],
     )
     .unwrap();
-    assert_cached_matches_fresh(&net, Protocol::Dfo, &RunConfig::default());
+    assert_cached_matches_fresh(
+        &net,
+        Broadcast::new(Protocol::Dfo, net.sink()),
+        &RunConfig::default(),
+    );
 
     let nodes: Vec<NodeId> = net.net().tree().nodes().collect();
     let crash = *nodes.iter().rev().find(|&&u| u != net.sink()).unwrap();
     net.repair_crash(crash, &RepairConfig::default()).unwrap();
-    assert_cached_matches_fresh(&net, Protocol::BasicCff, &RunConfig::default());
+    assert_cached_matches_fresh(
+        &net,
+        Broadcast::new(Protocol::BasicCff, net.sink()),
+        &RunConfig::default(),
+    );
 }
 
 /// Small churn must be served by the dirty-scoped patch path, not a full
@@ -165,7 +185,11 @@ fn small_churn_is_served_by_the_patch_path() {
     use dsnet::cluster::NodeStatus;
     let mut net = NetworkBuilder::paper_field(10.0, 80, 4).build().unwrap();
     // Prime the cache: the first miss is necessarily a full build.
-    assert_cached_matches_fresh(&net, Protocol::ImprovedCff, &RunConfig::default());
+    assert_cached_matches_fresh(
+        &net,
+        Broadcast::new(Protocol::ImprovedCff, net.sink()),
+        &RunConfig::default(),
+    );
     let (_, misses0, patched0) = net.knowledge_stats();
 
     let churns = 4u64;
@@ -178,7 +202,11 @@ fn small_churn_is_served_by_the_patch_path() {
             .collect();
         let victim = members[(round * 7) % members.len()];
         net.leave(victim).unwrap();
-        assert_cached_matches_fresh(&net, Protocol::ImprovedCff, &RunConfig::default());
+        assert_cached_matches_fresh(
+            &net,
+            Broadcast::new(Protocol::ImprovedCff, net.sink()),
+            &RunConfig::default(),
+        );
     }
 
     let (_, misses1, patched1) = net.knowledge_stats();
@@ -254,7 +282,8 @@ fn k1_leaf_window_warning_travels_on_the_trace() {
         channels: 1,
         ..RunConfig::default()
     };
-    let (out, trace) = net.broadcast_traced(Protocol::ImprovedCff, sink, &k1);
+    let run = net.run(&Broadcast::new(Protocol::ImprovedCff, sink), &k1);
+    let (out, trace) = (run.outcome, run.trace);
     assert!(out.completed());
     assert!(
         out.collisions.unwrap() > 0,
@@ -271,7 +300,8 @@ fn k1_leaf_window_warning_travels_on_the_trace() {
         channels: 2,
         ..RunConfig::default()
     };
-    let (out2, trace2) = net.broadcast_traced(Protocol::ImprovedCff, sink, &k2);
+    let run2 = net.run(&Broadcast::new(Protocol::ImprovedCff, sink), &k2);
+    let (out2, trace2) = (run2.outcome, run2.trace);
     assert_eq!(out2.collisions, Some(0));
     assert!(trace2.warnings().is_empty(), "k=2 is collision-free");
 
@@ -280,7 +310,9 @@ fn k1_leaf_window_warning_travels_on_the_trace() {
         record_trace: false,
         ..RunConfig::default()
     };
-    let (_, silent) = net.broadcast_traced(Protocol::ImprovedCff, sink, &untraced);
+    let silent = net
+        .run(&Broadcast::new(Protocol::ImprovedCff, sink), &untraced)
+        .trace;
     assert!(
         silent.warnings().is_empty(),
         "disabled traces must not accumulate warnings"

@@ -6,7 +6,8 @@ use dsnet::cluster::invariants;
 use dsnet::cluster::slots::validate::validate_condition2;
 use dsnet::cluster::{ClusterNet, ParentRule, SlotMode};
 use dsnet::graph::NodeId;
-use dsnet::protocols::runner::{run_improved, RunConfig};
+use dsnet::protocols::runner::{run, RunConfig};
+use dsnet::{Broadcast, Protocol};
 use proptest::prelude::*;
 
 /// One churn step, interpreted against the current structure.
@@ -85,7 +86,7 @@ proptest! {
         for step in &steps {
             apply(&mut net, step);
         }
-        let out = run_improved(&net, net.root(), &RunConfig::default());
+        let out = run(&net, &Broadcast::new(Protocol::ImprovedCff, net.root()), &RunConfig::default()).outcome;
         prop_assert_eq!(out.delivered, out.targets,
             "delivery {}/{} after churn", out.delivered, out.targets);
         prop_assert!(out.rounds <= out.bound);
@@ -135,7 +136,7 @@ proptest! {
         }
         let violations = validate_condition2(&net.view(), net.slots(), SlotMode::Strict);
         prop_assert!(violations.is_empty(), "{violations:?}");
-        let out = run_improved(&net, net.root(), &RunConfig::default());
+        let out = run(&net, &Broadcast::new(Protocol::ImprovedCff, net.root()), &RunConfig::default()).outcome;
         prop_assert_eq!(out.delivered, out.targets);
     }
 

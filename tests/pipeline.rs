@@ -9,7 +9,7 @@ use dsnet::graph::{components, degree};
 use dsnet::protocols::analytic;
 use dsnet::protocols::knowledge::build_knowledge;
 use dsnet::protocols::runner::RunConfig;
-use dsnet::{NetworkBuilder, Protocol};
+use dsnet::{Broadcast, NetworkBuilder, Protocol};
 
 #[test]
 fn paper_network_full_pipeline() {
@@ -99,7 +99,9 @@ fn multichannel_scaling_matches_theorem_1_3() {
             channels,
             ..Default::default()
         };
-        let out = net.broadcast_from(Protocol::ImprovedCff, net.sink(), &cfg);
+        let out = net
+            .run(&Broadcast::new(Protocol::ImprovedCff, net.sink()), &cfg)
+            .outcome;
         assert!(out.completed(), "k={channels}");
         assert!(out.rounds <= analytic::improved_bound(&k, 0, channels));
         rounds_by_k.push(out.rounds);
@@ -113,7 +115,12 @@ fn broadcast_from_every_tenth_node_completes() {
     let net = NetworkBuilder::paper(150, 40).build().unwrap();
     let sources: Vec<_> = net.net().tree().nodes().step_by(10).collect();
     for s in sources {
-        let out = net.broadcast_from(Protocol::ImprovedCff, s, &RunConfig::default());
+        let out = net
+            .run(
+                &Broadcast::new(Protocol::ImprovedCff, s),
+                &RunConfig::default(),
+            )
+            .outcome;
         assert!(
             out.completed(),
             "source {s}: {}/{}",

@@ -4,12 +4,26 @@
 //! strict slots plus these small random structures never trigger — any
 //! regression here is a real bug).
 
-use dsnet::cluster::{GroupId, McNet};
+use dsnet::cluster::{ClusterNet, GroupId, McNet};
 use dsnet::graph::NodeId;
-use dsnet::protocols::runner::{
-    run_cff_basic, run_dfo, run_improved, run_multicast, run_multicast_reliable, RunConfig,
-};
+use dsnet::protocols::runner::{run, BroadcastOutcome, MulticastSlots, RunConfig};
+use dsnet::{Broadcast, Protocol};
 use proptest::prelude::*;
+
+/// One `protocol` broadcast from `source` over fresh knowledge.
+fn broadcast(
+    net: &ClusterNet,
+    protocol: Protocol,
+    source: NodeId,
+    cfg: &RunConfig,
+) -> BroadcastOutcome {
+    run(net, &Broadcast::new(protocol, source), cfg).outcome
+}
+
+/// One group-1 multicast from the root over fresh knowledge.
+fn multicast(mc: &McNet, slots: MulticastSlots, cfg: &RunConfig) -> BroadcastOutcome {
+    run(mc, &Broadcast::multicast(mc.net().root(), 1, slots), cfg).outcome
+}
 
 /// Grow a random connected structure from a neighbour-choice seed list.
 /// Element i (three u16s) decides which earlier nodes node i+1 hears.
@@ -48,15 +62,15 @@ proptest! {
         let source = nodes[source_pick as usize % nodes.len()];
         let cfg = RunConfig::default();
 
-        let dfo = run_dfo(net, source, &cfg);
+        let dfo = broadcast(net, Protocol::Dfo, source, &cfg);
         prop_assert_eq!(dfo.delivered, dfo.targets, "DFO");
         prop_assert!(dfo.rounds <= dfo.bound);
 
-        let cff1 = run_cff_basic(net, source, &cfg);
+        let cff1 = broadcast(net, Protocol::BasicCff, source, &cfg);
         prop_assert_eq!(cff1.delivered, cff1.targets, "CFF1");
         prop_assert!(cff1.rounds <= cff1.bound);
 
-        let cff2 = run_improved(net, source, &cfg);
+        let cff2 = broadcast(net, Protocol::ImprovedCff, source, &cfg);
         prop_assert_eq!(cff2.delivered, cff2.targets, "CFF2");
         prop_assert!(cff2.rounds <= cff2.bound);
     }
@@ -68,8 +82,8 @@ proptest! {
     ) {
         let mc = grow(&seeds, 0);
         let net = mc.net();
-        let base = run_improved(net, net.root(), &RunConfig::default());
-        let multi = run_improved(net, net.root(), &RunConfig { channels: k, ..Default::default() });
+        let base = broadcast(net, Protocol::ImprovedCff, net.root(), &RunConfig::default());
+        let multi = broadcast(net, Protocol::ImprovedCff, net.root(), &RunConfig { channels: k, ..Default::default() });
         prop_assert_eq!(multi.delivered, multi.targets, "k={}", k);
         prop_assert!(multi.rounds <= base.rounds, "k={}: {} > {}", k, multi.rounds, base.rounds);
     }
@@ -84,11 +98,11 @@ proptest! {
         let cfg = RunConfig::default();
         // Session slots make the pruned transmitter set provably
         // collision-free for the participants: exact delivery required.
-        let mcast = run_multicast_reliable(&mc, net.root(), 1, &cfg);
+        let mcast = multicast(&mc, MulticastSlots::Session, &cfg);
         prop_assert_eq!(mcast.delivered, mcast.targets,
             "reliable multicast {}/{}", mcast.delivered, mcast.targets);
 
-        let bcast = run_improved(net, net.root(), &cfg);
+        let bcast = broadcast(net, Protocol::ImprovedCff, net.root(), &cfg);
         let m_work = mcast.energy.total_listen + mcast.energy.total_tx;
         let b_work = bcast.energy.total_listen + bcast.energy.total_tx;
         prop_assert!(m_work <= b_work, "pruned work {} > broadcast work {}", m_work, b_work);
@@ -110,10 +124,10 @@ proptest! {
         let mc = grow(&seeds, group_mod);
         let net = mc.net();
         let cfg = RunConfig::default();
-        let mcast = run_multicast(&mc, net.root(), 1, &cfg);
+        let mcast = multicast(&mc, MulticastSlots::RelayPruned, &cfg);
         prop_assert!(mcast.delivery_ratio() >= 0.5,
             "paper multicast collapsed: {}/{}", mcast.delivered, mcast.targets);
-        let bcast = run_improved(net, net.root(), &cfg);
+        let bcast = broadcast(net, Protocol::ImprovedCff, net.root(), &cfg);
         let m_work = mcast.energy.total_listen + mcast.energy.total_tx;
         let b_work = bcast.energy.total_listen + bcast.energy.total_tx;
         prop_assert!(m_work <= b_work);
@@ -126,7 +140,7 @@ proptest! {
         let mc = grow(&seeds, 0);
         let net = mc.net();
         let k = dsnet::protocols::knowledge::build_knowledge(net);
-        let out = run_improved(net, net.root(), &RunConfig::default());
+        let out = broadcast(net, Protocol::ImprovedCff, net.root(), &RunConfig::default());
         let bound = dsnet::protocols::analytic::improved_awake_bound(&k, 1);
         prop_assert!(out.energy.max_awake <= bound,
             "awake {} > bound {}", out.energy.max_awake, bound);
@@ -138,7 +152,7 @@ proptest! {
     ) {
         let mc = grow(&seeds, 0);
         let net = mc.net();
-        let out = run_dfo(net, net.root(), &RunConfig::default());
+        let out = broadcast(net, Protocol::Dfo, net.root(), &RunConfig::default());
         // From a backbone source the tour is exactly 2(|BT|−1) rounds.
         prop_assert_eq!(out.rounds, out.bound);
     }
@@ -173,15 +187,15 @@ proptest! {
         let cfg = RunConfig { channels: k, ..Default::default() };
         let sink = net.sink();
 
-        let dfo = net.broadcast_from(dsnet::Protocol::Dfo, sink, &cfg);
+        let dfo = net.run(&Broadcast::new(Protocol::Dfo, sink), &cfg).outcome;
         prop_assert!(dfo.completed());
         prop_assert_eq!(dfo.collisions, Some(0), "DFO must be collision-free");
 
-        let cff1 = net.broadcast_from(dsnet::Protocol::BasicCff, sink, &cfg);
+        let cff1 = net.run(&Broadcast::new(Protocol::BasicCff, sink), &cfg).outcome;
         prop_assert!(cff1.completed());
         prop_assert_eq!(cff1.collisions, Some(0), "CFF Alg 1 must be collision-free");
 
-        let cff2 = net.broadcast_from(dsnet::Protocol::ImprovedCff, sink, &cfg);
+        let cff2 = net.run(&Broadcast::new(Protocol::ImprovedCff, sink), &cfg).outcome;
         prop_assert!(cff2.completed(), "CFF Alg 2 must deliver everywhere");
         if k >= 2 {
             prop_assert_eq!(
@@ -207,14 +221,15 @@ fn improved_cff_k1_leaf_window_collisions_are_benign_and_pinned() {
         .unwrap();
     let sink = net.sink();
 
-    let k1 = net.broadcast_from(
-        dsnet::Protocol::ImprovedCff,
-        sink,
-        &RunConfig {
-            channels: 1,
-            ..Default::default()
-        },
-    );
+    let k1 = net
+        .run(
+            &Broadcast::new(Protocol::ImprovedCff, sink),
+            &RunConfig {
+                channels: 1,
+                ..Default::default()
+            },
+        )
+        .outcome;
     assert!(k1.completed(), "k=1: {}/{}", k1.delivered, k1.targets);
     let collisions = k1.collisions.expect("trace records collisions");
     assert!(
@@ -224,14 +239,15 @@ fn improved_cff_k1_leaf_window_collisions_are_benign_and_pinned() {
          construction changed (update the documented contract if so)"
     );
 
-    let k2 = net.broadcast_from(
-        dsnet::Protocol::ImprovedCff,
-        sink,
-        &RunConfig {
-            channels: 2,
-            ..Default::default()
-        },
-    );
+    let k2 = net
+        .run(
+            &Broadcast::new(Protocol::ImprovedCff, sink),
+            &RunConfig {
+                channels: 2,
+                ..Default::default()
+            },
+        )
+        .outcome;
     assert!(k2.completed());
     assert_eq!(
         k2.collisions,

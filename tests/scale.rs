@@ -5,7 +5,7 @@
 //! mentions alongside node failures in Section 3.3.
 
 use dsnet::protocols::runner::RunConfig;
-use dsnet::{NetworkBuilder, Protocol};
+use dsnet::{Broadcast, NetworkBuilder, Protocol};
 
 #[test]
 fn paper_min_and_max_scales_work_end_to_end() {
@@ -36,8 +36,10 @@ fn link_failures_stall_dfo_but_flooding_routes_around() {
         cfg.failures.kill_link(sink, c, 1);
     }
 
-    let dfo = net.broadcast_from(Protocol::Dfo, sink, &cfg);
-    let cff = net.broadcast_from(Protocol::ImprovedCff, sink, &cfg);
+    let dfo = net.run(&Broadcast::new(Protocol::Dfo, sink), &cfg).outcome;
+    let cff = net
+        .run(&Broadcast::new(Protocol::ImprovedCff, sink), &cfg)
+        .outcome;
     assert!(
         cff.delivered >= dfo.delivered,
         "CFF {} < DFO {}",

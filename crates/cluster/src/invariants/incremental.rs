@@ -1,11 +1,13 @@
 //! Dirty-scoped incremental auditing of the cluster invariants.
 //!
 //! [`check_core`](super::check_core) sweeps the whole network: every node,
-//! every `G` edge, and a full [`validate_condition2`] pass. Under mobility
-//! that sweep runs once per epoch even though a typical epoch reconfigures
-//! a handful of nodes, which makes maintenance cost scale with the network
-//! instead of the change. [`DirtyAudit`] re-verifies exactly the same
-//! predicates, but only where they could have changed.
+//! every `G` edge, and a full
+//! [`validate_condition2`](crate::slots::validate::validate_condition2)
+//! pass. Under mobility that sweep runs once per epoch even though a
+//! typical epoch reconfigures a handful of nodes, which makes maintenance
+//! cost scale with the network instead of the change. [`DirtyAudit`]
+//! re-verifies exactly the same predicates, but only where they could
+//! have changed.
 //!
 //! # The dirty-set contract
 //!
@@ -54,16 +56,16 @@
 //! scoping to be fast and keep the audit's verdict aligned with
 //! `check_core` even for pathologies outside any neighbourhood argument.
 //!
-//! The audit never allocates on the steady path: scope lists, membership
-//! markers, and slot scratch persist inside the `DirtyAudit` value.
+//! The audit never allocates on the steady path: scope lists and
+//! membership markers persist inside the `DirtyAudit` value.
 
 use crate::net::ClusterNet;
+use crate::slots::validate::check_condition2_at;
 use crate::slots::view::NetView;
-use crate::slots::{SlotMode, SlotTable};
 use crate::status::NodeStatus;
 use dsnet_graph::NodeId;
 
-use super::Violation;
+use super::{check_lemma3_bounds, Violation};
 
 /// Reusable incremental auditor. Create once, call
 /// [`audit`](DirtyAudit::audit) every epoch; internal scratch is retained
@@ -77,8 +79,6 @@ pub struct DirtyAudit {
     scope: Vec<NodeId>,
     /// Backbone-membership marker for the induced-degree bound.
     backbone: Vec<bool>,
-    /// Slot-value scratch for the uniqueness checks.
-    slot_vals: Vec<u32>,
 }
 
 impl DirtyAudit {
@@ -154,9 +154,10 @@ impl DirtyAudit {
                 }
             }
         }
-        for i in 0..self.scope.len() {
-            let u = self.scope[i];
-            check_receiver(&view, slots, mode, u, &mut self.slot_vals, &mut v);
+        for &u in &self.scope {
+            check_condition2_at(&view, slots, mode, u, |x| {
+                v.push(Violation::SlotCondition(format!("{x:?}")));
+            });
         }
 
         // Reset markers for the next call.
@@ -206,24 +207,7 @@ impl DirtyAudit {
             self.backbone[u.index()] = false;
         }
 
-        let big_d = big_d as u32;
-        let small_d = small_d as u32;
-        let b_bound = small_d * (small_d + 1) / 2 + 1;
-        let l_bound = big_d * (big_d + 1) / 2 + 1;
-        if net.delta_b() > b_bound {
-            v.push(Violation::SlotBound {
-                kind: "b",
-                max: net.delta_b(),
-                bound: b_bound,
-            });
-        }
-        if net.delta_l() > l_bound {
-            v.push(Violation::SlotBound {
-                kind: "l",
-                max: net.delta_l(),
-                bound: l_bound,
-            });
-        }
+        check_lemma3_bounds(net, small_d as u32, big_d as u32, v);
     }
 }
 
@@ -300,77 +284,6 @@ fn check_local(view: &NetView<'_>, u: NodeId, v: &mut Vec<Violation>) {
                 let (a, b) = if u < w { (u, w) } else { (w, u) };
                 v.push(Violation::HeadsAdjacent(a, b));
             }
-        }
-    }
-}
-
-/// The Time-Slot Condition 2 checks of `check_core` item (7), scoped to
-/// one node, allocation-free: `slot_vals` is the reusable scratch. The
-/// predicates mirror `validate_condition2` exactly — missing transmitter
-/// slots, the b-condition at backbone receivers, and the l-condition at
-/// member leaves.
-fn check_receiver(
-    view: &NetView<'_>,
-    slots: &SlotTable,
-    mode: SlotMode,
-    u: NodeId,
-    slot_vals: &mut Vec<u32>,
-    v: &mut Vec<Violation>,
-) {
-    let tree = view.tree;
-    if view.bt_internal(u) && slots.b(u).is_none() {
-        v.push(Violation::SlotCondition(format!(
-            "{:?}",
-            crate::slots::validate::ConditionViolation::MissingSlot(u)
-        )));
-    }
-    if view.cnet_internal(u) && slots.l(u).is_none() {
-        v.push(Violation::SlotCondition(format!(
-            "{:?}",
-            crate::slots::validate::ConditionViolation::MissingSlot(u)
-        )));
-    }
-    let depth = tree.depth(u);
-    if view.in_backbone(u) && depth >= 1 {
-        slot_vals.clear();
-        let mut transmitters = 0usize;
-        for y in view.attached_neighbors(u) {
-            if view.bt_internal(y) && tree.depth(y) + 1 == depth {
-                transmitters += 1;
-                if let Some(s) = slots.b(y) {
-                    slot_vals.push(s);
-                }
-            }
-        }
-        slot_vals.sort_unstable();
-        if transmitters == 0 || crate::slots::assign::unique_run_count(slot_vals) == 0 {
-            v.push(Violation::SlotCondition(format!(
-                "{:?}",
-                crate::slots::validate::ConditionViolation::B(u)
-            )));
-        }
-    }
-    if view.is_member_leaf(u) {
-        slot_vals.clear();
-        let mut transmitters = 0usize;
-        for y in view.attached_neighbors(u) {
-            let in_window = match mode {
-                SlotMode::PaperFaithful => tree.depth(y) + 1 == depth,
-                SlotMode::Strict => true,
-            };
-            if view.cnet_internal(y) && in_window {
-                transmitters += 1;
-                if let Some(s) = slots.l(y) {
-                    slot_vals.push(s);
-                }
-            }
-        }
-        slot_vals.sort_unstable();
-        if transmitters == 0 || crate::slots::assign::unique_run_count(slot_vals) == 0 {
-            v.push(Violation::SlotCondition(format!(
-                "{:?}",
-                crate::slots::validate::ConditionViolation::L(u)
-            )));
         }
     }
 }

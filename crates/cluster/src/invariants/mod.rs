@@ -27,6 +27,7 @@ mod incremental_props;
 pub use incremental::DirtyAudit;
 
 use crate::net::ClusterNet;
+use crate::slots::slot_bounds;
 use crate::slots::validate::validate_condition2;
 use crate::status::NodeStatus;
 use dsnet_graph::{degree, NodeId};
@@ -173,27 +174,23 @@ pub fn check_core(net: &ClusterNet) -> Result<(), Vec<Violation>> {
     // (8) Lemma 3 bounds.
     let big_d = degree::max_degree(g) as u32;
     let small_d = degree::induced_max_degree(g, &net.backbone_nodes()) as u32;
-    let b_bound = small_d * (small_d + 1) / 2 + 1;
-    let l_bound = big_d * (big_d + 1) / 2 + 1;
-    if net.delta_b() > b_bound {
-        v.push(Violation::SlotBound {
-            kind: "b",
-            max: net.delta_b(),
-            bound: b_bound,
-        });
-    }
-    if net.delta_l() > l_bound {
-        v.push(Violation::SlotBound {
-            kind: "l",
-            max: net.delta_l(),
-            bound: l_bound,
-        });
-    }
+    check_lemma3_bounds(net, small_d, big_d, &mut v);
 
     if v.is_empty() {
         Ok(())
     } else {
         Err(v)
+    }
+}
+
+/// Item (8): `δ` and `Δ` against Lemma 3's bounds for the measured
+/// backbone and graph max degrees.
+fn check_lemma3_bounds(net: &ClusterNet, small_d: u32, big_d: u32, v: &mut Vec<Violation>) {
+    let (b_bound, l_bound) = slot_bounds(small_d, big_d);
+    for (kind, max, bound) in [("b", net.delta_b(), b_bound), ("l", net.delta_l(), l_bound)] {
+        if max > bound {
+            v.push(Violation::SlotBound { kind, max, bound });
+        }
     }
 }
 

@@ -19,30 +19,12 @@
 
 use crate::costs::SlotCalcCost;
 use crate::slots::view::NetView;
-use crate::slots::{mex, SlotKind, SlotMode, SlotTable};
+use crate::slots::{min_safe_slot, SlotKind, SlotMode, SlotTable};
 use dsnet_graph::NodeId;
 
-/// Number of slot values that occur exactly once in the *sorted* scratch
-/// (runs of length 1).
-pub(crate) fn unique_run_count(sorted: &[u32]) -> usize {
-    let mut unique = 0usize;
-    let mut i = 0;
-    while i < sorted.len() {
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == sorted[i] {
-            j += 1;
-        }
-        if j - i == 1 {
-            unique += 1;
-        }
-        i = j;
-    }
-    unique
-}
-
-/// Core of Procedure 1, shared by both slot kinds: collect the forbidden
-/// values over `receivers`, where each receiver `v` contributes the slots
-/// of `transmitters(v) \ {y}` unless two of those are already unique.
+/// Procedure 1 for either slot kind: the shared selection rule for `y`
+/// over `receivers`, each hearing the slots of `transmitters_of(v) \ {y}`,
+/// with the consulted receivers counted for the round-cost account.
 fn procedure1<I: Iterator<Item = NodeId>>(
     y: NodeId,
     receivers: impl Iterator<Item = NodeId>,
@@ -50,27 +32,17 @@ fn procedure1<I: Iterator<Item = NodeId>>(
     kind: SlotKind,
     transmitters_of: impl Fn(NodeId) -> I,
 ) -> (u32, SlotCalcCost) {
-    let mut forbidden: Vec<u32> = Vec::new();
-    let mut others: Vec<u32> = Vec::new();
     let mut consulted = 0usize;
-    for v in receivers {
-        consulted += 1;
-        others.clear();
-        others.extend(
+    let slot = min_safe_slot(
+        receivers.inspect(|_| consulted += 1),
+        |v| {
             transmitters_of(v)
-                .filter(|&t| t != y)
-                .filter_map(|t| slots.get(kind, t)),
-        );
-        others.sort_unstable();
-        if unique_run_count(&others) >= 2 {
-            // `v` is safe regardless of y's choice: y can collide with at
-            // most one of the two unique transmitters.
-            continue;
-        }
-        // Duplicates are fine: `mex` dedups while scanning.
-        forbidden.extend_from_slice(&others);
-    }
-    (mex(&mut forbidden), SlotCalcCost::new(consulted))
+                .filter(move |&t| t != y)
+                .filter_map(move |t| slots.get(kind, t))
+        },
+        &mut Vec::new(),
+    );
+    (slot, SlotCalcCost::new(consulted))
 }
 
 /// Recompute `y`'s b-time-slot (Procedure CalculateBTimeSlot).

@@ -163,6 +163,56 @@ pub(crate) fn mex(used: &mut [u32]) -> u32 {
     candidate
 }
 
+/// Number of slot values that occur exactly once in the *sorted* scratch
+/// (runs of length 1).
+pub(crate) fn unique_run_count(sorted: &[u32]) -> usize {
+    let mut unique = 0usize;
+    let mut i = 0;
+    while i < sorted.len() {
+        let mut j = i + 1;
+        while j < sorted.len() && sorted[j] == sorted[i] {
+            j += 1;
+        }
+        if j - i == 1 {
+            unique += 1;
+        }
+        i = j;
+    }
+    unique
+}
+
+/// The slot-selection rule every assignment shares (Procedure 1, and
+/// Algorithm 1's flood slots): a transmitter takes the minimum positive
+/// slot that none of its `receivers` hears from another transmitter,
+/// where `heard(v)` yields those other transmitters' slots at receiver
+/// `v`. A receiver that already hears two unique slots is skipped — the
+/// new slot can collide with at most one of them. `scratch` is
+/// caller-owned so hot loops do not allocate.
+pub(crate) fn min_safe_slot<I: Iterator<Item = u32>>(
+    receivers: impl Iterator<Item = NodeId>,
+    heard: impl Fn(NodeId) -> I,
+    scratch: &mut Vec<u32>,
+) -> u32 {
+    scratch.clear();
+    for v in receivers {
+        let kept = scratch.len();
+        scratch.extend(heard(v));
+        let own = &mut scratch[kept..];
+        own.sort_unstable();
+        if unique_run_count(own) >= 2 {
+            scratch.truncate(kept);
+        }
+    }
+    mex(scratch)
+}
+
+/// Lemma 3's slot bounds for a backbone max degree `d` and a graph max
+/// degree `D`: `(δ_max, Δ_max) = (d(d+1)/2 + 1, D(D+1)/2 + 1)`.
+pub fn slot_bounds(d_backbone: u32, d_graph: u32) -> (u32, u32) {
+    let bound = |d: u32| d * (d + 1) / 2 + 1;
+    (bound(d_backbone), bound(d_graph))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,7 @@
 //! broadcast ones, so reliable multicast is also faster.
 
 use crate::slots::view::NetView;
-use crate::slots::{mex, SlotKind, SlotMode, SlotTable};
+use crate::slots::{min_safe_slot, SlotKind, SlotMode, SlotTable};
 use dsnet_graph::NodeId;
 
 /// Assign session slots. `tx(u)` — node forwards in this session;
@@ -39,15 +39,18 @@ pub fn assign_session_slots(
         .filter(|&u| view.bt_internal(u) && tx(u))
         .collect();
     b_transmitters.sort_by_key(|&u| (view.tree.depth(u), u));
+    let mut scratch = Vec::new();
     for &y in &b_transmitters {
-        let receivers: Vec<NodeId> = view
-            .c_b(y)
-            .into_iter()
-            .filter(|&v| rx(v) || tx(v))
-            .collect();
-        let slot = pick_slot(&receivers, &slots, SlotKind::B, y, |v| {
-            view.p_b(v).into_iter().filter(|&t| tx(t)).collect()
-        });
+        let assigned = &slots;
+        let slot = min_safe_slot(
+            view.c_b_iter(y).filter(|&v| rx(v) || tx(v)),
+            |v| {
+                view.p_b_iter(v)
+                    .filter(move |&t| t != y && tx(t))
+                    .filter_map(move |t| assigned.b(t))
+            },
+            &mut scratch,
+        );
         slots.set(SlotKind::B, y, slot);
     }
 
@@ -59,42 +62,20 @@ pub fn assign_session_slots(
         .collect();
     l_transmitters.sort_by_key(|&u| (view.tree.depth(u), u));
     for &y in &l_transmitters {
-        let receivers: Vec<NodeId> = view.c_l(y, mode).into_iter().filter(|&v| rx(v)).collect();
-        let slot = pick_slot(&receivers, &slots, SlotKind::L, y, |v| {
-            view.p_l(v, mode).into_iter().filter(|&t| tx(t)).collect()
-        });
+        let assigned = &slots;
+        let slot = min_safe_slot(
+            view.c_l_iter(y, mode).filter(|&v| rx(v)),
+            |v| {
+                view.p_l_iter(v, mode)
+                    .filter(move |&t| t != y && tx(t))
+                    .filter_map(move |t| assigned.l(t))
+            },
+            &mut scratch,
+        );
         slots.set(SlotKind::L, y, slot);
     }
 
     slots
-}
-
-/// Procedure-1 core restricted to the session: `y` avoids every slot a
-/// not-yet-doubly-protected receiver can hear.
-fn pick_slot(
-    receivers: &[NodeId],
-    slots: &SlotTable,
-    kind: SlotKind,
-    y: NodeId,
-    transmitters_of: impl Fn(NodeId) -> Vec<NodeId>,
-) -> u32 {
-    let mut forbidden: Vec<u32> = Vec::new();
-    let mut others: Vec<u32> = Vec::new();
-    for &v in receivers {
-        others.clear();
-        others.extend(
-            transmitters_of(v)
-                .into_iter()
-                .filter(|&t| t != y)
-                .filter_map(|t| slots.get(kind, t)),
-        );
-        others.sort_unstable();
-        if crate::slots::assign::unique_run_count(&others) >= 2 {
-            continue;
-        }
-        forbidden.extend_from_slice(&others);
-    }
-    mex(&mut forbidden)
 }
 
 /// Session-level Time-Slot Condition 2: every rx participant has a

@@ -1,9 +1,9 @@
 //! Whole-structure validation of the Time-Slot Conditions, plus the
 //! one-shot slot assignment for the basic flooding broadcast (Algorithm 1).
 
-use crate::slots::assign::{condition_b_holds, condition_l_holds, unique_run_count};
+use crate::slots::assign::{condition_b_holds, condition_l_holds};
 use crate::slots::view::NetView;
-use crate::slots::{mex, SlotMode, SlotTable};
+use crate::slots::{min_safe_slot, unique_run_count, SlotMode, SlotTable};
 use dsnet_graph::NodeId;
 
 /// A receiver whose Time-Slot Condition is violated.
@@ -26,22 +26,33 @@ pub fn validate_condition2(
 ) -> Vec<ConditionViolation> {
     let mut out = Vec::new();
     for u in view.tree.nodes() {
-        // Transmitters must carry their slots.
-        if view.bt_internal(u) && slots.b(u).is_none() {
-            out.push(ConditionViolation::MissingSlot(u));
-        }
-        if view.cnet_internal(u) && slots.l(u).is_none() {
-            out.push(ConditionViolation::MissingSlot(u));
-        }
-        // Receivers must have a unique transmitter.
-        if view.in_backbone(u) && view.tree.depth(u) >= 1 && !condition_b_holds(view, slots, u) {
-            out.push(ConditionViolation::B(u));
-        }
-        if view.is_member_leaf(u) && !condition_l_holds(view, slots, mode, u) {
-            out.push(ConditionViolation::L(u));
-        }
+        check_condition2_at(view, slots, mode, u, |x| out.push(x));
     }
     out
+}
+
+/// Time-Slot Condition 2 at one attached node `u`, allocation-free:
+/// `report` receives each violation. A transmitter must carry its slot,
+/// and a receiver must hear a uniquely-slotted transmitter.
+pub(crate) fn check_condition2_at(
+    view: &NetView<'_>,
+    slots: &SlotTable,
+    mode: SlotMode,
+    u: NodeId,
+    mut report: impl FnMut(ConditionViolation),
+) {
+    if view.bt_internal(u) && slots.b(u).is_none() {
+        report(ConditionViolation::MissingSlot(u));
+    }
+    if view.cnet_internal(u) && slots.l(u).is_none() {
+        report(ConditionViolation::MissingSlot(u));
+    }
+    if view.in_backbone(u) && view.tree.depth(u) >= 1 && !condition_b_holds(view, slots, u) {
+        report(ConditionViolation::B(u));
+    }
+    if view.is_member_leaf(u) && !condition_l_holds(view, slots, mode, u) {
+        report(ConditionViolation::L(u));
+    }
 }
 
 /// One-shot slot assignment for **Algorithm 1** (basic collision-free
@@ -61,45 +72,48 @@ pub fn assign_flood_slots(view: &NetView<'_>) -> (Vec<Option<u32>>, u32) {
         .filter(|&u| view.cnet_internal(u))
         .collect();
     internal.sort_by_key(|&u| (view.tree.depth(u), u));
-    let mut forbidden: Vec<u32> = Vec::new();
-    let mut others: Vec<u32> = Vec::new();
+    let mut scratch: Vec<u32> = Vec::new();
     for &y in &internal {
-        let depth = view.tree.depth(y);
-        let receivers: Vec<NodeId> = view
-            .attached_neighbors(y)
-            .filter(|&v| view.tree.depth(v) == depth + 1)
-            .collect();
-        forbidden.clear();
-        for &v in &receivers {
-            others.clear();
-            others.extend(
-                flood_transmitters(view, v)
-                    .into_iter()
-                    .filter(|&t| t != y)
-                    .filter_map(|t| slot[t.index()]),
-            );
-            others.sort_unstable();
-            if unique_run_count(&others) >= 2 {
-                continue;
-            }
-            forbidden.extend_from_slice(&others);
-        }
-        slot[y.index()] = Some(mex(&mut forbidden));
+        slot[y.index()] = Some(flood_slot(view, y, |t| slot[t.index()], &mut scratch));
     }
     let max = slot.iter().flatten().copied().max().unwrap_or(0);
     (slot, max)
 }
 
+/// Algorithm 1's slot for internal node `y`: the shared selection rule
+/// over `y`'s receivers one depth below, where `slot_of(t)` is the slot
+/// co-transmitter `t` holds at `y`'s turn (`None` while unassigned).
+/// [`assign_flood_slots`] passes the slots assigned so far; an
+/// incremental re-run passes the settled slots of the transmitters
+/// earlier in its `(depth, id)` order. `scratch` is caller-owned.
+pub fn flood_slot(
+    view: &NetView<'_>,
+    y: NodeId,
+    slot_of: impl Fn(NodeId) -> Option<u32>,
+    scratch: &mut Vec<u32>,
+) -> u32 {
+    let depth = view.tree.depth(y);
+    min_safe_slot(
+        view.attached_neighbors(y)
+            .filter(|&v| view.tree.depth(v) == depth + 1),
+        |v| {
+            flood_transmitters(view, v)
+                .filter(move |&t| t != y)
+                .filter_map(&slot_of)
+        },
+        scratch,
+    )
+}
+
 /// Internal depth-(i−1) G-neighbours of `v` — the transmitters `v` hears
-/// in Algorithm 1's depth window.
-pub fn flood_transmitters(view: &NetView<'_>, v: NodeId) -> Vec<NodeId> {
+/// in Algorithm 1's depth window. Allocation-free; naturally empty at
+/// depth 0, where no neighbour sits at depth −1.
+pub fn flood_transmitters<'a>(view: &NetView<'a>, v: NodeId) -> impl Iterator<Item = NodeId> + 'a {
+    let view = *view;
     let depth = view.tree.depth(v);
-    if depth == 0 {
-        return Vec::new();
-    }
-    view.attached_neighbors(v)
-        .filter(|&y| view.cnet_internal(y) && view.tree.depth(y) + 1 == depth)
-        .collect()
+    view.graph.neighbors(v).iter().copied().filter(move |&y| {
+        view.attached(y) && view.cnet_internal(y) && view.tree.depth(y) + 1 == depth
+    })
 }
 
 /// Check Time-Slot Condition 1 for the Algorithm-1 slots produced by
@@ -110,12 +124,12 @@ pub fn validate_condition1(view: &NetView<'_>, slot: &[Option<u32>]) -> Vec<Node
         if view.tree.depth(v) == 0 {
             continue;
         }
-        let trans = flood_transmitters(view, v);
-        if trans.is_empty() {
+        let mut trans = flood_transmitters(view, v).peekable();
+        if trans.peek().is_none() {
             violations.push(v);
             continue;
         }
-        let mut vals: Vec<u32> = trans.iter().filter_map(|&t| slot[t.index()]).collect();
+        let mut vals: Vec<u32> = trans.filter_map(|t| slot[t.index()]).collect();
         vals.sort_unstable();
         if unique_run_count(&vals) == 0 {
             violations.push(v);
@@ -207,8 +221,9 @@ mod tests {
         let view = NetView::new(&g, &t, &s);
         // Member 1 at depth 1: internal depth-0 neighbours = {0}; node 3 is
         // internal and adjacent but at the same depth, so excluded.
-        assert_eq!(flood_transmitters(&view, NodeId(1)), vec![NodeId(0)]);
-        assert_eq!(flood_transmitters(&view, NodeId(4)), vec![NodeId(3)]);
-        assert!(flood_transmitters(&view, NodeId(0)).is_empty());
+        let tx = |v| flood_transmitters(&view, NodeId(v)).collect::<Vec<_>>();
+        assert_eq!(tx(1), vec![NodeId(0)]);
+        assert_eq!(tx(4), vec![NodeId(3)]);
+        assert!(tx(0).is_empty());
     }
 }

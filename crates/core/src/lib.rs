@@ -32,7 +32,7 @@
 //! | layer | crate | what it provides |
 //! |---|---|---|
 //! | geometry | `dsnet-geom` | fields, deployments, spatial hashing |
-//! | graph | `dsnet-graph` | unit-disk graphs, BFS, trees, Euler tours |
+//! | graph | `dsnet-graph` | unit-disk graphs, BFS, trees |
 //! | radio | `dsnet-radio` | the §3.1 round/collision model, energy, failures |
 //! | cluster | `dsnet-cluster` | CNet(G), BT(G), slots, move-in/out, MCNet |
 //! | mobility | `dsnet-mobility` | trajectory models, incremental topology diffing, maintenance |

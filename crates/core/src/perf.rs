@@ -2,17 +2,20 @@
 //!
 //! Runs a fixed set of seeded scenarios over the hot simulation paths and
 //! writes a JSON *ledger* (`BENCH_<date>.json`) with one entry per
-//! scenario.  Every entry carries two kinds of fields:
+//! scenario. Every key an entry can carry is one row of the ledger's field
+//! table, which names the key's kind:
 //!
-//! * **deterministic counters** — `nodes`, `reps`, `rounds`, `delivered`,
-//!   `targets`.  These are pure functions of the seeds and must be
-//!   byte-identical across machines and `--threads` values; CI compares
-//!   them exactly against the committed baseline.
-//! * **timing fields** — `wall_ms`, `rounds_per_sec`, `peak_rss_kb` (and
-//!   the top-level `threads`).  These vary by machine; CI only checks
-//!   that `rounds_per_sec` has not regressed by more than the configured
-//!   fraction against the committed baseline (which assumes comparable
-//!   runners — see DESIGN.md §11).
+//! * **counters** — `nodes`, `reps`, `rounds`, `delivered`, `targets`, and
+//!   the `maint_*`/`serve_*` counts of the mobility and serve breakdowns.
+//!   These are pure functions of the seeds and must be byte-identical
+//!   across machines and `--threads` values; CI compares them exactly
+//!   against the committed baseline.
+//! * **timings** — `wall_ms`, `rounds_per_sec`, the breakdowns' `*_ms`,
+//!   rate and latency fields, and the latency histogram (plus the
+//!   top-level `threads` and `peak_rss_kb`). These vary by machine; CI only
+//!   checks that `rounds_per_sec` has not regressed by more than the
+//!   configured fraction against the committed baseline (which assumes
+//!   comparable runners — see DESIGN.md §11).
 //!
 //! [`render_ledger`] can omit the timing fields entirely
 //! (`include_timing = false`), which is how the thread-count determinism
@@ -28,6 +31,7 @@ use crate::{Broadcast, NetworkBuilder, Protocol};
 use dsnet_geom::rng::derive_seed;
 use dsnet_geom::{Deployment, DeploymentConfig};
 use dsnet_mobility::{MobileNetwork, MobilityConfig, RandomWaypoint, WaypointParams};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -167,14 +171,70 @@ pub struct Ledger {
 /// Current ledger schema identifier.
 pub const SCHEMA: &str = "dsnet-bench-ledger/2";
 
-/// The previous schema: no maintenance breakdown, no `mobility_400ep`
-/// scenario. [`compare`] still accepts v1 baselines for the counter
-/// fields both schemas share.
-pub const SCHEMA_V1: &str = "dsnet-bench-ledger/1";
+/// What one ledger field records, and how to read it off a scenario.
+/// A reader returns `None` when the scenario does not carry the field
+/// (a breakdown it has no part in).
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A deterministic counter: always rendered, gated exactly.
+    Counter(fn(&ScenarioResult) -> Option<u64>),
+    /// A machine-dependent timing value rendered with this many decimal
+    /// places; omitted from timing-free renders.
+    Timing(usize, fn(&ScenarioResult) -> Option<f64>),
+    /// A log2 latency histogram (timing).
+    Histogram(fn(&ScenarioResult) -> Option<&[u64]>),
+}
 
-/// Scenarios added after the last schema bump: missing from an older
-/// same-schema baseline is a note, not a failure (see [`compare`]).
-const RECENT_SCENARIOS: &[&str] = &["mobility_bcast_10k"];
+use Kind::{Counter, Histogram, Timing};
+
+fn maint(s: &ScenarioResult) -> Option<&MaintenanceBreakdown> {
+    s.maintenance.as_ref()
+}
+
+fn serve(s: &ScenarioResult) -> Option<&ServeBreakdown> {
+    s.server.as_ref()
+}
+
+/// The ledger's key for the throughput the regression gate compares.
+const RATE_KEY: &str = "rounds_per_sec";
+
+/// Every per-scenario ledger key after `name`, in render order. This
+/// table is the only place a key is spelled: [`render_ledger`] writes
+/// the rows a scenario carries, and [`compare`] gates its counters.
+#[rustfmt::skip] // one row per field, aligned as a table
+const FIELDS: &[(&str, Kind)] = &[
+    ("nodes",                     Counter(|s| Some(s.nodes))),
+    ("reps",                      Counter(|s| Some(s.reps))),
+    ("rounds",                    Counter(|s| Some(s.rounds))),
+    ("delivered",                 Counter(|s| Some(s.delivered))),
+    ("targets",                   Counter(|s| Some(s.targets))),
+    ("maint_reconfigs",           Counter(|s| Some(maint(s)?.reconfigs))),
+    ("maint_rehomed",             Counter(|s| Some(maint(s)?.rehomed))),
+    ("maint_edge_events",         Counter(|s| Some(maint(s)?.edge_events))),
+    ("maint_slot_churn",          Counter(|s| Some(maint(s)?.slot_churn))),
+    ("maint_audit_scope",         Counter(|s| Some(maint(s)?.audit_scope))),
+    ("maint_full_audits",         Counter(|s| Some(maint(s)?.full_audits))),
+    ("maint_cache_hits",          Counter(|s| Some(maint(s)?.cache_hits))),
+    ("maint_cache_misses",        Counter(|s| Some(maint(s)?.cache_misses))),
+    ("maint_knowledge_patches",   Counter(|s| Some(maint(s)?.knowledge_patches))),
+    ("maint_knowledge_scope",     Counter(|s| Some(maint(s)?.knowledge_scope))),
+    ("maint_knowledge_fallbacks", Counter(|s| Some(maint(s)?.knowledge_fallbacks))),
+    ("maint_probe_ms",            Timing(3, |s| Some(maint(s)?.probe_ms))),
+    ("maint_diff_ms",             Timing(3, |s| Some(maint(s)?.diff_ms))),
+    ("maint_repair_ms",           Timing(3, |s| Some(maint(s)?.repair_ms))),
+    ("maint_slots_ms",            Timing(3, |s| Some(maint(s)?.slots_ms))),
+    ("maint_audit_ms",            Timing(3, |s| Some(maint(s)?.audit_ms))),
+    ("serve_sessions",            Counter(|s| Some(serve(s)?.sessions))),
+    ("serve_commands",            Counter(|s| Some(serve(s)?.commands))),
+    ("serve_client_threads",      Counter(|s| Some(serve(s)?.client_threads))),
+    ("serve_sessions_per_sec",    Timing(1, |s| Some(serve(s)?.sessions_per_sec))),
+    ("serve_cmd_p50_us",          Timing(1, |s| Some(serve(s)?.cmd_p50_us))),
+    ("serve_cmd_p99_us",          Timing(1, |s| Some(serve(s)?.cmd_p99_us))),
+    ("serve_cmd_p999_us",         Timing(1, |s| Some(serve(s)?.cmd_p999_us))),
+    ("serve_cmd_hist_us",         Histogram(|s| Some(&serve(s)?.cmd_hist_us))),
+    ("wall_ms",                   Timing(3, |s| Some(s.wall_ms))),
+    (RATE_KEY,                    Timing(1, |s| Some(s.rounds_per_sec))),
+];
 
 /// Run the full fixed suite and return the ledger.
 ///
@@ -613,8 +673,9 @@ fn best_of(
 
 /// Render the ledger as pretty-printed JSON (one key per line, stable
 /// order).  With `include_timing = false` the machine-dependent fields
-/// (`threads`, `peak_rss_kb`, `wall_ms`, `rounds_per_sec`) are omitted —
-/// the remainder must be byte-identical for any `--threads` value.
+/// (`threads`, `peak_rss_kb` and every timing row of the field table) are
+/// omitted — the remainder must be byte-identical for any `--threads`
+/// value.
 pub fn render_ledger(l: &Ledger, include_timing: bool) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("{\n");
@@ -627,71 +688,27 @@ pub fn render_ledger(l: &Ledger, include_timing: bool) -> String {
     }
     s.push_str("  \"scenarios\": [\n");
     for (i, sc) in l.scenarios.iter().enumerate() {
-        // Collect `"key": value` pairs first so the trailing-comma rule
-        // stays in one place regardless of which optional fields render.
-        let mut fields: Vec<String> = vec![
-            format!("\"name\": \"{}\"", sc.name),
-            format!("\"nodes\": {}", sc.nodes),
-            format!("\"reps\": {}", sc.reps),
-            format!("\"rounds\": {}", sc.rounds),
-            format!("\"delivered\": {}", sc.delivered),
-            format!("\"targets\": {}", sc.targets),
-        ];
-        if let Some(m) = &sc.maintenance {
-            fields.push(format!("\"maint_reconfigs\": {}", m.reconfigs));
-            fields.push(format!("\"maint_rehomed\": {}", m.rehomed));
-            fields.push(format!("\"maint_edge_events\": {}", m.edge_events));
-            fields.push(format!("\"maint_slot_churn\": {}", m.slot_churn));
-            fields.push(format!("\"maint_audit_scope\": {}", m.audit_scope));
-            fields.push(format!("\"maint_full_audits\": {}", m.full_audits));
-            fields.push(format!("\"maint_cache_hits\": {}", m.cache_hits));
-            fields.push(format!("\"maint_cache_misses\": {}", m.cache_misses));
-            fields.push(format!(
-                "\"maint_knowledge_patches\": {}",
-                m.knowledge_patches
-            ));
-            fields.push(format!("\"maint_knowledge_scope\": {}", m.knowledge_scope));
-            fields.push(format!(
-                "\"maint_knowledge_fallbacks\": {}",
-                m.knowledge_fallbacks
-            ));
-            if include_timing {
-                fields.push(format!("\"maint_probe_ms\": {:.3}", m.probe_ms));
-                fields.push(format!("\"maint_diff_ms\": {:.3}", m.diff_ms));
-                fields.push(format!("\"maint_repair_ms\": {:.3}", m.repair_ms));
-                fields.push(format!("\"maint_slots_ms\": {:.3}", m.slots_ms));
-                fields.push(format!("\"maint_audit_ms\": {:.3}", m.audit_ms));
+        // `name` always leads, so every later field opens with the
+        // separator that ends the line before it.
+        let _ = write!(s, "    {{\n      \"name\": \"{}\"", sc.name);
+        for &(key, kind) in FIELDS {
+            let value = match kind {
+                Counter(get) => get(sc).map(|v| v.to_string()),
+                Timing(places, get) if include_timing => get(sc).map(|v| format!("{v:.places$}")),
+                Histogram(get) if include_timing => get(sc).map(|buckets| {
+                    let buckets: Vec<String> = buckets.iter().map(u64::to_string).collect();
+                    format!("[{}]", buckets.join(", "))
+                }),
+                Timing(..) | Histogram(_) => None,
+            };
+            if let Some(value) = value {
+                let _ = write!(s, ",\n      \"{key}\": {value}");
             }
-        }
-        if let Some(sv) = &sc.server {
-            fields.push(format!("\"serve_sessions\": {}", sv.sessions));
-            fields.push(format!("\"serve_commands\": {}", sv.commands));
-            fields.push(format!("\"serve_client_threads\": {}", sv.client_threads));
-            if include_timing {
-                fields.push(format!(
-                    "\"serve_sessions_per_sec\": {:.1}",
-                    sv.sessions_per_sec
-                ));
-                fields.push(format!("\"serve_cmd_p50_us\": {:.1}", sv.cmd_p50_us));
-                fields.push(format!("\"serve_cmd_p99_us\": {:.1}", sv.cmd_p99_us));
-                fields.push(format!("\"serve_cmd_p999_us\": {:.1}", sv.cmd_p999_us));
-                let buckets: Vec<String> = sv.cmd_hist_us.iter().map(|b| b.to_string()).collect();
-                fields.push(format!("\"serve_cmd_hist_us\": [{}]", buckets.join(", ")));
-            }
-        }
-        if include_timing {
-            fields.push(format!("\"wall_ms\": {:.3}", sc.wall_ms));
-            fields.push(format!("\"rounds_per_sec\": {:.1}", sc.rounds_per_sec));
-        }
-        s.push_str("    {\n");
-        for (j, f) in fields.iter().enumerate() {
-            let sep = if j + 1 < fields.len() { "," } else { "" };
-            let _ = writeln!(s, "      {f}{sep}");
         }
         s.push_str(if i + 1 < l.scenarios.len() {
-            "    },\n"
+            "\n    },\n"
         } else {
-            "    }\n"
+            "\n    }\n"
         });
     }
     s.push_str("  ]\n}\n");
@@ -720,161 +737,58 @@ impl Comparison {
 ///
 /// Deterministic counters must match *exactly* — any drift means the
 /// simulation changed behaviour, which is a correctness regression no
-/// matter how fast it runs.  `rounds_per_sec` may drift downward by at
+/// matter how fast it runs — and every counter the fresh ledger carries
+/// must be in the baseline.  `rounds_per_sec` may drift downward by at
 /// most `max_regress` (e.g. `0.15` = 15%); improvements always pass.
 pub fn compare(baseline_json: &str, fresh: &Ledger, max_regress: f64) -> Comparison {
     let mut notes = Vec::new();
     let mut failures = Vec::new();
-    let base = match parse_ledger(baseline_json) {
-        Some(b) => b,
-        None => {
-            failures.push("baseline is not a recognisable dsnet-bench ledger".into());
-            return Comparison { notes, failures };
-        }
+    let Some((header, base)) = parse_ledger(baseline_json) else {
+        failures.push("baseline is not a recognisable dsnet-bench ledger".into());
+        return Comparison { notes, failures };
     };
-    // A v1 baseline is still comparable on the fields both schemas share:
-    // the counters it does carry are gated exactly; scenarios and
-    // maintenance counters it predates are noted, not failed, so a repo
-    // can roll the schema forward and regenerate the baseline in the same
-    // change without the gate eating itself.
-    let v1_baseline = base.schema == SCHEMA_V1 && fresh.schema == SCHEMA;
-    if v1_baseline {
-        notes.push(format!(
-            "baseline uses schema {SCHEMA_V1}; maintenance counters and scenarios new in {SCHEMA} are not compared"
-        ));
-    } else if base.schema != fresh.schema {
+    if header["schema"] != fresh.schema {
         failures.push(format!(
             "schema mismatch: baseline {} vs fresh {}",
-            base.schema, fresh.schema
+            header["schema"], fresh.schema
         ));
     }
-    if base.quick != fresh.quick {
+    let quick = header.get("quick") == Some(&"true");
+    if quick != fresh.quick {
         failures.push(format!(
             "suite-size mismatch: baseline quick={} vs fresh quick={} (only like-for-like ledgers compare)",
-            base.quick, fresh.quick
+            quick, fresh.quick
         ));
         return Comparison { notes, failures };
     }
     for sc in &fresh.scenarios {
-        let Some(b) = base.scenarios.iter().find(|b| b.name == sc.name) else {
-            if v1_baseline {
-                notes.push(format!(
-                    "{}: not in the v1 baseline, skipped (regenerate the baseline to gate it)",
-                    sc.name
-                ));
-            } else if RECENT_SCENARIOS.contains(&sc.name) {
-                // Scenarios newer than the schema bump: a same-schema
-                // baseline written before they existed is still valid,
-                // so their absence is informational until the baseline
-                // is regenerated.
-                notes.push(format!(
-                    "{}: not in the baseline, skipped (regenerate the baseline to gate it)",
-                    sc.name
-                ));
-            } else {
-                failures.push(format!("scenario {} missing from baseline", sc.name));
-            }
+        let Some(b) = base.iter().find(|b| b["name"] == sc.name) else {
+            failures.push(format!("scenario {} missing from baseline", sc.name));
             continue;
         };
-        for (field, got, want) in [
-            ("nodes", sc.nodes, b.nodes),
-            ("reps", sc.reps, b.reps),
-            ("rounds", sc.rounds, b.rounds),
-            ("delivered", sc.delivered, b.delivered),
-            ("targets", sc.targets, b.targets),
-        ] {
-            if got != want {
-                failures.push(format!(
-                    "{}: deterministic counter `{field}` drifted: baseline {want}, fresh {got}",
+        for &(key, kind) in FIELDS {
+            let Counter(get) = kind else { continue };
+            let Some(got) = get(sc) else { continue };
+            match b.get(key) {
+                None => failures.push(format!(
+                    "{}: deterministic counter `{key}` missing from baseline",
                     sc.name
-                ));
+                )),
+                Some(want) if want.parse() != Ok(got) => failures.push(format!(
+                    "{}: deterministic counter `{key}` drifted: baseline {want}, fresh {got}",
+                    sc.name
+                )),
+                Some(_) => {}
             }
         }
-        if let (Some(bv), Some(sv)) = (&b.server, &sc.server) {
-            for (field, got, want) in [
-                ("serve_sessions", sv.sessions, bv.sessions),
-                ("serve_commands", sv.commands, bv.commands),
-                ("serve_client_threads", sv.client_threads, bv.client_threads),
-            ] {
-                if got != want {
-                    failures.push(format!(
-                        "{}: deterministic counter `{field}` drifted: baseline {want}, fresh {got}",
-                        sc.name
-                    ));
-                }
-            }
-            // Ledgers written before the p999/histogram timing fields
-            // existed still compare cleanly — the additions are timing,
-            // not counters, so their absence is informational.
-            if !bv.has_latency_detail {
-                notes.push(format!(
-                    "{}: baseline predates serve_cmd_p999_us/serve_cmd_hist_us; \
-                     latency-detail fields not compared",
-                    sc.name
-                ));
-            }
-        }
-        if let (Some(bm), Some(m)) = (&b.maintenance, &sc.maintenance) {
-            for (field, got, want) in [
-                ("maint_reconfigs", m.reconfigs, bm.reconfigs),
-                ("maint_rehomed", m.rehomed, bm.rehomed),
-                ("maint_edge_events", m.edge_events, bm.edge_events),
-                ("maint_slot_churn", m.slot_churn, bm.slot_churn),
-                ("maint_audit_scope", m.audit_scope, bm.audit_scope),
-                ("maint_full_audits", m.full_audits, bm.full_audits),
-                ("maint_cache_hits", m.cache_hits, bm.cache_hits),
-                ("maint_cache_misses", m.cache_misses, bm.cache_misses),
-            ] {
-                if got != want {
-                    failures.push(format!(
-                        "{}: deterministic counter `{field}` drifted: baseline {want}, fresh {got}",
-                        sc.name
-                    ));
-                }
-            }
-            // Baselines written before the knowledge-patch counters
-            // existed compare cleanly: their absence is informational,
-            // but when the baseline does carry them they gate exactly.
-            if bm.has_knowledge_detail {
-                for (field, got, want) in [
-                    (
-                        "maint_knowledge_patches",
-                        m.knowledge_patches,
-                        bm.knowledge_patches,
-                    ),
-                    (
-                        "maint_knowledge_scope",
-                        m.knowledge_scope,
-                        bm.knowledge_scope,
-                    ),
-                    (
-                        "maint_knowledge_fallbacks",
-                        m.knowledge_fallbacks,
-                        bm.knowledge_fallbacks,
-                    ),
-                ] {
-                    if got != want {
-                        failures.push(format!(
-                            "{}: deterministic counter `{field}` drifted: baseline {want}, fresh {got}",
-                            sc.name
-                        ));
-                    }
-                }
-            } else {
-                notes.push(format!(
-                    "{}: baseline predates maint_knowledge_* counters; \
-                     knowledge-patch fields not compared",
-                    sc.name
-                ));
-            }
-        }
-        if b.rounds_per_sec > 0.0 {
-            let ratio = sc.rounds_per_sec / b.rounds_per_sec;
+        let base_rate: f64 = b.get(RATE_KEY).and_then(|v| v.parse().ok()).unwrap_or(0.0);
+        if base_rate > 0.0 {
+            let ratio = sc.rounds_per_sec / base_rate;
             notes.push(format!(
                 "{}: {:.0} rounds/s vs baseline {:.0} ({:+.1}%)",
                 sc.name,
                 sc.rounds_per_sec,
-                b.rounds_per_sec,
+                base_rate,
                 (ratio - 1.0) * 100.0
             ));
             if ratio < 1.0 - max_regress {
@@ -884,188 +798,53 @@ pub fn compare(baseline_json: &str, fresh: &Ledger, max_regress: f64) -> Compari
                     (1.0 - ratio) * 100.0,
                     max_regress * 100.0,
                     sc.rounds_per_sec,
-                    b.rounds_per_sec
+                    base_rate
                 ));
             }
         }
     }
-    for b in &base.scenarios {
-        if !fresh.scenarios.iter().any(|sc| sc.name == b.name) {
-            failures.push(format!("scenario {} missing from fresh run", b.name));
+    for b in &base {
+        if !fresh.scenarios.iter().any(|sc| sc.name == b["name"]) {
+            failures.push(format!("scenario {} missing from fresh run", b["name"]));
         }
     }
     Comparison { notes, failures }
 }
 
-/// Parsed baseline (owned strings; timing may be absent → 0).
-#[derive(Debug, Default)]
-struct ParsedLedger {
-    schema: String,
-    quick: bool,
-    scenarios: Vec<ParsedScenario>,
-}
-
-#[derive(Debug, Default)]
-struct ParsedScenario {
-    name: String,
-    nodes: u64,
-    reps: u64,
-    rounds: u64,
-    delivered: u64,
-    targets: u64,
-    rounds_per_sec: f64,
-    /// Maintenance counters, present only in v2 ledgers (and only on
-    /// mobility scenarios).
-    maintenance: Option<ParsedMaintenance>,
-    /// Server counters, present only on the `serve_sessions` scenario.
-    server: Option<ParsedServe>,
-}
-
-#[derive(Debug, Default)]
-struct ParsedServe {
-    sessions: u64,
-    commands: u64,
-    client_threads: u64,
-    /// Whether the baseline carries the p999/histogram timing fields
-    /// (ledgers written before those fields existed do not; their
-    /// absence is noted during comparison, never failed).
-    has_latency_detail: bool,
-}
-
-#[derive(Debug, Default)]
-struct ParsedMaintenance {
-    reconfigs: u64,
-    rehomed: u64,
-    edge_events: u64,
-    slot_churn: u64,
-    audit_scope: u64,
-    full_audits: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    knowledge_patches: u64,
-    knowledge_scope: u64,
-    knowledge_fallbacks: u64,
-    /// Whether the baseline carries the `maint_knowledge_*` counters
-    /// (ledgers written before the patch path existed do not; their
-    /// absence is noted during comparison, never failed).
-    has_knowledge_detail: bool,
-}
+/// One object of a rendered ledger: `"key": value` pairs with the raw
+/// value text (string values unquoted).
+type Object<'a> = BTreeMap<&'a str, &'a str>;
 
 /// Minimal line-oriented parser for the exact shape [`render_ledger`]
 /// emits (one `"key": value` pair per line).  Not a general JSON parser.
-fn parse_ledger(doc: &str) -> Option<ParsedLedger> {
-    let mut out = ParsedLedger::default();
-    let mut current: Option<ParsedScenario> = None;
+/// Returns the header object and one object per scenario (each holding
+/// its `name`), or `None` when the document has no schema or no
+/// scenarios.
+fn parse_ledger(doc: &str) -> Option<(Object<'_>, Vec<Object<'_>>)> {
+    let mut header = Object::new();
+    let mut scenarios = Vec::new();
+    let mut current: Option<Object<'_>> = None;
     for line in doc.lines() {
         let line = line.trim().trim_end_matches(',');
         let Some((key, value)) = line.split_once(':') else {
             if line == "}" {
-                if let Some(sc) = current.take() {
-                    out.scenarios.push(sc);
-                }
+                scenarios.extend(current.take());
             }
             continue;
         };
         let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        let string_value = value.trim_matches('"');
-        match (key, &mut current) {
-            ("schema", None) => out.schema = string_value.into(),
-            ("quick", None) => out.quick = value == "true",
-            ("name", _) => {
-                if let Some(sc) = current.take() {
-                    out.scenarios.push(sc);
-                }
-                current = Some(ParsedScenario {
-                    name: string_value.into(),
-                    ..ParsedScenario::default()
-                });
-            }
-            ("nodes", Some(sc)) => sc.nodes = value.parse().ok()?,
-            ("reps", Some(sc)) => sc.reps = value.parse().ok()?,
-            ("rounds", Some(sc)) => sc.rounds = value.parse().ok()?,
-            ("delivered", Some(sc)) => sc.delivered = value.parse().ok()?,
-            ("targets", Some(sc)) => sc.targets = value.parse().ok()?,
-            ("rounds_per_sec", Some(sc)) => sc.rounds_per_sec = value.parse().ok()?,
-            ("maint_reconfigs", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .reconfigs = value.parse().ok()?;
-            }
-            ("maint_rehomed", Some(sc)) => {
-                sc.maintenance.get_or_insert_with(Default::default).rehomed = value.parse().ok()?;
-            }
-            ("maint_edge_events", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .edge_events = value.parse().ok()?;
-            }
-            ("maint_slot_churn", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .slot_churn = value.parse().ok()?;
-            }
-            ("maint_audit_scope", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .audit_scope = value.parse().ok()?;
-            }
-            ("maint_full_audits", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .full_audits = value.parse().ok()?;
-            }
-            ("maint_cache_hits", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .cache_hits = value.parse().ok()?;
-            }
-            ("maint_cache_misses", Some(sc)) => {
-                sc.maintenance
-                    .get_or_insert_with(Default::default)
-                    .cache_misses = value.parse().ok()?;
-            }
-            ("maint_knowledge_patches", Some(sc)) => {
-                let m = sc.maintenance.get_or_insert_with(Default::default);
-                m.knowledge_patches = value.parse().ok()?;
-                m.has_knowledge_detail = true;
-            }
-            ("maint_knowledge_scope", Some(sc)) => {
-                let m = sc.maintenance.get_or_insert_with(Default::default);
-                m.knowledge_scope = value.parse().ok()?;
-                m.has_knowledge_detail = true;
-            }
-            ("maint_knowledge_fallbacks", Some(sc)) => {
-                let m = sc.maintenance.get_or_insert_with(Default::default);
-                m.knowledge_fallbacks = value.parse().ok()?;
-                m.has_knowledge_detail = true;
-            }
-            ("serve_sessions", Some(sc)) => {
-                sc.server.get_or_insert_with(Default::default).sessions = value.parse().ok()?;
-            }
-            ("serve_commands", Some(sc)) => {
-                sc.server.get_or_insert_with(Default::default).commands = value.parse().ok()?;
-            }
-            ("serve_client_threads", Some(sc)) => {
-                sc.server
-                    .get_or_insert_with(Default::default)
-                    .client_threads = value.parse().ok()?;
-            }
-            ("serve_cmd_p999_us" | "serve_cmd_hist_us", Some(sc)) => {
-                sc.server
-                    .get_or_insert_with(Default::default)
-                    .has_latency_detail = true;
-            }
-            _ => {}
+        let value = value.trim().trim_matches('"');
+        if key == "name" {
+            scenarios.extend(current.take());
+            current = Some(Object::new());
         }
+        current.as_mut().unwrap_or(&mut header).insert(key, value);
     }
-    if let Some(sc) = current.take() {
-        out.scenarios.push(sc);
-    }
-    if out.schema.is_empty() || out.scenarios.is_empty() {
+    scenarios.extend(current);
+    if !header.contains_key("schema") || scenarios.is_empty() {
         return None;
     }
-    Some(out)
+    Some((header, scenarios))
 }
 
 /// Today's civil date in UTC as `YYYY-MM-DD`, derived from the system
@@ -1151,14 +930,14 @@ mod tests {
     fn render_roundtrips_through_parse() {
         let l = sample_ledger();
         let doc = render_ledger(&l, true);
-        let p = parse_ledger(&doc).expect("self-rendered ledger parses");
-        assert_eq!(p.schema, SCHEMA);
-        assert!(p.quick);
-        assert_eq!(p.scenarios.len(), 2);
-        assert_eq!(p.scenarios[0].name, "static_cff");
-        assert_eq!(p.scenarios[0].rounds, 1_000);
-        assert_eq!(p.scenarios[1].targets, 595);
-        assert!((p.scenarios[1].rounds_per_sec - 100_000.0).abs() < 1e-6);
+        let (header, scenarios) = parse_ledger(&doc).expect("self-rendered ledger parses");
+        assert_eq!(header["schema"], SCHEMA);
+        assert_eq!(header["quick"], "true");
+        assert_eq!(scenarios.len(), 2);
+        assert_eq!(scenarios[0]["name"], "static_cff");
+        assert_eq!(scenarios[0]["rounds"], "1000");
+        assert_eq!(scenarios[1]["targets"], "595");
+        assert_eq!(scenarios[1][RATE_KEY], "100000.0");
     }
 
     #[test]
@@ -1209,9 +988,31 @@ mod tests {
         assert!(compare(&doc, &ok, 0.15).passed());
 
         // Improvements always pass.
-        let mut fast = base;
+        let mut fast = base.clone();
         fast.scenarios[0].rounds_per_sec = 200_000.0;
         assert!(compare(&doc, &fast, 0.15).passed());
+
+        // A scenario on one side only fails, in either direction.
+        let mut grown = base.clone();
+        grown.scenarios.push(mobility_scenario());
+        let c = compare(&doc, &grown, 0.15);
+        assert!(
+            c.failures
+                .iter()
+                .any(|f| f.contains("mobility_100ep missing from baseline")),
+            "{:?}",
+            c.failures
+        );
+        let mut shrunk = base;
+        shrunk.scenarios.pop();
+        let c = compare(&doc, &shrunk, 0.15);
+        assert!(
+            c.failures
+                .iter()
+                .any(|f| f.contains("static_dfo missing from fresh run")),
+            "{:?}",
+            c.failures
+        );
     }
 
     fn mobility_scenario() -> ScenarioResult {
@@ -1275,11 +1076,10 @@ mod tests {
         let mut l = sample_ledger();
         l.scenarios.push(serve_scenario());
         let doc = render_ledger(&l, true);
-        let p = parse_ledger(&doc).expect("ledger with serve scenario parses");
-        let pv = p.scenarios[2].server.as_ref().expect("serve counters");
-        assert_eq!(pv.sessions, 600);
-        assert_eq!(pv.commands, 4_200);
-        assert_eq!(pv.client_threads, 8);
+        let (_, scenarios) = parse_ledger(&doc).expect("ledger with serve scenario parses");
+        assert_eq!(scenarios[2]["serve_sessions"], "600");
+        assert_eq!(scenarios[2]["serve_commands"], "4200");
+        assert_eq!(scenarios[2]["serve_client_threads"], "8");
         assert!(compare(&doc, &l, 0.15).passed());
 
         // Counter drift is a hard failure.
@@ -1305,52 +1105,16 @@ mod tests {
     }
 
     #[test]
-    fn compare_notes_baseline_without_latency_detail() {
-        // A v2 baseline written before the p999/histogram fields: strip
-        // them out of a fresh render line-by-line.
-        let mut l = sample_ledger();
-        l.scenarios.push(serve_scenario());
-        let doc: String = render_ledger(&l, true)
-            .lines()
-            .filter(|line| {
-                !line.contains("serve_cmd_p999_us") && !line.contains("serve_cmd_hist_us")
-            })
-            .map(|line| format!("{line}\n"))
-            .collect();
-        let c = compare(&doc, &l, 0.15);
-        assert!(c.passed(), "failures: {:?}", c.failures);
-        assert!(
-            c.notes
-                .iter()
-                .any(|n| n.contains("predates serve_cmd_p999_us")),
-            "{:?}",
-            c.notes
-        );
-
-        // A baseline that does carry them produces no such note.
-        let full = render_ledger(&l, true);
-        let c = compare(&full, &l, 0.15);
-        assert!(c.passed(), "failures: {:?}", c.failures);
-        assert!(
-            !c.notes.iter().any(|n| n.contains("predates")),
-            "{:?}",
-            c.notes
-        );
-    }
-
-    #[test]
     fn maintenance_fields_roundtrip_and_gate_exactly() {
         let mut l = sample_ledger();
         l.scenarios.push(mobility_scenario());
         let doc = render_ledger(&l, true);
-        let p = parse_ledger(&doc).expect("v2 ledger parses");
-        let pm = p.scenarios[2].maintenance.as_ref().expect("maintenance");
-        assert_eq!(pm.reconfigs, 1_818);
-        assert_eq!(pm.audit_scope, 9_416);
-        assert_eq!(pm.cache_misses, 1);
-        assert_eq!(pm.knowledge_patches, 1);
-        assert_eq!(pm.knowledge_scope, 42);
-        assert!(pm.has_knowledge_detail);
+        let (_, scenarios) = parse_ledger(&doc).expect("v2 ledger parses");
+        assert_eq!(scenarios[2]["maint_reconfigs"], "1818");
+        assert_eq!(scenarios[2]["maint_audit_scope"], "9416");
+        assert_eq!(scenarios[2]["maint_cache_misses"], "1");
+        assert_eq!(scenarios[2]["maint_knowledge_patches"], "1");
+        assert_eq!(scenarios[2]["maint_knowledge_scope"], "42");
         assert!(compare(&doc, &l, 0.15).passed());
 
         // Any maintenance-counter drift is a hard failure: it means the
@@ -1381,6 +1145,22 @@ mod tests {
             c.failures
         );
 
+        // A counter the fresh ledger carries and the baseline lacks
+        // fails: the baseline must be regenerated to gate it.
+        let stale: String = doc
+            .lines()
+            .filter(|line| !line.contains("maint_knowledge_scope"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let c = compare(&stale, &l, 0.15);
+        assert!(
+            c.failures
+                .iter()
+                .any(|f| f.contains("`maint_knowledge_scope` missing from baseline")),
+            "{:?}",
+            c.failures
+        );
+
         // The timing halves of the breakdown are machine-dependent and
         // must not leak into the determinism render.
         let bare = render_ledger(&l, false);
@@ -1388,110 +1168,198 @@ mod tests {
         assert!(!bare.contains("maint_diff_ms"));
     }
 
-    #[test]
-    fn compare_accepts_v1_baseline_for_shared_counters() {
-        // A v1 baseline: v1 schema string, no maintenance fields, no
-        // mobility scenarios.
-        let v1 = sample_ledger();
-        let doc = render_ledger(&v1, true).replace(SCHEMA, SCHEMA_V1);
-
-        // Fresh v2 run: same shared counters, plus a new mobility
-        // scenario carrying a maintenance breakdown.
-        let mut fresh = v1.clone();
-        fresh.scenarios.push(mobility_scenario());
-        let c = compare(&doc, &fresh, 0.15);
-        assert!(c.passed(), "failures: {:?}", c.failures);
-        assert!(
-            c.notes.iter().any(|n| n.contains(SCHEMA_V1)),
-            "{:?}",
-            c.notes
-        );
-        assert!(
-            c.notes.iter().any(|n| n.contains("mobility_100ep")),
-            "{:?}",
-            c.notes
-        );
-
-        // Leniency covers only what v1 cannot express: drift in a counter
-        // the baseline *does* carry still fails.
-        let mut drifted = fresh.clone();
-        drifted.scenarios[0].rounds += 1;
-        assert!(!compare(&doc, &drifted, 0.15).passed());
-
-        // And a v2-vs-v2 comparison is not lenient about missing
-        // scenarios.
-        let v2doc = render_ledger(&v1, true);
-        let c = compare(&v2doc, &fresh, 0.15);
-        assert!(
-            c.failures
-                .iter()
-                .any(|f| f.contains("missing from baseline")),
-            "{:?}",
-            c.failures
-        );
+    /// One static, one mobility and one serve scenario, with fractional
+    /// timings that exercise every field's rounding.
+    fn golden_ledger() -> Ledger {
+        let mut static_cff = sample_ledger().scenarios[0].clone();
+        static_cff.wall_ms = 96.1984;
+        static_cff.rounds_per_sec = 449_071.94;
+        let mut mobility = mobility_scenario();
+        mobility.wall_ms = 136.4896;
+        mobility.rounds_per_sec = 1_164.86;
+        let m = mobility.maintenance.as_mut().unwrap();
+        m.probe_ms = 0.8372;
+        m.audit_ms = 3.5396;
+        let mut serve = serve_scenario();
+        let sv = serve.server.as_mut().unwrap();
+        sv.sessions_per_sec = 2_332.44;
+        sv.cmd_p50_us = 422.0;
+        sv.cmd_p99_us = 904.06;
+        Ledger {
+            schema: SCHEMA,
+            date: "2026-08-08".into(),
+            quick: false,
+            threads: 2,
+            peak_rss_kb: 409_152,
+            scenarios: vec![static_cff, mobility, serve],
+        }
     }
 
+    /// The exact bytes of both renders of a fixed ledger: a changed key,
+    /// key order or number format shows up here.
     #[test]
-    fn compare_notes_baseline_without_knowledge_detail() {
-        // A v2 baseline written before the maint_knowledge_* counters:
-        // strip them from a fresh render line-by-line.
-        let mut l = sample_ledger();
-        l.scenarios.push(mobility_scenario());
-        let doc: String = render_ledger(&l, true)
-            .lines()
-            .filter(|line| !line.contains("maint_knowledge_"))
-            .map(|line| format!("{line}\n"))
-            .collect();
-        let c = compare(&doc, &l, 0.15);
-        assert!(c.passed(), "failures: {:?}", c.failures);
-        assert!(
-            c.notes
-                .iter()
-                .any(|n| n.contains("predates maint_knowledge_*")),
-            "{:?}",
-            c.notes
-        );
-
-        // A baseline that does carry them produces no such note.
-        let full = render_ledger(&l, true);
-        let c = compare(&full, &l, 0.15);
-        assert!(c.passed(), "failures: {:?}", c.failures);
-        assert!(
-            !c.notes.iter().any(|n| n.contains("maint_knowledge_*")),
-            "{:?}",
-            c.notes
-        );
+    fn render_matches_golden_bytes() {
+        let l = golden_ledger();
+        assert_eq!(render_ledger(&l, true), GOLDEN_TIMED);
+        assert_eq!(render_ledger(&l, false), GOLDEN_BARE);
     }
 
+    const GOLDEN_TIMED: &str = r#"{
+  "schema": "dsnet-bench-ledger/2",
+  "date": "2026-08-08",
+  "quick": false,
+  "threads": 2,
+  "peak_rss_kb": 409152,
+  "scenarios": [
+    {
+      "name": "static_cff",
+      "nodes": 120,
+      "reps": 20,
+      "rounds": 1000,
+      "delivered": 2380,
+      "targets": 2380,
+      "wall_ms": 96.198,
+      "rounds_per_sec": 449071.9
+    },
+    {
+      "name": "mobility_100ep",
+      "nodes": 120,
+      "reps": 3,
+      "rounds": 159,
+      "delivered": 360,
+      "targets": 360,
+      "maint_reconfigs": 1818,
+      "maint_rehomed": 17513,
+      "maint_edge_events": 2617,
+      "maint_slot_churn": 4000,
+      "maint_audit_scope": 9416,
+      "maint_full_audits": 0,
+      "maint_cache_hits": 3,
+      "maint_cache_misses": 1,
+      "maint_knowledge_patches": 1,
+      "maint_knowledge_scope": 42,
+      "maint_knowledge_fallbacks": 0,
+      "maint_probe_ms": 0.837,
+      "maint_diff_ms": 7.000,
+      "maint_repair_ms": 29.000,
+      "maint_slots_ms": 0.300,
+      "maint_audit_ms": 3.540,
+      "wall_ms": 136.490,
+      "rounds_per_sec": 1164.9
+    },
+    {
+      "name": "serve_sessions",
+      "nodes": 24,
+      "reps": 600,
+      "rounds": 52000,
+      "delivered": 80000,
+      "targets": 80000,
+      "serve_sessions": 600,
+      "serve_commands": 4200,
+      "serve_client_threads": 8,
+      "serve_sessions_per_sec": 2332.4,
+      "serve_cmd_p50_us": 422.0,
+      "serve_cmd_p99_us": 904.1,
+      "serve_cmd_p999_us": 4800.0,
+      "serve_cmd_hist_us": [0, 0, 0, 0, 0, 12, 480, 2900, 760, 48],
+      "wall_ms": 2500.000,
+      "rounds_per_sec": 20800.0
+    }
+  ]
+}
+"#;
+
+    const GOLDEN_BARE: &str = r#"{
+  "schema": "dsnet-bench-ledger/2",
+  "date": "2026-08-08",
+  "quick": false,
+  "scenarios": [
+    {
+      "name": "static_cff",
+      "nodes": 120,
+      "reps": 20,
+      "rounds": 1000,
+      "delivered": 2380,
+      "targets": 2380
+    },
+    {
+      "name": "mobility_100ep",
+      "nodes": 120,
+      "reps": 3,
+      "rounds": 159,
+      "delivered": 360,
+      "targets": 360,
+      "maint_reconfigs": 1818,
+      "maint_rehomed": 17513,
+      "maint_edge_events": 2617,
+      "maint_slot_churn": 4000,
+      "maint_audit_scope": 9416,
+      "maint_full_audits": 0,
+      "maint_cache_hits": 3,
+      "maint_cache_misses": 1,
+      "maint_knowledge_patches": 1,
+      "maint_knowledge_scope": 42,
+      "maint_knowledge_fallbacks": 0
+    },
+    {
+      "name": "serve_sessions",
+      "nodes": 24,
+      "reps": 600,
+      "rounds": 52000,
+      "delivered": 80000,
+      "targets": 80000,
+      "serve_sessions": 600,
+      "serve_commands": 4200,
+      "serve_client_threads": 8
+    }
+  ]
+}
+"#;
+
+    /// The newest committed baseline carries exactly the keys the field
+    /// table lists for each scenario's kind, so a row added to the table
+    /// without regenerating the baseline fails here, not only in the
+    /// perf job.
     #[test]
-    fn compare_notes_recent_scenario_missing_from_baseline() {
-        // A same-schema baseline from before `mobility_bcast_10k`
-        // existed: the new scenario is noted, not failed; any other
-        // missing scenario still fails.
-        let base = sample_ledger();
-        let doc = render_ledger(&base, true);
-        let mut fresh = base.clone();
-        fresh.scenarios.push(ScenarioResult {
-            name: "mobility_bcast_10k",
-            nodes: 10_000,
-            reps: 24,
-            rounds: 2_000,
-            delivered: 240_000,
-            targets: 240_000,
-            wall_ms: 900.0,
-            rounds_per_sec: 2_200.0,
-            maintenance: Some(mobility_scenario().maintenance.unwrap()),
-            server: None,
-        });
-        let c = compare(&doc, &fresh, 0.15);
-        assert!(c.passed(), "failures: {:?}", c.failures);
-        assert!(
-            c.notes
+    fn committed_baseline_matches_the_field_table() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let newest = std::fs::read_dir(root)
+            .expect("repository root")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+            .max()
+            .expect("a committed BENCH_*.json baseline");
+        let doc = std::fs::read_to_string(format!("{root}/{newest}")).expect("read baseline");
+        let (header, scenarios) = parse_ledger(&doc).expect("baseline parses");
+        assert_eq!(header["schema"], SCHEMA, "{newest}");
+        for b in &scenarios {
+            let name = b["name"];
+            let kind = if name.starts_with("mobility_") {
+                mobility_scenario()
+            } else if name.starts_with("serve_") {
+                serve_scenario()
+            } else {
+                sample_ledger().scenarios[0].clone()
+            };
+            let mut want: Vec<&str> = FIELDS
                 .iter()
-                .any(|n| n.contains("mobility_bcast_10k") && n.contains("not in the baseline")),
-            "{:?}",
-            c.notes
-        );
+                .filter(|(_, k)| match *k {
+                    Counter(get) => get(&kind).is_some(),
+                    Timing(_, get) => get(&kind).is_some(),
+                    Histogram(get) => get(&kind).is_some(),
+                })
+                .map(|&(key, _)| key)
+                .chain(["name"])
+                .collect();
+            want.sort_unstable();
+            let got: Vec<&str> = b.keys().copied().collect();
+            assert_eq!(got, want, "{newest}: keys of scenario {name}");
+        }
     }
 
     #[test]

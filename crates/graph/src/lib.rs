@@ -18,17 +18,12 @@
 //! * [`domset`] — greedy dominating-set / maximal-independent-set
 //!   approximations (used to sanity-check Property 1(3) of the paper),
 //! * [`tree`] — rooted trees over graph nodes (parents, children, depths,
-//!   heights) with structural validation,
-//! * [`euler`] — Eulerian tours of rooted trees (each edge traversed twice),
-//!   the backbone of the DFO baseline broadcast,
-//! * [`metrics`] — eccentricities and diameter.
+//!   heights) with structural validation.
 
 pub mod components;
 pub mod degree;
 pub mod domset;
-pub mod euler;
 pub mod graph;
-pub mod metrics;
 pub mod traversal;
 pub mod tree;
 pub mod unit_disk;

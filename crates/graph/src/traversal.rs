@@ -43,16 +43,6 @@ impl Bfs {
         self.order.len()
     }
 
-    /// Maximum finite distance (the eccentricity of the source within its
-    /// component).
-    pub fn eccentricity(&self) -> u32 {
-        self.order
-            .iter()
-            .map(|&u| self.dist[u.index()])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Shortest path from source to `u` (inclusive), if reachable.
     pub fn path_to(&self, u: NodeId) -> Option<Vec<NodeId>> {
         if !self.reached(u) {
@@ -118,7 +108,6 @@ mod tests {
         assert_eq!(b.dist(NodeId(1)), Some(1));
         assert_eq!(b.dist(NodeId(3)), Some(3));
         assert_eq!(b.dist(NodeId(5)), Some(1));
-        assert_eq!(b.eccentricity(), 3);
         assert_eq!(b.reached_count(), 6);
     }
 

@@ -1,9 +1,7 @@
 //! Property-based tests of the graph substrate against brute-force
 //! oracles.
 
-use dsnet_graph::{
-    components, degree, domset, euler, metrics, traversal, Graph, NodeId, RootedTree,
-};
+use dsnet_graph::{components, degree, domset, traversal, Graph, NodeId, RootedTree};
 use proptest::prelude::*;
 
 /// Build a graph from an edge-candidate list over `n` nodes.
@@ -110,38 +108,6 @@ proptest! {
         // n / (Δ+1).
         let max_deg = degree::max_degree(&g);
         prop_assert!(ds.len() * (max_deg + 1) >= g.node_count());
-    }
-
-    #[test]
-    fn euler_tours_of_random_trees_verify(
-        picks in prop::collection::vec(any::<u16>(), 0..40),
-        start_pick in any::<u16>(),
-    ) {
-        let t = tree_from(&picks);
-        let nodes: Vec<NodeId> = t.nodes().collect();
-        let start = nodes[start_pick as usize % nodes.len()];
-        let tour = euler::euler_tour(&t, start);
-        prop_assert!(euler::verify_tour(&t, start, &tour));
-        // Everyone is reached.
-        let first = euler::first_arrival_hops(&t, start, &tour);
-        for u in t.nodes() {
-            prop_assert!(first[u.index()].is_some(), "{u} unreached");
-        }
-    }
-
-    #[test]
-    fn double_sweep_never_exceeds_true_diameter(
-        n in 2u8..12,
-        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 1..40),
-    ) {
-        let g = graph_from(n, &edges);
-        if let Some(d) = metrics::diameter(&g) {
-            let seed = g.nodes().next().unwrap();
-            let sweep = metrics::diameter_double_sweep(&g, seed);
-            prop_assert!(sweep <= d);
-            // The sweep is a valid eccentricity, hence ≥ d/2.
-            prop_assert!(2 * sweep >= d);
-        }
     }
 
     #[test]

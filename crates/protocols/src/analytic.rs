@@ -51,14 +51,7 @@ pub fn improved_awake_bound(k: &NetKnowledge, channels: u8) -> u64 {
     ((2 * k.delta_b as u64 + k.delta_l as u64).div_ceil(kk)).max(2)
 }
 
-/// Lemma 3 slot bounds given the measured degrees: `(δ_max, Δ_max)` =
-/// `(d(d+1)/2 + 1, D(D+1)/2 + 1)`.
-pub fn slot_bounds(d_backbone: u32, d_graph: u32) -> (u32, u32) {
-    (
-        d_backbone * (d_backbone + 1) / 2 + 1,
-        d_graph * (d_graph + 1) / 2 + 1,
-    )
-}
+pub use dsnet_cluster::slots::slot_bounds;
 
 #[cfg(test)]
 mod tests {

@@ -15,8 +15,11 @@
 //!    (they must whenever discovery was complete — an executable proof
 //!    that Definition 1 is locally computable).
 //!
-//! The combined round account (measured discovery + accounted slot repair
-//! and root propagation) is what E8/E11 report against Theorem 2.
+//! The combined round account is measured discovery + accounted slot
+//! repair and root propagation. The experiments report the two halves
+//! separately: E11 measures discovery through [`simulate_join`], and E8
+//! reads the structural move-in reports; this module's composition is
+//! exercised by its tests.
 
 use crate::join::{simulate_join, JoinOutcome};
 use dsnet_cluster::{ClusterNet, MoveInError, MoveInReport, NodeStatus, ParentRule};

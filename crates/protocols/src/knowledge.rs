@@ -43,8 +43,7 @@
 //! staleness/size threshold (or when the journal cannot vouch for the
 //! cached version) the cache falls back to a full rebuild.
 
-use dsnet_cluster::slots::validate::assign_flood_slots;
-use dsnet_cluster::slots::view::NetView;
+use dsnet_cluster::slots::validate::{assign_flood_slots, flood_slot, flood_transmitters};
 use dsnet_cluster::{ClusterNet, NodeStatus};
 use dsnet_graph::NodeId;
 use std::sync::{Arc, Mutex};
@@ -158,51 +157,6 @@ fn unique_slot(slots: impl IntoIterator<Item = Option<u32>>) -> Option<u32> {
     unique_slot_sorted(&mut scratch)
 }
 
-/// Number of slot values occurring exactly once in the *sorted* scratch
-/// (mirrors the cluster crate's internal helper; Procedure 1's "two
-/// already-unique transmitters" receiver-skip rule).
-fn unique_run_count(sorted: &[u32]) -> usize {
-    let mut unique = 0usize;
-    let mut i = 0;
-    while i < sorted.len() {
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == sorted[i] {
-            j += 1;
-        }
-        if j - i == 1 {
-            unique += 1;
-        }
-        i = j;
-    }
-    unique
-}
-
-/// Minimum positive integer absent from `used` (sorted in place).
-fn mex(used: &mut [u32]) -> u32 {
-    used.sort_unstable();
-    let mut candidate = 1u32;
-    for &u in used.iter() {
-        match u.cmp(&candidate) {
-            std::cmp::Ordering::Less => {}
-            std::cmp::Ordering::Equal => candidate += 1,
-            std::cmp::Ordering::Greater => break,
-        }
-    }
-    candidate
-}
-
-/// Allocation-free equivalent of
-/// `dsnet_cluster::slots::validate::flood_transmitters`: the internal
-/// depth-(i−1) G-neighbours of `v` — the transmitters `v` hears in
-/// Algorithm 1's depth window. (Naturally empty at depth 0: no neighbour
-/// sits at depth −1.)
-fn flood_tx_iter<'a>(view: NetView<'a>, v: NodeId) -> impl Iterator<Item = NodeId> + 'a {
-    let depth = view.tree.depth(v);
-    view.graph.neighbors(v).iter().copied().filter(move |&y| {
-        view.attached(y) && view.cnet_internal(y) && view.tree.depth(y) + 1 == depth
-    })
-}
-
 /// Snapshot the knowledge of every attached node for a *session* with its
 /// own slot table and transmitter set — used by reliable multicast, where
 /// the initiator re-assigns slots over the participating transmitters
@@ -304,7 +258,7 @@ pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
         };
         let expected_flood_slot = if depth >= 1 {
             scratch.clear();
-            scratch.extend(flood_tx_iter(view, u).filter_map(|y| flood[y.index()]));
+            scratch.extend(flood_transmitters(&view, u).filter_map(|y| flood[y.index()]));
             unique_slot_sorted(&mut scratch)
         } else {
             None
@@ -487,41 +441,29 @@ fn patch_knowledge(
     for &u in &r {
         if tree.contains(u) {
             queue.insert((tree.depth(u), u));
-            for y in flood_tx_iter(view, u) {
+            for y in flood_transmitters(&view, u) {
                 queue.insert((tree.depth(y), y));
             }
         }
     }
     let mut flood_rx_dirty: Vec<NodeId> = Vec::new();
-    let mut forbidden: Vec<u32> = Vec::new();
-    let mut others: Vec<u32> = Vec::new();
     while let Some(&(depth, y)) = queue.iter().next() {
         queue.remove(&(depth, y));
         if !tree.contains(y) {
             continue; // tombstoned: its disappearance was seeded via R
         }
-        let new_slot = if view.cnet_internal(y) {
-            forbidden.clear();
-            for v in view
-                .attached_neighbors(y)
-                .filter(|&v| view.tree.depth(v) == depth + 1)
-            {
-                others.clear();
-                others.extend(
-                    flood_tx_iter(view, v)
-                        .filter(|&t| t != y && t < y)
-                        .filter_map(|t| k.per_node[t.index()].as_ref()?.flood_slot),
-                );
-                others.sort_unstable();
-                if unique_run_count(&others) >= 2 {
-                    continue;
-                }
-                forbidden.extend_from_slice(&others);
+        // The settled slots are those of the same-depth co-transmitters
+        // with a smaller id; larger ids may still hold stale values.
+        let settled = |t: NodeId| {
+            if t < y {
+                k.per_node[t.index()].as_ref()?.flood_slot
+            } else {
+                None
             }
-            Some(mex(&mut forbidden))
-        } else {
-            None
         };
+        let new_slot = view
+            .cnet_internal(y)
+            .then(|| flood_slot(&view, y, settled, &mut scratch));
         let entry = k.per_node[y.index()].as_mut().expect("attached node");
         if entry.flood_slot != new_slot {
             entry.flood_slot = new_slot;
@@ -530,7 +472,7 @@ fn patch_knowledge(
                 .filter(|&v| view.tree.depth(v) == depth + 1)
             {
                 flood_rx_dirty.push(v);
-                for t in flood_tx_iter(view, v) {
+                for t in flood_transmitters(&view, v) {
                     if t > y {
                         queue.insert((depth, t));
                     }
@@ -550,7 +492,7 @@ fn patch_knowledge(
         }
         let expected = if tree.depth(u) >= 1 {
             scratch.clear();
-            scratch.extend(flood_tx_iter(view, u).filter_map(|y| {
+            scratch.extend(flood_transmitters(&view, u).filter_map(|y| {
                 k.per_node[y.index()]
                     .as_ref()
                     .expect("attached transmitter")

@@ -107,11 +107,6 @@ pub fn write_frame_bytes(w: &mut impl Write, payload: &[u8]) -> Result<(), WireE
     Ok(())
 }
 
-/// Write one JSON-format frame (see [`write_frame_bytes`]).
-pub fn write_frame(w: &mut impl Write, payload: &str) -> Result<(), WireError> {
-    write_frame_bytes(w, payload.as_bytes())
-}
-
 /// Read one raw frame payload. Returns [`WireError::Closed`] on a clean
 /// EOF at a frame boundary, [`WireError::Truncated`] mid-frame.
 pub fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
@@ -154,13 +149,6 @@ pub fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
         }
     }
     Ok(payload)
-}
-
-/// Read one JSON-format frame payload (see [`read_frame_bytes`]); a
-/// non-UTF-8 payload is a [`WireError::Malformed`] transport fault.
-pub fn read_frame(r: &mut impl Read) -> Result<String, WireError> {
-    String::from_utf8(read_frame_bytes(r)?)
-        .map_err(|_| WireError::Malformed("payload is not UTF-8".into()))
 }
 
 /// The negotiable payload encoding of a connection's frames.
@@ -611,11 +599,6 @@ pub fn request_to_json(req: &Request) -> Json {
     obj(pairs)
 }
 
-/// Encode a request as a JSON frame payload.
-pub fn encode_request(req: &Request) -> String {
-    request_to_json(req).render()
-}
-
 /// Decode a request from the shared JSON value model.
 pub fn request_from_json(v: &Json) -> Result<Request, String> {
     let id = field_u64(v, "id", None)?;
@@ -673,12 +656,6 @@ pub fn request_from_json(v: &Json) -> Result<Request, String> {
     Ok(Request { id, op })
 }
 
-/// Decode a request from a JSON frame payload.
-pub fn decode_request(payload: &str) -> Result<Request, String> {
-    let v = parse(payload).map_err(|e| e.to_string())?;
-    request_from_json(&v)
-}
-
 /// Encode a response as the JSON value model shared by both frame
 /// formats.
 pub fn response_to_json(resp: &Response) -> Json {
@@ -692,11 +669,6 @@ pub fn response_to_json(resp: &Response) -> Json {
         Body::Event(v) => pairs.push(("event", v.clone())),
     }
     obj(pairs)
-}
-
-/// Encode a response as a JSON frame payload.
-pub fn encode_response(resp: &Response) -> String {
-    response_to_json(resp).render()
 }
 
 /// Decode a response from the shared JSON value model.
@@ -723,16 +695,10 @@ pub fn response_from_json(v: &Json) -> Result<Response, String> {
     Ok(Response { id, body })
 }
 
-/// Decode a response from a JSON frame payload.
-pub fn decode_response(payload: &str) -> Result<Response, String> {
-    let v = parse(payload).map_err(|e| e.to_string())?;
-    response_from_json(&v)
-}
-
 /// Encode a request frame payload in the given format.
 pub fn encode_request_bytes(req: &Request, format: FrameFormat) -> Vec<u8> {
     match format {
-        FrameFormat::Json => encode_request(req).into_bytes(),
+        FrameFormat::Json => request_to_json(req).render().into_bytes(),
         FrameFormat::Binary => crate::json::binary::to_bytes(&request_to_json(req)),
     }
 }
@@ -740,7 +706,7 @@ pub fn encode_request_bytes(req: &Request, format: FrameFormat) -> Vec<u8> {
 /// Encode a response frame payload in the given format.
 pub fn encode_response_bytes(resp: &Response, format: FrameFormat) -> Vec<u8> {
     match format {
-        FrameFormat::Json => encode_response(resp).into_bytes(),
+        FrameFormat::Json => response_to_json(resp).render().into_bytes(),
         FrameFormat::Binary => crate::json::binary::to_bytes(&response_to_json(resp)),
     }
 }
@@ -797,14 +763,17 @@ mod tests {
     #[test]
     fn frames_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"id\":1}").unwrap();
-        write_frame(&mut buf, "").unwrap();
-        write_frame(&mut buf, "second ε frame").unwrap();
+        write_frame_bytes(&mut buf, b"{\"id\":1}").unwrap();
+        write_frame_bytes(&mut buf, b"").unwrap();
+        write_frame_bytes(&mut buf, "second ε frame".as_bytes()).unwrap();
         let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).unwrap(), "{\"id\":1}");
-        assert_eq!(read_frame(&mut r).unwrap(), "");
-        assert_eq!(read_frame(&mut r).unwrap(), "second ε frame");
-        assert!(matches!(read_frame(&mut r), Err(WireError::Closed)));
+        assert_eq!(read_frame_bytes(&mut r).unwrap(), b"{\"id\":1}");
+        assert_eq!(read_frame_bytes(&mut r).unwrap(), b"");
+        assert_eq!(
+            read_frame_bytes(&mut r).unwrap(),
+            "second ε frame".as_bytes()
+        );
+        assert!(matches!(read_frame_bytes(&mut r), Err(WireError::Closed)));
     }
 
     #[test]
@@ -812,43 +781,35 @@ mod tests {
         // Header promises 10 bytes, only 3 arrive.
         let mut bytes = 10u32.to_be_bytes().to_vec();
         bytes.extend_from_slice(b"abc");
-        let got = read_frame(&mut Cursor::new(bytes));
+        let got = read_frame_bytes(&mut Cursor::new(bytes));
         assert!(matches!(
             got,
             Err(WireError::Truncated { got: 3, want: 10 })
         ));
         // Header itself cut short.
-        let got = read_frame(&mut Cursor::new(vec![0u8, 0]));
+        let got = read_frame_bytes(&mut Cursor::new(vec![0u8, 0]));
         assert!(matches!(got, Err(WireError::Truncated { got: 2, want: 4 })));
     }
 
     #[test]
     fn oversized_frames_are_rejected_both_directions() {
         let bytes = (MAX_FRAME + 1).to_be_bytes().to_vec();
-        let got = read_frame(&mut Cursor::new(bytes));
+        let got = read_frame_bytes(&mut Cursor::new(bytes));
         assert!(matches!(got, Err(WireError::Oversized { .. })));
-        let big = "x".repeat(MAX_FRAME as usize + 1);
+        let big = vec![b'x'; MAX_FRAME as usize + 1];
         let mut sink = Vec::new();
         assert!(matches!(
-            write_frame(&mut sink, &big),
+            write_frame_bytes(&mut sink, &big),
             Err(WireError::Oversized { .. })
         ));
         assert!(sink.is_empty(), "nothing written for an oversized frame");
     }
 
-    #[test]
-    fn non_utf8_payload_is_malformed() {
-        let mut bytes = 2u32.to_be_bytes().to_vec();
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        assert!(matches!(
-            read_frame(&mut Cursor::new(bytes)),
-            Err(WireError::Malformed(_))
-        ));
-    }
-
     fn roundtrip_req(req: Request) {
-        let text = encode_request(&req);
-        assert_eq!(decode_request(&text).expect(&text), req, "{text}");
+        let bytes = encode_request_bytes(&req, FrameFormat::Json);
+        let text = String::from_utf8_lossy(&bytes);
+        let got = decode_request_bytes(&bytes, FrameFormat::Json);
+        assert_eq!(got.expect(&text), req, "{text}");
     }
 
     #[test]
@@ -993,8 +954,10 @@ mod tests {
             },
         ];
         for resp in cases {
-            let text = encode_response(&resp);
-            assert_eq!(decode_response(&text).unwrap(), resp, "{text}");
+            let bytes = encode_response_bytes(&resp, FrameFormat::Json);
+            let text = String::from_utf8_lossy(&bytes);
+            let got = decode_response_bytes(&bytes, FrameFormat::Json);
+            assert_eq!(got.unwrap(), resp, "{text}");
         }
     }
 
@@ -1028,7 +991,10 @@ mod tests {
             "{\"id\":1,\"op\":\"create\",\"session\":\"s\",\"spec\":{\"nodes\":-5}}",
             "{\"id\":1,\"op\":\"destroy\"}",
         ] {
-            assert!(decode_request(bad).is_err(), "{bad:?} should fail");
+            assert!(
+                decode_request_bytes(bad.as_bytes(), FrameFormat::Json).is_err(),
+                "{bad:?} should fail"
+            );
         }
     }
 
@@ -1054,8 +1020,12 @@ mod tests {
                 assert_eq!(decode_request_bytes(&bytes, wire).unwrap(), req);
             }
         }
-        assert!(decode_request("{\"id\":1,\"op\":\"frames\"}").is_err());
-        assert!(decode_request("{\"id\":1,\"op\":\"frames\",\"format\":\"xml\"}").is_err());
+        for bad in [
+            "{\"id\":1,\"op\":\"frames\"}",
+            "{\"id\":1,\"op\":\"frames\",\"format\":\"xml\"}",
+        ] {
+            assert!(decode_request_bytes(bad.as_bytes(), FrameFormat::Json).is_err());
+        }
     }
 
     #[test]

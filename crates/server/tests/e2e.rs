@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use dsnet::geom::rng::derive_seed;
 use dsnet::session::render_stream;
 use dsnet::{NetSession, Protocol, SessionCommand, SessionSpec};
-use dsnet_server::protocol::{self, read_frame};
+use dsnet_server::protocol::{self, read_frame_bytes};
 use dsnet_server::{run_script, Client, ClientError, ErrKind, ServeOptions, Server};
 
 fn tcp_server(max_sessions: usize) -> (Server, String) {
@@ -236,7 +236,8 @@ fn malformed_and_oversized_frames_answer_typed_errors() {
         raw.write_all(&(payload.len() as u32).to_be_bytes())
             .unwrap();
         raw.write_all(payload).unwrap();
-        let resp = read_frame(&mut raw).expect("error response");
+        let resp = String::from_utf8(read_frame_bytes(&mut raw).expect("error response"))
+            .expect("UTF-8 JSON frame");
         assert!(resp.contains("\"err\":\"malformed_frame\""), "{resp}");
     }
 
@@ -245,7 +246,8 @@ fn malformed_and_oversized_frames_answer_typed_errors() {
         let mut raw = TcpStream::connect(&addr).expect("connect");
         raw.write_all(&(protocol::MAX_FRAME + 1).to_be_bytes())
             .unwrap();
-        let resp = read_frame(&mut raw).expect("error response");
+        let resp = String::from_utf8(read_frame_bytes(&mut raw).expect("error response"))
+            .expect("UTF-8 JSON frame");
         assert!(resp.contains("\"err\":\"malformed_frame\""), "{resp}");
         assert!(resp.contains("oversized"), "{resp}");
         let mut rest = Vec::new();

@@ -1,13 +1,12 @@
 //! The deterministic parallel execution engine.
 
 use crate::journal::Journal;
-use crate::sink::CampaignSink;
 use crate::spec::{
     repair_label, CampaignSpec, ChurnTemplate, FailureTemplate, LossSpec, MobilitySpec,
     ProtocolSpec, Trial, TrialRecord,
 };
 use dsnet_metrics::{Distribution, Summary};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -165,31 +164,25 @@ impl CampaignResult {
     }
 }
 
-/// Map each trial to its cell index; cells are numbered in first
-/// occurrence order of the expanded grid (a pure function of the spec).
-fn cell_indices(trials: &[Trial]) -> (Vec<usize>, Vec<usize>) {
-    let mut cell_of_trial = Vec::with_capacity(trials.len());
-    let mut cell_reps: Vec<usize> = Vec::new(); // index of first trial per cell
+/// The first trial of each cell, in first-occurrence order of the
+/// expanded grid (a pure function of the spec).
+fn cell_firsts(trials: &[Trial]) -> Vec<usize> {
+    let mut firsts: Vec<usize> = Vec::new();
     for t in trials {
-        match cell_reps.iter().position(|&r| trials[r].same_cell(t)) {
-            Some(c) => cell_of_trial.push(c),
-            None => {
-                cell_of_trial.push(cell_reps.len());
-                cell_reps.push(t.index);
-            }
+        if !firsts.iter().any(|&r| trials[r].same_cell(t)) {
+            firsts.push(t.index);
         }
     }
-    (cell_of_trial, cell_reps)
+    firsts
 }
 
 /// Execute `spec` on `threads` workers (`0` = all available cores) and
 /// aggregate the results.
 ///
 /// Workers claim trials off a shared atomic cursor, publish each record
-/// into its trial's slot and stream it into the lock-free sink (feeding
-/// `on_progress`). Aggregation folds the slots in trial-index order after
-/// the pool joins — see the crate docs for why this makes the result
-/// independent of `threads`.
+/// into its trial's slot and count it for `on_progress`. Aggregation
+/// folds the slots in trial-index order after the pool joins — see the
+/// crate docs for why this makes the result independent of `threads`.
 ///
 /// # Panics
 ///
@@ -231,13 +224,11 @@ pub fn run_campaign_resumable(
 ) -> CampaignResult {
     let started = Instant::now();
     let trials = spec.expand();
-    let (cell_of_trial, cell_reps) = cell_indices(&trials);
-    let sink = CampaignSink::new(cell_reps.len());
     let slots: Vec<OnceLock<TrialRecord>> = (0..trials.len()).map(|_| OnceLock::new()).collect();
 
     // Prefill journaled results before any worker starts: their slots
-    // are set (workers skip them) and the sink already counts them, so
-    // progress reporting sees `done` start at the resume point.
+    // are set (workers skip them) and count as done, so progress
+    // reporting sees `done` start at the resume point.
     if let Some(completed) = &completed {
         assert_eq!(
             completed.len(),
@@ -246,7 +237,6 @@ pub fn run_campaign_resumable(
         );
         for (i, rec) in completed.iter().enumerate() {
             if let Some(rec) = rec {
-                sink.record(cell_of_trial[i], rec);
                 slots[i]
                     .set(rec.clone())
                     .unwrap_or_else(|_| unreachable!("prefill slot {i} set twice"));
@@ -255,6 +245,7 @@ pub fn run_campaign_resumable(
     }
 
     let remaining = slots.iter().filter(|s| s.get().is_none()).count();
+    let finished = AtomicU64::new((trials.len() - remaining) as u64);
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
@@ -281,7 +272,7 @@ pub fn run_campaign_resumable(
                     j.record_commit(i, &record)
                         .unwrap_or_else(|e| panic!("journal commit for trial {i}: {e}"));
                 }
-                let done = sink.record(cell_of_trial[i], &record);
+                let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
                 if let Some(observe) = on_progress {
                     observe(Progress {
                         done,
@@ -307,9 +298,9 @@ pub fn run_campaign_resumable(
         .collect();
 
     // Deterministic fold: per cell, gather its repetitions in trial order.
-    let cells = cell_reps
-        .iter()
-        .map(|&rep0| {
+    let cells = cell_firsts(&trials)
+        .into_iter()
+        .map(|rep0| {
             let t0 = &trials[rep0];
             let members: Vec<&TrialRecord> = trials
                 .iter()
@@ -374,7 +365,6 @@ pub fn run_campaign_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     /// A synthetic runner: outcome is a pure hash of the trial seeds, so
     /// any scheduling difference would show up as a changed record.

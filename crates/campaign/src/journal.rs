@@ -646,16 +646,15 @@ impl Journal {
 
     fn append(&self, payload: &[u8]) -> Result<(), JournalError> {
         let buf = frame(payload);
-        {
-            let mut file = self.file.lock().expect("journal lock");
-            file.write_all(&buf)?;
-            file.sync_data()?;
-        }
+        let mut file = self.file.lock().expect("journal lock");
+        file.write_all(&buf)?;
+        file.sync_data()?;
         let count = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
         if self.crash_after == Some(count) {
             // Fault injection: die *after* the nth append is durable,
             // without unwinding — exactly the crash model the resume
-            // machinery must survive.
+            // machinery must survive. The lock stays held until the abort
+            // so no other worker appends past the nth frame.
             eprintln!("journal: crash injection after append {count}");
             std::process::abort();
         }

@@ -5,10 +5,11 @@
 //! Every figure in the evaluation is a *campaign*: a declarative grid of
 //! independent simulation trials (protocol × network size × channel count
 //! × failure template × churn template × channel loss × repair ×
-//! mobility × repetition), each fully determined by a seed. This crate expands a [`CampaignSpec`] into that
-//! grid, executes the trials on a worker pool, streams condensed
-//! [`TrialRecord`]s into a lock-free aggregation sink, and renders the
-//! result as JSON / CSV artifacts plus per-cell summary tables.
+//! mobility × repetition), each fully determined by a seed. This crate
+//! expands a [`CampaignSpec`] into that grid, executes the trials on a
+//! worker pool that publishes each condensed [`TrialRecord`] into its
+//! trial's slot, folds the slots into per-cell aggregates, and renders
+//! the result as JSON / CSV artifacts plus per-cell summary tables.
 //!
 //! # Determinism contract
 //!
@@ -30,8 +31,8 @@
 //! 3. Workers publish each finished record into a per-trial
 //!    [`OnceLock`](std::sync::OnceLock) slot; the aggregation that feeds
 //!    the artifacts folds those slots **in trial-index order** after the
-//!    pool joins. The concurrent sink only accumulates order-independent
-//!    integer counters (sums / maxima / counts), used for live progress.
+//!    pool joins. Live progress reads only a shared count of finished
+//!    trials.
 //!
 //! Consequently `--threads 1` and `--threads 8` produce byte-identical
 //! JSON and CSV artifacts — CI asserts this on every push.
@@ -49,7 +50,6 @@
 pub mod engine;
 pub mod journal;
 pub mod report;
-pub mod sink;
 pub mod spec;
 
 pub use engine::{
@@ -58,8 +58,7 @@ pub use engine::{
 pub use journal::{
     read_journal, spec_fingerprint, Journal, JournalContents, JournalError, JOURNAL_SCHEMA,
 };
-pub use report::{render_csv, render_json, render_trials_csv};
-pub use sink::{write_artifact, CampaignSink, CellSnapshot};
+pub use report::{render_csv, render_json, render_trials_csv, write_artifact};
 pub use spec::{
     parse_repair, repair_label, CampaignSpec, ChurnTemplate, FailureTemplate, LossSpec,
     MobilitySpec, ProtocolSpec, Trial, TrialRecord,

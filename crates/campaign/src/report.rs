@@ -6,11 +6,19 @@
 //! (a pure function of the value), and rows follow the grid order — the
 //! byte-identical-across-thread-counts guarantee extends to these
 //! artifacts.
+//!
+//! The module also owns the durable end of the pipeline:
+//! [`write_artifact`], the write-temp-then-rename path every rendered
+//! artifact goes through so a crash can never leave a truncated file
+//! that a later resume would mistake for a complete one.
 
 use crate::engine::{CampaignResult, CellSummary};
 use crate::spec::{repair_label, Trial, TrialRecord};
+use dsnet_codec::write_escaped;
 use dsnet_metrics::Summary;
 use std::fmt::Write;
+use std::io::Write as _;
+use std::path::Path;
 
 fn json_opt_u64(v: Option<u64>) -> String {
     v.map_or("null".into(), |v| v.to_string())
@@ -18,24 +26,6 @@ fn json_opt_u64(v: Option<u64>) -> String {
 
 fn csv_opt_u64(v: Option<u64>) -> String {
     v.map_or(String::new(), |v| v.to_string())
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// JSON number for an `f64`: shortest-roundtrip decimal, with the
@@ -159,11 +149,11 @@ fn json_trial(out: &mut String, t: &Trial, r: &TrialRecord) {
 /// per trial, in identity order) next to the cell aggregates.
 pub fn render_json(result: &CampaignResult, include_trials: bool) -> String {
     let spec = &result.spec;
-    let mut out = String::new();
+    let mut out = String::from("{\n  \"campaign\": \"");
+    write_escaped(&mut out, &spec.name);
     let _ = write!(
         out,
-        "{{\n  \"campaign\": \"{}\",\n  \"base_seed\": {},\n  \"field_side\": {},\n  \"reps\": {},\n  \"record_trace\": {},\n",
-        json_escape(&spec.name),
+        "\",\n  \"base_seed\": {},\n  \"field_side\": {},\n  \"reps\": {},\n  \"record_trace\": {},\n",
         spec.base_seed,
         json_f64(spec.field_side),
         spec.reps,
@@ -345,6 +335,37 @@ pub fn render_trials_csv(result: &CampaignResult) -> String {
     out
 }
 
+/// Durably write a campaign artifact: write-temp, fsync, rename.
+///
+/// A crash mid-write must never leave a truncated `.json`/`.csv` at the
+/// destination — a later `--resume` (or a human) would take the partial
+/// file for a complete artifact. The bytes land in a `<name>.tmp`
+/// sibling first, are fsync'd, and only then atomically renamed over
+/// `path`; the destination therefore always holds either the previous
+/// complete artifact or the new one, never a torn intermediate. The
+/// parent directory is fsync'd afterwards so the rename itself is
+/// durable.
+pub fn write_artifact(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        // Directory fsync is advisory on some filesystems; failure to
+        // open the directory is not a failure to write the artifact.
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,15 +433,26 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn non_finite_floats_become_null() {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_f64(1.5), "1.5");
+    }
+
+    #[test]
+    fn artifact_writes_replace_atomically() {
+        let dir = std::env::temp_dir().join(format!("dsnet-artifact-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("artifact.json");
+        write_artifact(&path, b"first complete artifact").expect("write");
+        assert_eq!(
+            std::fs::read(&path).expect("read"),
+            b"first complete artifact"
+        );
+        write_artifact(&path, b"second").expect("overwrite");
+        assert_eq!(std::fs::read(&path).expect("read"), b"second");
+        // The temp sibling never survives a completed write.
+        assert!(!dir.join("artifact.json.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,8 +5,9 @@ use std::fmt;
 
 /// Which broadcast protocol a trial runs.
 ///
-/// Mirrors `dsnet::Protocol`; duplicated here so the campaign engine has
-/// no dependency on the facade crate (which depends back on this one).
+/// Mirrors `Protocol` (in `dsnet-protocols`, re-exported as
+/// `dsnet::Protocol`); kept separate so the campaign engine depends on no
+/// simulation crate — it knows trials, seeds and records, not networks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolSpec {
     /// Depth-first-order Eulerian-tour baseline of \[19\].

@@ -8,13 +8,15 @@
 //!   iff `g` is in its relay-list).
 //!
 //! The relay-lists are maintained incrementally: a join adds the
-//! newcomer's groups along its root path; a move-out subtracts the whole
-//! stranded subtree's group counts from the departed node's former
-//! ancestors and re-adds each node's groups along its new root path as it
-//! is re-homed. Counts (not booleans) are kept so removal is exact.
+//! newcomer's groups along its root path; an eviction (move-out or crash
+//! repair) subtracts the whole stranded subtree's group counts from the
+//! departed node's former ancestors and re-adds each node's groups along
+//! its new root path as it is re-homed; the sink's departure recomputes
+//! every list. Counts (not booleans) are kept so removal is exact.
 
-use crate::move_out::{MoveOutError, MoveOutReport};
+use crate::move_out::{Departure, MoveOutError, MoveOutReport, RootMoveOutReport};
 use crate::net::{ClusterNet, MoveInError, MoveInReport};
+use crate::repair::{RepairConfig, RepairError, RepairReport};
 use dsnet_graph::NodeId;
 use std::collections::BTreeMap;
 
@@ -135,10 +137,49 @@ impl McNet {
     /// dominates the per-reconfiguration cost in the mobility driver.
     /// Calling it without a successful preview panics mid-operation.
     pub fn move_out_previewed(&mut self, lev: NodeId) -> MoveOutReport {
-        debug_assert!(self.net.can_move_out(lev).is_ok());
-        // Subtract every subtree node's groups from lev's former ancestors
-        // and clear subtree-internal relay state. A fully group-free
-        // subtree (broadcast-only traffic) has nothing to subtract.
+        let evicted = self.relay_before(lev);
+        let (report, _) = self.net.evict(lev, Departure::Announced);
+        self.relay_after(&evicted, Some(&report.rehomed));
+        report
+    }
+
+    /// The sink itself departs: the underlying structure is rebuilt from a
+    /// surviving node (see [`ClusterNet::move_out_root`]) and every
+    /// relay-list is recomputed against the new tree. Group memberships of
+    /// the survivors are preserved; the old root's are dropped.
+    pub fn move_out_root(&mut self) -> Result<RootMoveOutReport, MoveOutError> {
+        let report = self.net.move_out_root()?;
+        self.relay_after(&[report.old_root], None);
+        Ok(report)
+    }
+
+    /// Detect-and-evict a crashed node (see [`ClusterNet::repair_failure`])
+    /// with the relay-list upkeep of a departure. A root crash fits the
+    /// same two steps: its subtree is the whole tree, so every list starts
+    /// empty, and the rebuild re-homes every survivor but the new root.
+    pub fn repair_failure(
+        &mut self,
+        failed: NodeId,
+        config: &RepairConfig,
+    ) -> Result<RepairReport, RepairError> {
+        if self.net.is_empty() || !self.net.tree().contains(failed) {
+            return Err(RepairError::NotAttached(failed));
+        }
+        // On `LastNode` the before step only cleared the lone root's
+        // relay-list, which was empty: it has no descendants.
+        let evicted = self.relay_before(failed);
+        let report = self.net.repair_failure(failed, config)?;
+        self.relay_after(&evicted, Some(&report.rehomed));
+        Ok(report)
+    }
+
+    /// Relay upkeep before `lev`'s subtree is evicted: its groups leave
+    /// the counts of `lev`'s former ancestors, and its own relay entries
+    /// are cleared to be rebuilt as it re-homes. Returns the subtree for
+    /// [`McNet::relay_after`].
+    fn relay_before(&mut self, lev: NodeId) -> Vec<NodeId> {
+        // A fully group-free subtree (broadcast-only traffic) has nothing
+        // to subtract.
         let subtree = self.net.tree().subtree_nodes(lev);
         if subtree.iter().any(|&x| !self.groups[x.index()].is_empty()) {
             let ancestors: Vec<NodeId> = self.net.tree().path_to_root(lev)[1..].to_vec();
@@ -151,63 +192,31 @@ impl McNet {
                 }
             }
         }
-        // Relay entries of subtree nodes are rebuilt from scratch below.
         for &x in &subtree {
             self.relay[x.index()].clear();
         }
-        // Intra-subtree ancestor relationships also vanish with the detach;
-        // rebuilding happens via add_to_ancestors per rehomed node.
-        let report = self.net.move_out_previewed(lev);
-        self.groups[lev.index()].clear();
-        for &x in &report.rehomed {
-            self.add_to_ancestors(x);
-        }
-        report
+        subtree
     }
 
-    /// The sink itself departs: the underlying structure is rebuilt from a
-    /// surviving node (see [`ClusterNet::move_out_root`]) and every
-    /// relay-list is recomputed against the new tree. Group memberships of
-    /// the survivors are preserved; the old root's are dropped.
-    pub fn move_out_root(
-        &mut self,
-    ) -> Result<crate::move_out::RootMoveOutReport, crate::move_out::MoveOutError> {
-        let report = self.net.move_out_root()?;
-        self.groups[report.old_root.index()].clear();
-        let fresh = self.recompute_relay();
-        self.relay = fresh;
-        Ok(report)
-    }
-
-    // ----- crate-internal hooks used by the repair module -----------------
-
-    pub(crate) fn net_mut(&mut self) -> &mut ClusterNet {
-        &mut self.net
-    }
-
-    pub(crate) fn clear_groups_of(&mut self, u: NodeId) {
-        self.groups[u.index()].clear();
-    }
-
-    pub(crate) fn clear_relay_of(&mut self, u: NodeId) {
-        self.relay[u.index()].clear();
-    }
-
-    pub(crate) fn subtract_groups(&mut self, u: NodeId, ancestors: &[NodeId]) {
-        let gs = self.groups[u.index()].clone();
-        for &a in ancestors {
-            for &g in &gs {
-                decrement(&mut self.relay[a.index()], g);
+    /// Relay upkeep after evicting the nodes of `evicted`: those that left
+    /// the graph — the departed or crashed node and any lost survivors —
+    /// leave their groups; then each `rehomed` node's groups are re-added
+    /// along its new root path, or, after a rebuild (`None`), every
+    /// relay-list is recomputed against the new tree.
+    fn relay_after(&mut self, evicted: &[NodeId], rehomed: Option<&[NodeId]>) {
+        for &x in evicted {
+            if !self.net.graph().is_live(x) {
+                self.groups[x.index()].clear();
             }
         }
-    }
-
-    pub(crate) fn readd_to_ancestors(&mut self, u: NodeId) {
-        self.add_to_ancestors(u);
-    }
-
-    pub(crate) fn refresh_relay(&mut self) {
-        self.relay = self.recompute_relay();
+        match rehomed {
+            Some(rehomed) => {
+                for &x in rehomed {
+                    self.add_to_ancestors(x);
+                }
+            }
+            None => self.relay = self.recompute_relay(),
+        }
     }
 
     fn add_to_ancestors(&mut self, u: NodeId) {

@@ -17,11 +17,16 @@
 //!
 //! Total cost `O(h + |T|·D²)` (Theorem 3), accounted in [`MoveOutCost`].
 //!
+//! These steps are the only way a node leaves CNet(G). The crash repair
+//! of [`crate::repair`] runs the same eviction on a dead node's behalf;
+//! the one difference is that a crash may split `G`, so the survivors the
+//! root can no longer reach are dropped as lost.
+//!
 //! The paper defers the root's own departure to its full version;
 //! [`ClusterNet::move_out_root`] supplies that missing case here as a
-//! full O(n) re-initialisation from a surviving sink (regular
-//! [`ClusterNet::move_out`] still refuses the root with
-//! [`MoveOutError::RootMoveOut`]).
+//! full O(n) re-initialisation from a surviving sink — the same rebuild a
+//! root crash runs. Regular [`ClusterNet::move_out`] still refuses the
+//! root with [`MoveOutError::RootMoveOut`].
 
 use crate::costs::MoveOutCost;
 use crate::net::ClusterNet;
@@ -29,7 +34,8 @@ use crate::slots::assign::{
     calculate_b_slot, calculate_l_slot, condition_b_holds, condition_l_holds,
 };
 use crate::slots::view::NetView;
-use dsnet_graph::{components, NodeId};
+use dsnet_graph::{components, traversal, NodeId};
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Errors from [`ClusterNet::move_out`].
@@ -69,6 +75,29 @@ pub struct MoveOutReport {
     pub cost: MoveOutCost,
 }
 
+/// What a root hand-over did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RootMoveOutReport {
+    /// The departed sink.
+    pub old_root: NodeId,
+    /// The node now serving as sink.
+    pub new_root: NodeId,
+    /// Accounted rounds: the full rebuild is a gossip-style O(n)
+    /// operation (each surviving node re-attaches once).
+    pub rounds: u64,
+}
+
+/// How a node leaves, which decides whether `G` may split as it goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Departure {
+    /// Announced: [`ClusterNet::can_move_out`] vouched that `G − lev`
+    /// stays connected, so nothing can be lost.
+    Announced,
+    /// Crashed: `G − lev` may be split, and the survivors the root no
+    /// longer reaches are lost.
+    Crash,
+}
+
 impl ClusterNet {
     /// Check the preconditions of [`ClusterNet::move_out`] without
     /// mutating anything.
@@ -88,16 +117,51 @@ impl ClusterNet {
     /// Remove `lev` from the network and re-home its stranded subtree.
     pub fn move_out(&mut self, lev: NodeId) -> Result<MoveOutReport, MoveOutError> {
         self.can_move_out(lev)?;
-        Ok(self.move_out_previewed(lev))
+        Ok(self.evict(lev, Departure::Announced).0)
     }
 
-    /// [`ClusterNet::move_out`] minus the precondition check, for callers
-    /// that just ran [`ClusterNet::can_move_out`] themselves: the
-    /// connectivity preview is a full graph sweep, and the mobility
-    /// driver already previews every candidate departure, so re-checking
-    /// here would triple the per-reconfiguration traversal cost.
-    pub(crate) fn move_out_previewed(&mut self, lev: NodeId) -> MoveOutReport {
-        debug_assert!(self.can_move_out(lev).is_ok());
+    /// The sink itself leaves — the case the paper defers to its full
+    /// version. There is no sub-tree `H` to fold `T` into, so the
+    /// structure is rebuilt from a fresh sink: the lowest-id surviving
+    /// node becomes the new root and every node re-attaches in BFS order
+    /// (equivalently: the Section-5 gossip construction re-run from the
+    /// new sink). Costs O(n) accounted rounds — a full re-initialisation,
+    /// which is also the best possible since every node's depth, status
+    /// and slots can change.
+    ///
+    /// Fails if the root is the only node or if its removal disconnects
+    /// `G`.
+    pub fn move_out_root(&mut self) -> Result<RootMoveOutReport, MoveOutError> {
+        let old_root = self.root();
+        if self.len() <= 1 {
+            return Err(MoveOutError::NotAttached(old_root));
+        }
+        if components::disconnects_without(self.graph(), old_root) {
+            return Err(MoveOutError::WouldDisconnect(old_root));
+        }
+        let (report, _) = self.rebuild_without(old_root);
+        Ok(RootMoveOutReport {
+            old_root,
+            new_root: self.root(),
+            rounds: report.cost.reinsert,
+        })
+    }
+
+    /// Steps 0–3 for the non-root `lev`: the one eviction behind both
+    /// [`ClusterNet::move_out`] and crash repair. Returns the report plus
+    /// the survivors lost to a partition, which only a crash can cause.
+    ///
+    /// An announced departure must have passed
+    /// [`ClusterNet::can_move_out`]: the connectivity preview is a full
+    /// graph sweep, and the mobility driver already previews every
+    /// candidate departure, so re-checking here would triple the
+    /// per-reconfiguration traversal cost.
+    pub(crate) fn evict(
+        &mut self,
+        lev: NodeId,
+        departure: Departure,
+    ) -> (MoveOutReport, Vec<NodeId>) {
+        debug_assert!(departure == Departure::Crash || self.can_move_out(lev).is_ok());
         // Bracket the whole operation: the raw mutators below must not
         // poison the journal — every dirty node is recorded here or by the
         // re-homing move-ins.
@@ -124,6 +188,25 @@ impl ClusterNet {
             self.record_dirty(v);
         }
 
+        // A crash may split G. Survivors cut off from the root cannot be
+        // served by any protocol: drop them. They lie inside T — every
+        // other node's tree path to the root avoids lev, and tree edges are
+        // graph edges — and so do all their neighbours.
+        let mut lost = Vec::new();
+        if departure == Departure::Crash {
+            let reached = components::component_of(self.graph(), self.root());
+            lost.extend(
+                t_nodes
+                    .iter()
+                    .copied()
+                    .filter(|&x| x != lev && reached.binary_search(&x).is_err()),
+            );
+            for &x in &lost {
+                self.record_dirty(x);
+                self.graph_mut().remove_node(x);
+            }
+        }
+
         // The parent may have lost transmitter roles; stale slots must not
         // linger on a node that no longer transmits in that phase.
         {
@@ -146,10 +229,9 @@ impl ClusterNet {
         // rounds on top of the slot recalculations.
         let mut affected: Vec<NodeId> = Vec::new();
         for &x in &t_nodes {
-            if x == lev {
-                continue;
+            if self.graph().is_live(x) {
+                affected.extend_from_slice(self.graph().neighbors(x));
             }
-            affected.extend_from_slice(self.graph().neighbors(x));
         }
         affected.extend_from_slice(&lev_neighbors);
         affected.extend_from_slice(self.graph().neighbors(lev_parent));
@@ -161,10 +243,13 @@ impl ClusterNet {
         }
 
         // Steps 1–2: re-home the stranded nodes frontier-first (lowest
-        // attachable id each round, matching the former ordered-set walk).
-        // Because `G − lev` is connected, some stranded node always hears
-        // the attached structure.
-        let mut stranded: Vec<NodeId> = t_nodes.iter().copied().filter(|&x| x != lev).collect();
+        // attachable id each round). The root reaches every stranded node
+        // still in G, so one of them always hears the attached structure.
+        let mut stranded: Vec<NodeId> = t_nodes
+            .iter()
+            .copied()
+            .filter(|&x| self.graph().is_live(x))
+            .collect();
         stranded.sort_unstable();
         let mut rehomed = Vec::with_capacity(stranded.len());
         while !stranded.is_empty() {
@@ -176,7 +261,7 @@ impl ClusterNet {
                         .iter()
                         .any(|&v| self.tree().contains(v))
                 })
-                .expect("connected remainder guarantees an attachable stranded node");
+                .expect("a reachable stranded node borders the structure");
             let next = stranded.remove(pos);
             let rep = self
                 .move_in_existing(next)
@@ -192,18 +277,60 @@ impl ClusterNet {
         cost.final_report = self.height() as u64;
         self.end_op();
 
-        MoveOutReport {
+        let report = MoveOutReport {
             node: lev,
             rehomed,
             cost,
+        };
+        (report, lost)
+    }
+
+    /// Rebuild the structure without the root `gone`, departed or crashed:
+    /// the largest component of `G − gone` (ties towards the lowest id)
+    /// re-attaches in BFS order from its lowest-id node, the new sink, and
+    /// every other component is lost. Returns the report — every survivor
+    /// but the new root re-homed, in BFS order — plus the lost nodes,
+    /// ascending.
+    pub(crate) fn rebuild_without(&mut self, gone: NodeId) -> (MoveOutReport, Vec<NodeId>) {
+        let mut graph = self.graph().clone();
+        graph.remove_node(gone);
+        // Components are sorted and ordered by their smallest id.
+        let mut comps = components::components(&graph);
+        let keep = comps
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, c)| (c.len(), Reverse(c[0])))
+            .map(|(i, _)| i)
+            .expect("a rebuild has survivors");
+        let new_root = comps.swap_remove(keep)[0];
+        let mut lost = comps.concat();
+        lost.sort_unstable();
+        for &x in &lost {
+            graph.remove_node(x);
         }
+        let order = traversal::bfs(&graph, new_root).order;
+        let rebuilt = ClusterNet::build_over(graph, &order, self.parent_rule(), self.mode())
+            .expect("BFS order over a connected component always attaches");
+        self.replace_with_rebuilt(rebuilt);
+        let cost = MoveOutCost {
+            // A from-scratch rebuild: every survivor re-attaches once.
+            reinsert: order.len() as u64,
+            moved_nodes: order.len() as u64 - 1,
+            final_report: self.height() as u64,
+            ..MoveOutCost::default()
+        };
+        let report = MoveOutReport {
+            node: gone,
+            rehomed: order[1..].to_vec(),
+            cost,
+        };
+        (report, lost)
     }
 
     /// Re-establish Time-Slot Condition 2 at receiver `v` after
     /// transmitters vanished, by recalculating its parent's slot if
-    /// needed. Returns the rounds spent. Shared with the failure-repair
-    /// sweep in [`crate::repair`].
-    pub(crate) fn repair_receiver(&mut self, v: NodeId) -> u64 {
+    /// needed. Returns the rounds spent.
+    fn repair_receiver(&mut self, v: NodeId) -> u64 {
         if !self.tree().contains(v) {
             return 0;
         }
@@ -241,15 +368,16 @@ impl ClusterNet {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::invariants;
     use crate::net::{MoveInError, ParentRule};
     use crate::slots::validate::validate_condition2;
     use crate::slots::SlotMode;
 
     /// Chain 0-1-2-...-(n-1) with extra shortcut edges every `skip` nodes so
     /// the graph stays connected when interior nodes leave.
-    fn chain_net(n: u32, skip: u32) -> ClusterNet {
+    pub(crate) fn chain_net(n: u32, skip: u32) -> ClusterNet {
         let mut net = ClusterNet::with_defaults();
         net.move_in(&[]).unwrap();
         for i in 1..n {
@@ -286,7 +414,7 @@ mod tests {
         assert_eq!(net.tree().len(), net.graph().node_count());
         let v = validate_condition2(&net.view(), net.slots(), net.mode());
         assert!(v.is_empty(), "{v:?}");
-        crate::invariants::check_core(&net).unwrap();
+        invariants::check_core(&net).unwrap();
     }
 
     #[test]
@@ -305,7 +433,7 @@ mod tests {
             Err(MoveOutError::WouldDisconnect(NodeId(2)))
         );
         assert_eq!(net.len(), 5);
-        crate::invariants::check_core(&net).unwrap();
+        invariants::check_core(&net).unwrap();
     }
 
     #[test]
@@ -337,7 +465,7 @@ mod tests {
                 Err(MoveOutError::WouldDisconnect(_)) => continue,
                 Err(e) => panic!("unexpected error: {e}"),
             }
-            crate::invariants::check_core(&net).unwrap();
+            invariants::check_core(&net).unwrap();
             let v = validate_condition2(&net.view(), net.slots(), net.mode());
             assert!(v.is_empty(), "after removing {victim}: {v:?}");
         }
@@ -350,7 +478,7 @@ mod tests {
         // A new node arrives hearing several survivors.
         let rep = net.move_in(&[NodeId(2), NodeId(4)]).unwrap();
         assert!(net.tree().contains(rep.node));
-        crate::invariants::check_core(&net).unwrap();
+        invariants::check_core(&net).unwrap();
     }
 
     #[test]
@@ -393,7 +521,7 @@ mod tests {
         );
         assert_eq!(net.can_move_out(NodeId(4)), Ok(())); // chain endpoint
         assert_eq!(net.len(), before_len);
-        crate::invariants::check_core(&net).unwrap();
+        invariants::check_core(&net).unwrap();
     }
 
     #[test]
@@ -420,75 +548,7 @@ mod tests {
         assert_eq!(net.move_out(victim), Err(MoveOutError::NotAttached(victim)));
         let v = validate_condition2(&net.view(), net.slots(), net.mode());
         assert!(v.is_empty(), "{v:?}");
-        crate::invariants::check_core(&net).unwrap();
-    }
-}
-
-/// What a root hand-over did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RootMoveOutReport {
-    /// The departed sink.
-    pub old_root: NodeId,
-    /// The node now serving as sink.
-    pub new_root: NodeId,
-    /// Accounted rounds: the full rebuild is a gossip-style O(n)
-    /// operation (each surviving node re-attaches once).
-    pub rounds: u64,
-}
-
-impl ClusterNet {
-    /// The sink itself leaves — the case the paper defers to its full
-    /// version. There is no sub-tree `H` to fold `T` into, so the
-    /// structure is rebuilt from a fresh sink: the lowest-id surviving
-    /// node becomes the new root and every node re-attaches in BFS order
-    /// (equivalently: the Section-5 gossip construction re-run from the
-    /// new sink). Costs O(n) accounted rounds — a full re-initialisation,
-    /// which is also the best possible since every node's depth, status
-    /// and slots can change.
-    ///
-    /// Fails if the root is the only node or if its removal disconnects
-    /// `G`.
-    pub fn move_out_root(&mut self) -> Result<RootMoveOutReport, MoveOutError> {
-        let old_root = self.root();
-        if self.len() <= 1 {
-            return Err(MoveOutError::NotAttached(old_root));
-        }
-        if components::disconnects_without(self.graph(), old_root) {
-            return Err(MoveOutError::WouldDisconnect(old_root));
-        }
-        let mut graph = self.graph().clone();
-        graph.remove_node(old_root);
-        let new_root = graph.nodes().next().expect("survivors exist");
-        let order = dsnet_graph::traversal::bfs(&graph, new_root).order;
-        let rebuilt = ClusterNet::build_over(graph, &order, self.parent_rule(), self.mode())
-            .expect("BFS order over a connected graph always attaches");
-        let rounds = rebuilt.len() as u64;
-        self.replace_with_rebuilt(rebuilt);
-        Ok(RootMoveOutReport {
-            old_root,
-            new_root,
-            rounds,
-        })
-    }
-}
-
-#[cfg(test)]
-mod root_move_out_tests {
-    use super::*;
-    use crate::invariants;
-    use crate::slots::validate::validate_condition2;
-
-    fn chain_net(n: u32, skip: u32) -> ClusterNet {
-        let mut net = ClusterNet::with_defaults();
-        net.move_in(&[]).unwrap();
-        for i in 1..n {
-            let mut nbrs = vec![NodeId(i - 1)];
-            if i >= skip {
-                nbrs.push(NodeId(i - skip));
-            }
-            net.move_in(&nbrs).unwrap();
-        }
-        net
+        invariants::check_core(&net).unwrap();
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   frames is declared dead, so detection costs at most
 //!   `detection_frames · (δ + Δ)` rounds — a bound, not an expectation,
 //!   because the schedule is TDM, not contention-based.
-//! * **Eviction + re-attachment** — the surviving neighbours replay the
-//!   `node-move-out` machinery *about* the dead node: its stranded
+//! * **Eviction + re-attachment** — the surviving neighbours run the
+//!   `node-move-out` eviction *about* the dead node: its stranded
 //!   subtree is detached, Time-Slot Condition 2 is re-established at
 //!   every receiver that lost a transmitter, and the orphans re-attach
 //!   via `node-move-in` with incremental slot reassignment. Unlike
@@ -24,17 +24,17 @@
 //!   reported as [`RepairReport::lost`] and dropped from the structure
 //!   (physically they may be alive, but no protocol can serve them).
 //! * **Root failure** — the one case the paper defers entirely. The
-//!   survivors of the sink's component rebuild from the lowest-id node,
-//!   an O(n) re-initialisation mirroring [`ClusterNet::move_out_root`].
+//!   largest surviving component rebuilds from its lowest-id node, the
+//!   O(n) re-initialisation [`ClusterNet::move_out_root`] also runs.
 //!
 //! Everything is deterministic, and [`crate::invariants::check_core`]
 //! holds after every repair — that is what the tests below pin down.
 
 use crate::costs::MoveOutCost;
-use crate::mcnet::McNet;
+use crate::move_out::Departure;
 use crate::net::ClusterNet;
-use dsnet_graph::{components, traversal, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use dsnet_graph::NodeId;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Tuning of the failure detector.
@@ -118,8 +118,8 @@ impl ClusterNet {
     /// Detect-and-evict a crashed node, re-homing its orphans.
     ///
     /// Works for any attached node, including cut vertices (unreachable
-    /// survivors become [`RepairReport::lost`]) and the root (the sink's
-    /// component rebuilds from its lowest-id survivor). The structure
+    /// survivors become [`RepairReport::lost`]) and the root (the largest
+    /// surviving component rebuilds from its lowest-id node). The structure
     /// satisfies every invariant of [`crate::invariants::check_core`]
     /// afterwards.
     pub fn repair_failure(
@@ -140,13 +140,14 @@ impl ClusterNet {
             .map(|u| (u, (self.slots().b(u), self.slots().l(u))))
             .collect();
 
-        let mut report = if failed == self.root() {
-            self.repair_root_failure(failed)
+        let rebuild = failed == self.root();
+        let survivors = self.len() - 1;
+        let (moved, lost) = if rebuild {
+            self.rebuild_without(failed)
         } else {
-            self.repair_nonroot_failure(failed)
+            self.evict(failed, Departure::Crash)
         };
-        report.detection_rounds = detection_rounds;
-        report.slot_churn = self
+        let slot_churn = self
             .tree()
             .nodes()
             .filter(|&u| {
@@ -155,231 +156,20 @@ impl ClusterNet {
                     .is_some_and(|&old| old != (self.slots().b(u), self.slots().l(u)))
             })
             .count();
-        Ok(report)
-    }
-
-    /// Non-root crash: the `node-move-out` flow, made crash-tolerant.
-    fn repair_nonroot_failure(&mut self, failed: NodeId) -> RepairReport {
-        // Bracket the eviction: the raw mutators must not poison the
-        // journal — every dirty node is recorded here or by the re-homing
-        // move-ins.
-        self.begin_op();
-        let mut cost = MoveOutCost {
-            height_notify: self.tree().depth(failed) as u64,
-            ..MoveOutCost::default()
-        };
-        let parent = self.tree().parent(failed).expect("non-root has a parent");
-        self.record_dirty(parent);
-
-        // Detach T; forget its slots; drop the dead node from G.
-        let t_nodes = self.tree_mut().detach_subtree(failed);
-        for &x in &t_nodes {
-            self.slots_mut().clear(x);
-            self.record_dirty(x);
-        }
-        let failed_neighbors = self.graph_mut().remove_node(failed);
-        // Surviving endpoints of the dead node's edges: unrecoverable from
-        // `failed` later, so they must enter the journal explicitly.
-        for &v in &failed_neighbors {
-            self.record_dirty(v);
-        }
-        let orphaned = t_nodes.len() - 1;
-
-        // Survivors cut off from the sink cannot be served by any
-        // protocol: drop them. They are necessarily inside T — every
-        // other node's tree path to the root avoids `failed`, and tree
-        // edges are graph edges, so the root's side stays connected.
-        let root_side: BTreeSet<NodeId> = components::component_of(self.graph(), self.root())
-            .into_iter()
-            .collect();
-        let lost: Vec<NodeId> = t_nodes
-            .iter()
-            .copied()
-            .filter(|&x| x != failed && !root_side.contains(&x))
-            .collect();
-        let mut lost_neighbors: BTreeSet<NodeId> = BTreeSet::new();
-        for &x in &lost {
-            self.record_dirty(x);
-            for v in self.graph_mut().remove_node(x) {
-                lost_neighbors.insert(v);
-            }
-        }
-        for &v in &lost_neighbors {
-            self.record_dirty(v);
-        }
-
-        // The parent may have lost its transmitter roles.
-        {
-            let view = self.view();
-            let demote_b = !view.bt_internal(parent);
-            let demote_l = !view.cnet_internal(parent);
-            if demote_b {
-                self.slots_mut()
-                    .clear_kind(crate::slots::SlotKind::B, parent);
-            }
-            if demote_l {
-                self.slots_mut()
-                    .clear_kind(crate::slots::SlotKind::L, parent);
-            }
-        }
-
-        // Repair sweep over every receiver that could hear a vanished
-        // transmitter, exactly as in move-out Step 0(ii).
-        let mut affected: BTreeSet<NodeId> = lost_neighbors;
-        for &x in &t_nodes {
-            if x == failed || lost.contains(&x) {
-                continue;
-            }
-            for &v in self.graph().neighbors(x) {
-                affected.insert(v);
-            }
-        }
-        for &v in &failed_neighbors {
-            affected.insert(v);
-        }
-        for &v in self.graph().neighbors(parent) {
-            affected.insert(v);
-        }
-        cost.detach_repair += t_nodes.len() as u64;
-        for v in affected {
-            cost.detach_repair += self.repair_receiver(v);
-        }
-
-        // Re-home the reachable orphans frontier-first.
-        let mut stranded: BTreeSet<NodeId> = t_nodes
-            .iter()
-            .copied()
-            .filter(|&x| x != failed && !lost.contains(&x))
-            .collect();
-        let mut rehomed = Vec::with_capacity(stranded.len());
-        while !stranded.is_empty() {
-            let next = stranded
-                .iter()
-                .copied()
-                .find(|&x| {
-                    self.graph()
-                        .neighbors(x)
-                        .iter()
-                        .any(|&v| self.tree().contains(v))
-                })
-                .expect("every reachable orphan eventually borders the structure");
-            stranded.remove(&next);
-            let rep = self
-                .move_in_existing(next)
-                .expect("orphan has an attached neighbour");
-            cost.reinsert += rep.cost.discovery + rep.cost.slot_update;
-            rehomed.push(next);
-        }
-        cost.moved_nodes = rehomed.len() as u64;
-        cost.final_report = self.height() as u64;
-        self.end_op();
-
-        RepairReport {
+        Ok(RepairReport {
             failed,
-            detection_rounds: 0, // filled by the caller
-            orphaned,
-            rehomed,
+            detection_rounds,
+            // A rebuild strands every survivor, the new root included.
+            orphaned: if rebuild {
+                survivors
+            } else {
+                moved.rehomed.len() + lost.len()
+            },
+            rehomed: moved.rehomed,
             lost,
-            slot_churn: 0, // filled by the caller
-            cost,
-        }
-    }
-
-    /// The sink crashed: its component rebuilds from the lowest-id
-    /// survivor; any other component is lost wholesale.
-    fn repair_root_failure(&mut self, failed: NodeId) -> RepairReport {
-        let orphaned = self.len() - 1;
-        let mut graph = self.graph().clone();
-        graph.remove_node(failed);
-        let comps = components::components(&graph);
-        // Keep the largest component; break ties towards the lowest id so
-        // the choice is deterministic.
-        let keep = comps
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| (c.len(), std::cmp::Reverse(c.iter().min().copied())))
-            .map(|(i, _)| i)
-            .expect("a repairable net has survivors");
-        let mut lost: Vec<NodeId> = Vec::new();
-        for (i, comp) in comps.iter().enumerate() {
-            if i != keep {
-                lost.extend(comp.iter().copied());
-            }
-        }
-        lost.sort_unstable();
-        for &x in &lost {
-            graph.remove_node(x);
-        }
-        let new_root = comps[keep]
-            .iter()
-            .copied()
-            .min()
-            .expect("components are non-empty");
-        let order = traversal::bfs(&graph, new_root).order;
-        let rehomed: Vec<NodeId> = order[1..].to_vec();
-        let rebuilt = ClusterNet::build_over(graph, &order, self.parent_rule(), self.mode())
-            .expect("BFS order over a connected component always attaches");
-        let cost = MoveOutCost {
-            // A from-scratch rebuild: every survivor re-attaches once.
-            reinsert: rebuilt.len() as u64,
-            moved_nodes: rehomed.len() as u64,
-            final_report: rebuilt.height() as u64,
-            ..MoveOutCost::default()
-        };
-        self.replace_with_rebuilt(rebuilt);
-        RepairReport {
-            failed,
-            detection_rounds: 0, // filled by the caller
-            orphaned,
-            rehomed,
-            lost,
-            slot_churn: 0, // filled by the caller
-            cost,
-        }
-    }
-}
-
-impl McNet {
-    /// Detect-and-evict a crashed node with relay-list maintenance:
-    /// non-root crashes update the relay counts incrementally (subtract
-    /// the stranded subtree, re-add each re-homed orphan along its new
-    /// root path); a root crash recomputes them against the rebuilt tree.
-    pub fn repair_failure(
-        &mut self,
-        failed: NodeId,
-        config: &RepairConfig,
-    ) -> Result<RepairReport, RepairError> {
-        if self.net().is_empty() || !self.net().tree().contains(failed) {
-            return Err(RepairError::NotAttached(failed));
-        }
-        if failed == self.net().root() {
-            let report = self.net_mut().repair_failure(failed, config)?;
-            self.clear_groups_of(failed);
-            for &x in &report.lost {
-                self.clear_groups_of(x);
-            }
-            self.refresh_relay();
-            return Ok(report);
-        }
-        // Subtract every subtree node's groups from the former ancestors;
-        // subtree-internal relay state is rebuilt on re-homing.
-        let subtree = self.net().tree().subtree_nodes(failed);
-        let ancestors: Vec<NodeId> = self.net().tree().path_to_root(failed)[1..].to_vec();
-        for &x in &subtree {
-            self.subtract_groups(x, &ancestors);
-        }
-        for &x in &subtree {
-            self.clear_relay_of(x);
-        }
-        let report = self.net_mut().repair_failure(failed, config)?;
-        self.clear_groups_of(failed);
-        for &x in &report.lost {
-            self.clear_groups_of(x);
-        }
-        for &x in &report.rehomed {
-            self.readd_to_ancestors(x);
-        }
-        Ok(report)
+            slot_churn,
+            cost: moved.cost,
+        })
     }
 }
 
@@ -387,21 +177,9 @@ impl McNet {
 mod tests {
     use super::*;
     use crate::invariants;
+    use crate::mcnet::McNet;
+    use crate::move_out::tests::chain_net;
     use crate::slots::validate::validate_condition2;
-
-    /// Chain 0-1-2-...-(n-1) with shortcut edges every `skip` nodes.
-    fn chain_net(n: u32, skip: u32) -> ClusterNet {
-        let mut net = ClusterNet::with_defaults();
-        net.move_in(&[]).unwrap();
-        for i in 1..n {
-            let mut nbrs = vec![NodeId(i - 1)];
-            if i >= skip {
-                nbrs.push(NodeId(i - skip));
-            }
-            net.move_in(&nbrs).unwrap();
-        }
-        net
-    }
 
     fn assert_sound(net: &ClusterNet) {
         invariants::check_core(net).unwrap();

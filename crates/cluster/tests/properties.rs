@@ -7,15 +7,13 @@ use dsnet_cluster::invariants;
 use dsnet_cluster::slots::validate::{
     assign_flood_slots, validate_condition1, validate_condition2,
 };
-use dsnet_cluster::{ClusterNet, NodeStatus, ParentRule, SlotMode};
+use dsnet_cluster::{ClusterNet, GroupId, McNet, NodeStatus, ParentRule, RepairConfig, SlotMode};
 use dsnet_graph::{degree, NodeId};
 use proptest::prelude::*;
 
-/// Grow a network where node i+1 hears up to 3 earlier nodes.
-fn grow(picks: &[(u16, u16, u16)], rule: ParentRule, mode: SlotMode) -> ClusterNet {
-    let mut net = ClusterNet::new(rule, mode);
-    net.move_in(&[]).unwrap();
-    for (i, &(a, b, c)) in picks.iter().enumerate() {
+/// The joins of a random growth: node i+1 hears up to 3 earlier nodes.
+fn arrivals(picks: &[(u16, u16, u16)]) -> impl Iterator<Item = Vec<NodeId>> + '_ {
+    picks.iter().enumerate().map(|(i, &(a, b, c))| {
         let existing = (i + 1) as u32;
         let mut nbrs: Vec<NodeId> = [a, b, c]
             .iter()
@@ -23,9 +21,55 @@ fn grow(picks: &[(u16, u16, u16)], rule: ParentRule, mode: SlotMode) -> ClusterN
             .collect();
         nbrs.sort_unstable();
         nbrs.dedup();
+        nbrs
+    })
+}
+
+/// Grow a network where node i+1 hears up to 3 earlier nodes.
+fn grow(picks: &[(u16, u16, u16)], rule: ParentRule, mode: SlotMode) -> ClusterNet {
+    let mut net = ClusterNet::new(rule, mode);
+    net.move_in(&[]).unwrap();
+    for nbrs in arrivals(picks) {
         net.move_in(&nbrs).unwrap();
     }
     net
+}
+
+/// [`grow`] through MCNet; node i joins the groups set in the low four
+/// bits of `masks[i % masks.len()]` (possibly none).
+fn grow_mc(picks: &[(u16, u16, u16)], masks: &[u8], rule: ParentRule) -> McNet {
+    let groups = |i: usize| -> Vec<GroupId> {
+        (0..4)
+            .filter(|&g| masks[i % masks.len()] >> g & 1 == 1)
+            .collect()
+    };
+    let mut mc = McNet::new(ClusterNet::new(rule, SlotMode::Strict));
+    mc.move_in(&[], &groups(0)).unwrap();
+    for (i, nbrs) in arrivals(picks).enumerate() {
+        mc.move_in(&nbrs, &groups(i + 1)).unwrap();
+    }
+    mc
+}
+
+/// A random attached non-root node whose announced departure keeps `G`
+/// connected, if there is one.
+fn departing(net: &ClusterNet, pick: u16) -> Option<NodeId> {
+    let candidates: Vec<NodeId> = net
+        .tree()
+        .nodes()
+        .filter(|&u| u != net.root() && net.can_move_out(u).is_ok())
+        .collect();
+    (!candidates.is_empty()).then(|| candidates[pick as usize % candidates.len()])
+}
+
+type NodeState = (NodeId, Option<NodeId>, NodeStatus, Option<u32>, Option<u32>);
+
+/// Every attached node's parent, status, b-slot and l-slot.
+fn node_state(net: &ClusterNet) -> Vec<NodeState> {
+    let (tree, slots) = (net.tree(), net.slots());
+    tree.nodes()
+        .map(|u| (u, tree.parent(u), net.status(u), slots.b(u), slots.l(u)))
+        .collect()
 }
 
 proptest! {
@@ -120,14 +164,7 @@ proptest! {
     ) {
         let mut net = ClusterNet::with_defaults();
         net.move_in(&[]).unwrap();
-        for (i, &(a, b, c)) in picks.iter().enumerate() {
-            let existing = (i + 1) as u32;
-            let mut nbrs: Vec<NodeId> = [a, b, c]
-                .iter()
-                .map(|&x| NodeId(x as u32 % existing))
-                .collect();
-            nbrs.sort_unstable();
-            nbrs.dedup();
+        for nbrs in arrivals(&picks) {
             let d_new = nbrs.len() as u64;
             let report = net.move_in(&nbrs).unwrap();
             // Theorem 2: discovery O(d_new); slot updates ≤ a handful of
@@ -138,6 +175,78 @@ proptest! {
             prop_assert!(report.cost.slot_update <= 6 * (big_d + 1),
                 "slot update {} vs D={}", report.cost.slot_update, big_d);
             prop_assert_eq!(report.cost.propagation, 2 * net.height() as u64);
+        }
+    }
+
+    /// A crash repair is the announced departure run on the dead node's
+    /// behalf: whenever `G − lev` stays connected both take the same
+    /// steps, and whenever the sink may leave, its crash rebuilds the same
+    /// structure.
+    #[test]
+    fn crash_repair_evicts_exactly_like_move_out(
+        picks in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 2..40),
+        pick in any::<u16>(),
+    ) {
+        let config = RepairConfig::default();
+        for rule in [ParentRule::LowestId, ParentRule::HighestDegree] {
+            for mode in [SlotMode::Strict, SlotMode::PaperFaithful] {
+                let net = grow(&picks, rule, mode);
+                let v0 = net.structure_version();
+                if let Some(lev) = departing(&net, pick) {
+                    let (mut left, mut crashed) = (net.clone(), net.clone());
+                    let moved = left.move_out(lev).unwrap();
+                    let repaired = crashed.repair_failure(lev, &config).unwrap();
+                    prop_assert_eq!(&moved.rehomed, &repaired.rehomed);
+                    prop_assert_eq!(moved.cost, repaired.cost);
+                    prop_assert!(repaired.lost.is_empty());
+                    prop_assert_eq!(node_state(&left), node_state(&crashed));
+                    prop_assert_eq!(left.structure_version(), crashed.structure_version());
+                    let dirty = |n: &ClusterNet| n.dirty_since(v0).map(Iterator::collect::<Vec<_>>);
+                    prop_assert_eq!(dirty(&left), dirty(&crashed));
+                }
+                let mut left = net.clone();
+                if let Ok(report) = left.move_out_root() {
+                    let mut crashed = net.clone();
+                    let repaired = crashed.repair_failure(report.old_root, &config).unwrap();
+                    prop_assert_eq!(left.root(), crashed.root());
+                    prop_assert_eq!(node_state(&left), node_state(&crashed));
+                    prop_assert!(repaired.lost.is_empty());
+                    prop_assert_eq!(repaired.cost.reinsert, report.rounds);
+                }
+            }
+        }
+    }
+
+    /// The same equivalence one layer up: MCNet's relay-list upkeep ends in
+    /// the same group- and relay-lists after either operation.
+    #[test]
+    fn mcnet_crash_repair_keeps_the_relay_lists_of_move_out(
+        picks in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 2..40),
+        masks in prop::collection::vec(any::<u8>(), 1..8),
+        pick in any::<u16>(),
+    ) {
+        let config = RepairConfig::default();
+        let lists = |mc: &McNet| -> Vec<(Vec<GroupId>, Vec<GroupId>)> {
+            (0..mc.net().graph().capacity() as u32)
+                .map(|i| (mc.group_list(NodeId(i)).to_vec(), mc.relay_list(NodeId(i))))
+                .collect()
+        };
+        for rule in [ParentRule::LowestId, ParentRule::HighestDegree] {
+            let mc = grow_mc(&picks, &masks, rule);
+            if let Some(lev) = departing(mc.net(), pick) {
+                let (mut left, mut crashed) = (mc.clone(), mc.clone());
+                left.move_out(lev).unwrap();
+                crashed.repair_failure(lev, &config).unwrap();
+                prop_assert_eq!(lists(&left), lists(&crashed));
+                crashed.check_relay_consistency().map_err(TestCaseError::fail)?;
+            }
+            let mut left = mc.clone();
+            if let Ok(report) = left.move_out_root() {
+                let mut crashed = mc.clone();
+                crashed.repair_failure(report.old_root, &config).unwrap();
+                prop_assert_eq!(lists(&left), lists(&crashed));
+                crashed.check_relay_consistency().map_err(TestCaseError::fail)?;
+            }
         }
     }
 }

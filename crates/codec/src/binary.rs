@@ -1,5 +1,5 @@
-//! A compact tagged binary encoding of the [`Json`](crate::Json)
-//! value model, used by dsnet-server's negotiated binary frame format.
+//! A compact tagged binary encoding of the [`Json`] value model, used by
+//! dsnet-server's negotiated binary frame format.
 //!
 //! Layout (all integers big-endian, matching the wire frame header):
 //!

@@ -81,7 +81,11 @@ impl Json {
             Json::Int(n) => {
                 let _ = write!(out, "{n}");
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => {
+                out.push('"');
+                write_escaped(out, s);
+                out.push('"');
+            }
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -98,8 +102,9 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
+                    out.push('"');
                     write_escaped(out, k);
-                    out.push(':');
+                    out.push_str("\":");
                     v.write(out);
                 }
                 out.push('}');
@@ -108,8 +113,10 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// Append `s` to `out` as the body of a JSON string literal, without the
+/// surrounding quotes: `"`, `\` and control characters are escaped,
+/// everything else is copied as is.
+pub fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -123,7 +130,6 @@ fn write_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// A JSON parse failure: byte offset plus a deterministic message.
@@ -387,6 +393,17 @@ mod tests {
     fn object_order_is_preserved() {
         let v = obj(vec![("z", Json::Int(1)), ("a", Json::Int(2))]);
         assert_eq!(v.render(), "{\"z\":1,\"a\":2}");
+    }
+
+    #[test]
+    fn escape_json_handles_specials() {
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            write_escaped(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escaped("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -294,8 +294,7 @@ impl SensorNetwork {
 
     /// A node crashed silently (no `node-move-out` ran): detect it within
     /// the configured silence window, evict it, and re-home its orphans.
-    /// Returns the repair accounting (see
-    /// [`RepairReport`](dsnet_cluster::repair::RepairReport)).
+    /// Returns the repair accounting (see [`RepairReport`]).
     pub fn repair_crash(
         &mut self,
         failed: NodeId,

@@ -24,6 +24,7 @@ use crate::builder::{BuildError, GroupPlan, NetworkBuilder};
 use crate::network::SensorNetwork;
 use dsnet_cluster::repair::RepairConfig;
 use dsnet_cluster::GroupId;
+use dsnet_codec::write_escaped;
 use dsnet_geom::rng::{derive_seed, rng_from_seed};
 use dsnet_geom::Point2;
 use dsnet_graph::NodeId;
@@ -649,25 +650,6 @@ impl NetSession {
     }
 }
 
-/// Minimal JSON string escaping for deterministic reason texts.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render one record as a single JSON line. With `include_timing = false`
 /// the wall-clock field is omitted and the line is deterministic.
 pub fn render_record(r: &CommandRecord, include_timing: bool) -> String {
@@ -676,11 +658,9 @@ pub fn render_record(r: &CommandRecord, include_timing: bool) -> String {
     match &r.status {
         CommandStatus::Applied => s.push_str(", \"status\": \"ok\""),
         CommandStatus::Rejected(reason) => {
-            let _ = write!(
-                s,
-                ", \"status\": \"rejected\", \"reason\": \"{}\"",
-                escape_json(reason)
-            );
+            s.push_str(", \"status\": \"rejected\", \"reason\": \"");
+            write_escaped(&mut s, reason);
+            s.push('"');
         }
     }
     let _ = write!(s, ", \"attempts\": {}", r.attempts);
@@ -689,8 +669,9 @@ pub fn render_record(r: &CommandRecord, include_timing: bool) -> String {
     }
     s.push_str(", \"fields\": {");
     for (i, (k, v)) in r.fields.iter().enumerate() {
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(s, "{sep}\"{}\": {v}", escape_json(k));
+        s.push_str(if i == 0 { "\"" } else { ", \"" });
+        write_escaped(&mut s, k);
+        let _ = write!(s, "\": {v}");
     }
     s.push_str("}}");
     s
@@ -944,11 +925,5 @@ mod tests {
         assert!(!without.contains("wall_us"));
         assert!(without.contains("\"status\": \"rejected\""));
         assert!(without.contains("\"reason\""));
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

@@ -31,7 +31,7 @@
 //! The epoch loop is **allocation-free in steady state**: every
 //! per-epoch buffer (moved indices, move batch, edge events, repair
 //! queue, neighbour scratch, per-node state snapshots) lives in a
-//! reusable [`EpochScratch`] that grows to a high-water mark and is then
+//! reusable `EpochScratch` that grows to a high-water mark and is then
 //! recycled. Invariant checking defaults to [`AuditMode::Dirty`]: the
 //! driver hands [`DirtyAudit`] exactly the nodes whose recorded tuple
 //! (status, parent, depth, slots) changed this epoch plus the surviving

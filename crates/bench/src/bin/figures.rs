@@ -5,24 +5,17 @@
 //! cargo run -p dsnet-bench --release --bin figures -- fig8    # one figure
 //! cargo run -p dsnet-bench --release --bin figures -- --quick # reduced sweep
 //! cargo run -p dsnet-bench --release --bin figures -- --csv fig10
-//! cargo run -p dsnet-bench --release --bin figures -- --threads 4 fig8
 //! ```
 //!
-//! `--threads T` sets the campaign worker count for the figures that ride
-//! the campaign engine (fig8, fig9); `0` (the default) uses every core.
-//! Tables are byte-identical for any `T` — only wall-clock changes.
-//!
-//! Figure ids: fig8, fig9, fig10, fig11, multichannel, robustness,
-//! multicast, reconfig, slotbounds, fields, discovery, modefidelity,
-//! parentrule, multisink, floodbase, backbone, all.
+//! The accepted ids are those of `dsnet::experiments::ALL`, plus `all`.
 
 use dsnet::experiments::{self, SweepConfig};
-use dsnet_metrics::SweepTable;
 
 fn usage() -> ! {
+    let ids: Vec<&str> = experiments::ALL.iter().map(|&(id, _)| id).collect();
     eprintln!(
-        "usage: figures [--quick] [--csv] [--out DIR] [--threads T] \
-         [fig8|fig9|fig10|fig11|multichannel|robustness|multicast|reconfig|slotbounds|fields|all]"
+        "usage: figures [--quick] [--csv] [--out DIR] [{}|all]",
+        ids.join("|")
     );
     std::process::exit(2);
 }
@@ -30,7 +23,6 @@ fn usage() -> ! {
 fn main() {
     let mut quick = false;
     let mut csv = false;
-    let mut threads = 0usize;
     let mut out_dir: Option<String> = None;
     let mut which: Vec<String> = Vec::new();
     let mut argv = std::env::args().skip(1);
@@ -39,12 +31,6 @@ fn main() {
             "--quick" => quick = true,
             "--csv" => csv = true,
             "--out" => out_dir = Some(argv.next().unwrap_or_else(|| usage())),
-            "--threads" => {
-                threads = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
             other => which.push(other.to_string()),
@@ -59,45 +45,15 @@ fn main() {
         SweepConfig::default()
     };
 
-    let mut tables: Vec<SweepTable> = Vec::new();
+    let mut tables = Vec::new();
     for name in &which {
-        match name.as_str() {
-            "fig8" => {
-                let result = experiments::fig8::run_campaign(&cfg, threads);
-                eprintln!(
-                    "fig8: {} trials on {} threads in {:.2}s",
-                    result.trials.len(),
-                    result.threads,
-                    result.elapsed.as_secs_f64()
-                );
-                tables.push(experiments::fig8::table_of(&result));
-            }
-            "fig9" => {
-                let result = experiments::fig9::run_campaign(&cfg, threads);
-                eprintln!(
-                    "fig9: {} trials on {} threads in {:.2}s",
-                    result.trials.len(),
-                    result.threads,
-                    result.elapsed.as_secs_f64()
-                );
-                tables.push(experiments::fig9::table_of(&result));
-            }
-            "fig10" => tables.push(experiments::fig10::run(&cfg)),
-            "fig11" => tables.push(experiments::fig11::run(&cfg)),
-            "multichannel" => tables.push(experiments::multichannel::run(&cfg)),
-            "robustness" => tables.push(experiments::robustness::run(&cfg)),
-            "multicast" => tables.push(experiments::multicast::run(&cfg)),
-            "reconfig" => tables.push(experiments::reconfig::run(&cfg)),
-            "slotbounds" => tables.push(experiments::slotbounds::run(&cfg)),
-            "fields" => tables.push(experiments::fields::run(&cfg)),
-            "discovery" => tables.push(experiments::discovery::run(&cfg)),
-            "modefidelity" => tables.push(experiments::modefidelity::run(&cfg)),
-            "parentrule" => tables.push(experiments::parentrule::run(&cfg)),
-            "multisink" => tables.push(experiments::multisink::run(&cfg)),
-            "floodbase" => tables.push(experiments::floodbase::run(&cfg)),
-            "backbone" => tables.push(experiments::backbone_quality::run(&cfg)),
-            "all" => tables.extend(experiments::all_tables(&cfg)),
-            _ => usage(),
+        if name == "all" {
+            tables.extend(experiments::all_tables(&cfg));
+            continue;
+        }
+        match experiments::ALL.iter().find(|&&(id, _)| id == name) {
+            Some((_, run)) => tables.push(run(&cfg)),
+            None => usage(),
         }
     }
 

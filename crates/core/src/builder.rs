@@ -143,7 +143,10 @@ impl NetworkBuilder {
                 .expect("arrival replay cannot fail with validated neighbours");
             reports.push(report);
         }
-        Ok(SensorNetwork::from_parts(deployment, mc, reports))
+        let positions = deployment.positions.clone();
+        Ok(SensorNetwork::from_parts(
+            deployment, positions, mc, reports,
+        ))
     }
 }
 

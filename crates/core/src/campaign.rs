@@ -9,7 +9,6 @@
 //! protocol and condenses the outcome into a [`TrialRecord`].
 
 use crate::builder::NetworkBuilder;
-use crate::experiments::common::SweepConfig;
 use crate::network::SensorNetwork;
 use dsnet_campaign::{
     CampaignResult, CampaignSpec, ChurnTemplate, FailureTemplate, Journal, MobilitySpec, Progress,
@@ -193,7 +192,7 @@ fn build_network(trial: &Trial) -> (SensorNetwork, Option<u64>, Option<u64>) {
     let build_reports = mob.build_reports().to_vec();
     let (mc, positions) = mob.into_parts();
     (
-        SensorNetwork::from_motion(d, positions, mc, build_reports),
+        SensorNetwork::from_parts(d, positions, mc, build_reports),
         Some(report.total_reconfigs()),
         Some(report.total_slot_churn()),
     )
@@ -302,31 +301,14 @@ pub fn run_resumable(
     )
 }
 
-/// A campaign spec matching a [`SweepConfig`]'s field, sizes, reps and
-/// seed — the bridge the figure drivers use. Scenario seeds coincide with
-/// [`SweepConfig::seed`], so campaign trials run on the *same
-/// deployments* as the legacy sequential experiments.
-pub fn sweep_spec(name: &str, cfg: &SweepConfig, protocols: Vec<ProtocolSpec>) -> CampaignSpec {
-    let mut spec = CampaignSpec::new(name);
-    spec.field_side = cfg.field_side;
-    spec.ns = cfg.ns.clone();
-    spec.reps = cfg.reps;
-    spec.base_seed = cfg.base_seed;
-    spec.protocols = protocols;
-    spec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsnet_campaign::{render_json, LossSpec};
 
     fn tiny_spec() -> CampaignSpec {
-        let mut spec = sweep_spec(
-            "tiny",
-            &SweepConfig::quick(),
-            vec![ProtocolSpec::ImprovedCff, ProtocolSpec::Dfo],
-        );
+        let mut spec = CampaignSpec::new("tiny");
+        spec.protocols = vec![ProtocolSpec::ImprovedCff, ProtocolSpec::Dfo];
         spec.ns = vec![40];
         spec.reps = 2;
         spec

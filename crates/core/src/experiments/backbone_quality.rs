@@ -7,43 +7,32 @@
 //! it: BT(G) against the greedy MIS-plus-connectors CDS on the same
 //! graphs, plus the Property-1(3) bracket (#clusters vs 5·|greedy DS|).
 
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use dsnet_graph::domset;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new("E16 — BT(G) vs greedy CDS backbone size", "n", cfg.xs());
-    let mut bt = Series::new("|BT(G)| (incremental)");
-    let mut cds = Series::new("|greedy CDS| (global)");
-    let mut heads = Series::new("#clusters");
-    let mut five_ds = Series::new("5·|greedy DS| (Property 1(3) cap)");
-
-    for &n in &cfg.ns {
-        let (mut a, mut b, mut c, mut d) = (vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let net = cfg.network(n, rep);
-            let g = net.net().graph();
-            let stats = net.stats();
-            let cds_set = domset::greedy_connected_dominating_set(g);
-            assert!(domset::is_dominating(g, &cds_set));
-            assert!(domset::is_connected_in(g, &cds_set));
-            let ds = domset::greedy_dominating_set(g);
-            a.push(stats.backbone_size as f64);
-            b.push(cds_set.len() as f64);
-            c.push(stats.heads as f64);
-            d.push(5.0 * ds.len() as f64);
-        }
-        bt.push(Summary::of(a));
-        cds.push(Summary::of(b));
-        heads.push(Summary::of(c));
-        five_ds.push(Summary::of(d));
-    }
-    table.add(bt);
-    table.add(cds);
-    table.add(heads);
-    table.add(five_ds);
-    table
+    let names = [
+        "|BT(G)| (incremental)",
+        "|greedy CDS| (global)",
+        "#clusters",
+        "5·|greedy DS| (Property 1(3) cap)",
+    ];
+    let title = "E16 — BT(G) vs greedy CDS backbone size";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let net = cfg.network(n, rep);
+        let g = net.net().graph();
+        let stats = net.stats();
+        let cds = domset::greedy_connected_dominating_set(g);
+        assert!(domset::is_dominating(g, &cds));
+        assert!(domset::is_connected_in(g, &cds));
+        let ds = domset::greedy_dominating_set(g);
+        c[0].push(stats.backbone_size as f64);
+        c[1].push(cds.len() as f64);
+        c[2].push(stats.heads as f64);
+        c[3].push(5.0 * ds.len() as f64);
+    })
 }
 
 #[cfg(test)]

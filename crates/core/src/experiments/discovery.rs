@@ -6,10 +6,10 @@
 //! the last neighbour was found (the paper's quantity) and the total
 //! session length including the termination tail.
 
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use dsnet_geom::rng::derive_seed;
 use dsnet_graph::{Graph, NodeId};
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::join::simulate_join;
 
 /// Joining-node degrees swept.
@@ -17,41 +17,31 @@ pub const DEGREES: [usize; 5] = [2, 4, 8, 16, 32];
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new(
-        "E11 — randomized neighbour discovery vs degree (Theorem 2's O(d_new))",
+    let names = [
+        "discovery rounds",
+        "total session rounds",
+        "complete fraction",
+    ];
+    let title = "E11 — randomized neighbour discovery vs degree (Theorem 2's O(d_new))";
+    sweep(
+        title,
         "d_new",
-        DEGREES.iter().map(|&d| d as f64).collect(),
-    );
-    let mut discovery = Series::new("discovery rounds");
-    let mut session = Series::new("total session rounds");
-    let mut success = Series::new("complete fraction");
-
-    for &d in &DEGREES {
-        let (mut a, mut b, mut c) = (vec![], vec![], vec![]);
-        // A star of degree d: the joining node hears exactly d nodes.
-        let mut g = Graph::with_nodes(d + 1);
-        for i in 1..=d {
-            g.add_edge(NodeId(0), NodeId(i as u32));
-        }
-        for rep in 0..cfg.reps * 4 {
-            let out = simulate_join(
-                &g,
-                NodeId(0),
-                d,
-                derive_seed(cfg.base_seed, d as u64 * 1000 + rep),
-            );
-            a.push(out.discovery_rounds as f64);
-            b.push(out.rounds as f64);
-            c.push(if out.complete { 1.0 } else { 0.0 });
-        }
-        discovery.push(Summary::of(a));
-        session.push(Summary::of(b));
-        success.push(Summary::of(c));
-    }
-    table.add(discovery);
-    table.add(session);
-    table.add(success);
-    table
+        &DEGREES,
+        cfg.reps * 4,
+        &names,
+        |d, rep, c| {
+            // A star of degree d: the joining node hears exactly d nodes.
+            let mut g = Graph::with_nodes(d + 1);
+            for i in 1..=d {
+                g.add_edge(NodeId(0), NodeId(i as u32));
+            }
+            let seed = derive_seed(cfg.base_seed, d as u64 * 1000 + rep);
+            let out = simulate_join(&g, NodeId(0), d, seed);
+            c[0].push(out.discovery_rounds as f64);
+            c[1].push(out.rounds as f64);
+            c[2].push(if out.complete { 1.0 } else { 0.0 });
+        },
+    )
 }
 
 #[cfg(test)]

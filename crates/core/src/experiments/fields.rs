@@ -6,9 +6,9 @@
 //! smaller fields are denser, so D grows, while the backbone (a function
 //! of area) shrinks — and the CFF advantage persists everywhere.
 
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use crate::Protocol;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 
 /// Field sides swept (units of 100 m).
 pub const SIDES: [f64; 3] = [8.0, 10.0, 12.0];
@@ -16,42 +16,20 @@ pub const SIDES: [f64; 3] = [8.0, 10.0, 12.0];
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
     let n = *cfg.ns.last().expect("sweep has sizes");
-    let mut table = SweepTable::new(
-        format!("E10 — field-size sweep at n = {n} (sides in units of 100 m)"),
-        "side",
-        SIDES.to_vec(),
-    );
-    let mut cff = Series::new("CFF rounds");
-    let mut dfo = Series::new("DFO rounds");
-    let mut bt = Series::new("backbone size");
-    let mut big_d = Series::new("D");
-
-    for &side in &SIDES {
-        let (mut a, mut b, mut c, mut d) = (vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let sub = SweepConfig {
-                field_side: side,
-                ..cfg.clone()
-            };
-            let net = sub.network(n, rep);
-            let cff_out = net.broadcast(Protocol::ImprovedCff);
-            let dfo_out = net.broadcast(Protocol::Dfo);
-            let stats = net.stats();
-            a.push(cff_out.rounds as f64);
-            b.push(dfo_out.rounds as f64);
-            c.push(stats.backbone_size as f64);
-            d.push(stats.max_degree as f64);
-        }
-        cff.push(Summary::of(a));
-        dfo.push(Summary::of(b));
-        bt.push(Summary::of(c));
-        big_d.push(Summary::of(d));
-    }
-    table.add(cff);
-    table.add(dfo);
-    table.add(bt);
-    table.add(big_d);
-    table
+    let names = ["CFF rounds", "DFO rounds", "backbone size", "D"];
+    let title = format!("E10 — field-size sweep at n = {n} (sides in units of 100 m)");
+    sweep(title, "side", &SIDES, cfg.reps, &names, |side, rep, c| {
+        let sub = SweepConfig {
+            field_side: side,
+            ..cfg.clone()
+        };
+        let net = sub.network(n, rep);
+        let stats = net.stats();
+        c[0].push(net.broadcast(Protocol::ImprovedCff).rounds as f64);
+        c[1].push(net.broadcast(Protocol::Dfo).rounds as f64);
+        c[2].push(stats.backbone_size as f64);
+        c[3].push(stats.max_degree as f64);
+    })
 }
 
 #[cfg(test)]

@@ -4,32 +4,23 @@
 //! backbone size and both grow slowly with n, which is what makes the
 //! `δ·h` term of the CFF bound small.
 
-use crate::experiments::common::SweepConfig;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use dsnet_metrics::SweepTable;
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new("Fig. 10 — backbone size and height", "n", cfg.xs());
-    let mut size = Series::new("backbone size |BT|");
-    let mut height = Series::new("backbone height h_BT");
-    let mut clusters = Series::new("#clusters (heads)");
-
-    for &n in &cfg.ns {
-        let (mut a, mut b, mut c) = (vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let s = cfg.network(n, rep).stats();
-            a.push(s.backbone_size as f64);
-            b.push(s.backbone_height as f64);
-            c.push(s.heads as f64);
-        }
-        size.push(Summary::of(a));
-        height.push(Summary::of(b));
-        clusters.push(Summary::of(c));
-    }
-    table.add(size);
-    table.add(height);
-    table.add(clusters);
-    table
+    let names = [
+        "backbone size |BT|",
+        "backbone height h_BT",
+        "#clusters (heads)",
+    ];
+    let title = "Fig. 10 — backbone size and height";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let s = cfg.network(n, rep).stats();
+        c[0].push(s.backbone_size as f64);
+        c[1].push(s.backbone_height as f64);
+        c[2].push(s.heads as f64);
+    })
 }
 
 #[cfg(test)]

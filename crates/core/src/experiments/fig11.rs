@@ -6,40 +6,25 @@
 //! even stay below `d` and `D` themselves — and `d ≪ D`, so the improved
 //! protocol keeps getting better as the network densifies.
 
-use crate::experiments::common::SweepConfig;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use dsnet_metrics::SweepTable;
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new(
-        "Fig. 11 — degrees (D, d) and largest time-slots (Δ, δ)",
-        "n",
-        cfg.xs(),
-    );
-    let mut big_d = Series::new("D (max degree of G)");
-    let mut small_d = Series::new("d (max degree of G(V_BT))");
-    let mut delta_l = Series::new("Δ (largest l-slot)");
-    let mut delta_b = Series::new("δ (largest b-slot)");
-
-    for &n in &cfg.ns {
-        let (mut a, mut b, mut c, mut d) = (vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let s = cfg.network(n, rep).stats();
-            a.push(s.max_degree as f64);
-            b.push(s.backbone_max_degree as f64);
-            c.push(s.delta_l as f64);
-            d.push(s.delta_b as f64);
-        }
-        big_d.push(Summary::of(a));
-        small_d.push(Summary::of(b));
-        delta_l.push(Summary::of(c));
-        delta_b.push(Summary::of(d));
-    }
-    table.add(big_d);
-    table.add(small_d);
-    table.add(delta_l);
-    table.add(delta_b);
-    table
+    let names = [
+        "D (max degree of G)",
+        "d (max degree of G(V_BT))",
+        "Δ (largest l-slot)",
+        "δ (largest b-slot)",
+    ];
+    let title = "Fig. 11 — degrees (D, d) and largest time-slots (Δ, δ)";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let s = cfg.network(n, rep).stats();
+        c[0].push(s.max_degree as f64);
+        c[1].push(s.backbone_max_degree as f64);
+        c[2].push(s.delta_l as f64);
+        c[3].push(s.delta_b as f64);
+    })
 }
 
 #[cfg(test)]

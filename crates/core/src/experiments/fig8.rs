@@ -7,81 +7,40 @@
 //! size, CFF with `δ·h + Δ`). We additionally report Algorithm 1 and the
 //! Theorem-1 analytic bound for context.
 //!
-//! Since the campaign engine landed this driver is a thin shell over it:
-//! the sweep expands to a (protocol × n × rep) grid executed in parallel,
-//! and the table is folded from the per-trial records. Results are
-//! identical to the old sequential loop — trials run on the same
-//! deployments (`SweepConfig::seed`) — just faster.
+//! All three protocols run on the same deployment of each `(n, rep)`:
+//! [`SweepConfig::network`], the network a `dsnet campaign` trial builds
+//! from the same scenario seed.
 
-use crate::campaign::sweep_spec;
-use crate::experiments::common::SweepConfig;
-use dsnet_campaign::{CampaignResult, ProtocolSpec};
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use crate::Protocol;
+use dsnet_metrics::SweepTable;
 
-/// Run this experiment over `cfg` and return its table, using every
-/// available core.
+/// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    table_of(&run_campaign(cfg, 0))
-}
-
-/// The campaign behind the figure, on `threads` workers (0 = all cores).
-pub fn run_campaign(cfg: &SweepConfig, threads: usize) -> CampaignResult {
-    let spec = sweep_spec(
-        "fig8-broadcast-rounds",
-        cfg,
-        vec![
-            ProtocolSpec::ImprovedCff,
-            ProtocolSpec::BasicCff,
-            ProtocolSpec::Dfo,
-        ],
-    );
-    crate::campaign::run(&spec, threads, None)
-}
-
-/// Fold a figure-8 campaign result into the published table.
-pub fn table_of(result: &CampaignResult) -> SweepTable {
-    let ns = &result.spec.ns;
-    let mut table = SweepTable::new(
-        "Fig. 8 — broadcast latency (rounds), CFF vs DFO",
-        "n",
-        ns.iter().map(|&n| n as f64).collect(),
-    );
-    let series = [
-        ("CFF rounds (Alg 2)", ProtocolSpec::ImprovedCff),
-        ("CFF basic rounds (Alg 1)", ProtocolSpec::BasicCff),
-        ("DFO rounds [19]", ProtocolSpec::Dfo),
+    let names = [
+        "CFF rounds (Alg 2)",
+        "CFF basic rounds (Alg 1)",
+        "DFO rounds [19]",
+        "Theorem 1 bound (δ·h_BT + Δ)",
     ];
-    for (name, protocol) in series {
-        let mut s = Series::new(name);
-        for &n in ns {
-            let recs: Vec<u64> = result
-                .select(|t| t.protocol == protocol && t.n == n)
-                .map(|(t, r)| {
-                    assert!(
-                        r.completed(),
-                        "{} failed at n={n} rep={}: {}/{}",
-                        protocol.name(),
-                        t.rep,
-                        r.delivered,
-                        r.targets
-                    );
-                    r.rounds
-                })
-                .collect();
-            s.push(Summary::of_u64(recs));
+    let protocols = [Protocol::ImprovedCff, Protocol::BasicCff, Protocol::Dfo];
+    let title = "Fig. 8 — broadcast latency (rounds), CFF vs DFO";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let net = cfg.network(n, rep);
+        for (i, protocol) in protocols.into_iter().enumerate() {
+            let out = net.broadcast(protocol);
+            assert!(
+                out.completed(),
+                "{protocol:?} failed at n={n} rep={rep}: {}/{}",
+                out.delivered,
+                out.targets
+            );
+            c[i].push(out.rounds as f64);
+            if protocol == Protocol::ImprovedCff {
+                c[3].push(out.bound as f64);
+            }
         }
-        table.add(s);
-    }
-    let mut bound = Series::new("Theorem 1 bound (δ·h_BT + Δ)");
-    for &n in ns {
-        bound.push(Summary::of_u64(
-            result
-                .select(|t| t.protocol == ProtocolSpec::ImprovedCff && t.n == n)
-                .map(|(_, r)| r.bound),
-        ));
-    }
-    table.add(bound);
-    table
+    })
 }
 
 #[cfg(test)]
@@ -112,13 +71,5 @@ mod tests {
         for i in 0..t.xs.len() {
             assert!(cff.points[i].max <= bound.points[i].max + 2.0);
         }
-    }
-
-    #[test]
-    fn table_is_thread_count_invariant() {
-        let cfg = SweepConfig::quick();
-        let serial = table_of(&run_campaign(&cfg, 1));
-        let parallel = table_of(&run_campaign(&cfg, 4));
-        assert_eq!(serial.to_markdown(), parallel.to_markdown());
     }
 }

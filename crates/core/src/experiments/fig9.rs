@@ -7,68 +7,38 @@
 //! paper calls the protocol energy-saving. We report the max (the paper's
 //! plotted series) and the mean.
 //!
-//! Like Figure 8, this driver rides the campaign engine: same
-//! deployments as the legacy sequential loop, executed in parallel.
+//! Both protocols run on the same deployment of each `(n, rep)`, as in
+//! Figure 8.
 
-use crate::campaign::sweep_spec;
-use crate::experiments::common::SweepConfig;
-use dsnet_campaign::{CampaignResult, ProtocolSpec};
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use crate::Protocol;
+use dsnet_metrics::SweepTable;
 
-/// Run this experiment over `cfg` and return its table, using every
-/// available core.
+/// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    table_of(&run_campaign(cfg, 0))
-}
-
-/// The campaign behind the figure, on `threads` workers (0 = all cores).
-pub fn run_campaign(cfg: &SweepConfig, threads: usize) -> CampaignResult {
-    let spec = sweep_spec(
-        "fig9-awake-rounds",
-        cfg,
-        vec![ProtocolSpec::ImprovedCff, ProtocolSpec::Dfo],
-    );
-    crate::campaign::run(&spec, threads, None)
-}
-
-/// Fold a figure-9 campaign result into the published table.
-pub fn table_of(result: &CampaignResult) -> SweepTable {
-    let ns = &result.spec.ns;
-    let mut table = SweepTable::new(
-        "Fig. 9 — rounds a node must be awake, CFF vs DFO",
-        "n",
-        ns.iter().map(|&n| n as f64).collect(),
-    );
-    let series = [
-        ("CFF max awake", ProtocolSpec::ImprovedCff, true),
-        ("CFF mean awake", ProtocolSpec::ImprovedCff, false),
-        ("DFO max awake [19]", ProtocolSpec::Dfo, true),
-        ("DFO mean awake [19]", ProtocolSpec::Dfo, false),
+    let names = [
+        "CFF max awake",
+        "CFF mean awake",
+        "DFO max awake [19]",
+        "DFO mean awake [19]",
     ];
-    for (name, protocol, take_max) in series {
-        let mut s = Series::new(name);
-        for &n in ns {
-            s.push(Summary::of(
-                result
-                    .select(|t| t.protocol == protocol && t.n == n)
-                    .map(|(_, r)| {
-                        if take_max {
-                            r.max_awake as f64
-                        } else {
-                            r.mean_awake
-                        }
-                    }),
-            ));
+    let title = "Fig. 9 — rounds a node must be awake, CFF vs DFO";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let net = cfg.network(n, rep);
+        for (i, protocol) in [Protocol::ImprovedCff, Protocol::Dfo]
+            .into_iter()
+            .enumerate()
+        {
+            let energy = net.broadcast(protocol).energy;
+            c[2 * i].push(energy.max_awake as f64);
+            c[2 * i + 1].push(energy.mean_awake);
         }
-        table.add(s);
-    }
-    table
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Protocol;
 
     #[test]
     fn cff_awake_is_far_below_dfo() {
@@ -87,13 +57,5 @@ mod tests {
         let net = cfg.network(60, 0);
         let out = net.broadcast(Protocol::Dfo);
         assert_eq!(out.energy.max_awake, out.rounds);
-    }
-
-    #[test]
-    fn table_is_thread_count_invariant() {
-        let cfg = SweepConfig::quick();
-        let serial = table_of(&run_campaign(&cfg, 1));
-        let parallel = table_of(&run_campaign(&cfg, 4));
-        assert_eq!(serial.to_markdown(), parallel.to_markdown());
     }
 }

@@ -8,10 +8,10 @@
 //! slower and keeps radios on longer than the slotted CFF broadcast, which
 //! is simultaneously exact, faster and asleep almost always.
 
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use crate::Protocol;
 use dsnet_geom::rng::derive_seed;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::flooding::run_flooding;
 use dsnet_radio::FailurePlan;
 
@@ -21,20 +21,21 @@ pub const WINDOWS: [u64; 5] = [1, 2, 4, 8, 16];
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
     let n = *cfg.ns.last().expect("sweep has sizes");
-    let mut table = SweepTable::new(
-        format!("E15 — randomized flooding vs CFF (n = {n})"),
+    let names = [
+        "flooding delivery",
+        "flooding last delivery round",
+        "flooding max awake",
+        "CFF rounds",
+        "CFF max awake",
+    ];
+    let title = format!("E15 — randomized flooding vs CFF (n = {n})");
+    sweep(
+        title,
         "window W",
-        WINDOWS.iter().map(|&w| w as f64).collect(),
-    );
-    let mut delivery = Series::new("flooding delivery");
-    let mut rounds = Series::new("flooding last delivery round");
-    let mut awake = Series::new("flooding max awake");
-    let mut cff_rounds = Series::new("CFF rounds");
-    let mut cff_awake = Series::new("CFF max awake");
-
-    for &w in &WINDOWS {
-        let (mut a, mut b, mut c, mut d, mut e) = (vec![], vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
+        &WINDOWS,
+        cfg.reps,
+        &names,
+        |w, rep, c| {
             let net = cfg.network(n, rep);
             let flood = run_flooding(
                 net.net().graph(),
@@ -44,24 +45,13 @@ pub fn run(cfg: &SweepConfig) -> SweepTable {
                 FailurePlan::new(),
             );
             let cff = net.broadcast(Protocol::ImprovedCff);
-            a.push(flood.delivery_ratio());
-            b.push(flood.last_delivery_round as f64);
-            c.push(flood.energy.max_awake as f64);
-            d.push(cff.rounds as f64);
-            e.push(cff.energy.max_awake as f64);
-        }
-        delivery.push(Summary::of(a));
-        rounds.push(Summary::of(b));
-        awake.push(Summary::of(c));
-        cff_rounds.push(Summary::of(d));
-        cff_awake.push(Summary::of(e));
-    }
-    table.add(delivery);
-    table.add(rounds);
-    table.add(awake);
-    table.add(cff_rounds);
-    table.add(cff_awake);
-    table
+            c[0].push(flood.delivery_ratio());
+            c[1].push(flood.last_delivery_round as f64);
+            c[2].push(flood.energy.max_awake as f64);
+            c[3].push(cff.rounds as f64);
+            c[4].push(cff.energy.max_awake as f64);
+        },
+    )
 }
 
 #[cfg(test)]

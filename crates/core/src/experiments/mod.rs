@@ -1,8 +1,9 @@
 //! Regeneration of the paper's evaluation (Section 6).
 //!
-//! One module per figure/table; each returns a
-//! `SweepTable` that the `figures` binary in
-//! `dsnet-bench` prints and EXPERIMENTS.md records:
+//! One module per figure/table. Each `run` is one call of the
+//! crate-internal sweep executor (`common::sweep`) and one row of the
+//! [`ALL`] registry, which drives both [`all_tables`] and the `figures`
+//! binary in `dsnet-bench`; EXPERIMENTS.md records the tables:
 //!
 //! * [`fig8`] — broadcast latency, CFF vs DFO (paper Figure 8);
 //! * [`fig9`] — awake rounds, CFF vs DFO (paper Figure 9);
@@ -43,24 +44,47 @@ pub use common::SweepConfig;
 
 use dsnet_metrics::SweepTable;
 
-/// Every experiment of the evaluation, in presentation order.
+/// One experiment driver: a sweep configuration in, its table out.
+pub type Experiment = fn(&SweepConfig) -> SweepTable;
+
+/// Every experiment of the evaluation as `(id, run)`, in presentation
+/// order. The ids are what the `figures` binary accepts.
+pub const ALL: &[(&str, Experiment)] = &[
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("multichannel", multichannel::run),
+    ("robustness", robustness::run),
+    ("multicast", multicast::run),
+    ("reconfig", reconfig::run),
+    ("slotbounds", slotbounds::run),
+    ("fields", fields::run),
+    ("discovery", discovery::run),
+    ("modefidelity", modefidelity::run),
+    ("parentrule", parentrule::run),
+    ("multisink", multisink::run),
+    ("floodbase", floodbase::run),
+    ("backbone", backbone_quality::run),
+];
+
+/// Every experiment's table, in presentation order.
 pub fn all_tables(cfg: &SweepConfig) -> Vec<SweepTable> {
-    vec![
-        fig8::run(cfg),
-        fig9::run(cfg),
-        fig10::run(cfg),
-        fig11::run(cfg),
-        multichannel::run(cfg),
-        robustness::run(cfg),
-        multicast::run(cfg),
-        reconfig::run(cfg),
-        slotbounds::run(cfg),
-        fields::run(cfg),
-        discovery::run(cfg),
-        modefidelity::run(cfg),
-        parentrule::run(cfg),
-        multisink::run(cfg),
-        floodbase::run(cfg),
-        backbone_quality::run(cfg),
-    ]
+    ALL.iter().map(|(_, run)| run(cfg)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every table of the quick sweep, framed the way `figures --quick
+    /// --csv` prints it, matches the committed golden file byte for byte.
+    #[test]
+    fn quick_tables_match_the_golden_csv() {
+        let rendered: String = all_tables(&SweepConfig::quick())
+            .iter()
+            .map(|t| format!("# {}\n{}\n", t.title, t.to_csv()))
+            .collect();
+        assert_eq!(rendered, include_str!("quick_tables.csv"));
+    }
 }

@@ -10,56 +10,38 @@
 //! costs: delivery ratio and the slot maxima in both modes.
 
 use crate::builder::NetworkBuilder;
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use crate::Protocol;
 use dsnet_cluster::SlotMode;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new(
-        "E12 — strict vs paper-faithful slot modes (Algorithm 2)",
-        "n",
-        cfg.xs(),
-    );
-    let mut strict_delivery = Series::new("strict delivery");
-    let mut paper_delivery = Series::new("paper-faithful delivery");
-    let mut strict_delta = Series::new("strict Δ");
-    let mut paper_delta = Series::new("paper-faithful Δ");
-    let mut paper_collisions = Series::new("paper-faithful collisions");
-
-    for &n in &cfg.ns {
-        let (mut a, mut b, mut c, mut d, mut e) = (vec![], vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let seed = cfg.seed(n, rep);
-            let strict = NetworkBuilder::paper_field(cfg.field_side, n, seed)
-                .slot_mode(SlotMode::Strict)
+    let names = [
+        "strict delivery",
+        "paper-faithful delivery",
+        "strict Δ",
+        "paper-faithful Δ",
+        "paper-faithful collisions",
+    ];
+    let title = "E12 — strict vs paper-faithful slot modes (Algorithm 2)";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let build = |mode| {
+            NetworkBuilder::paper_field(cfg.field_side, n, cfg.seed(n, rep))
+                .slot_mode(mode)
                 .build()
-                .expect("build");
-            let paper = NetworkBuilder::paper_field(cfg.field_side, n, seed)
-                .slot_mode(SlotMode::PaperFaithful)
-                .build()
-                .expect("build");
-            let so = strict.broadcast(Protocol::ImprovedCff);
-            let po = paper.broadcast(Protocol::ImprovedCff);
-            a.push(so.delivery_ratio());
-            b.push(po.delivery_ratio());
-            c.push(strict.stats().delta_l as f64);
-            d.push(paper.stats().delta_l as f64);
-            e.push(po.collisions.expect("fidelity runs record traces") as f64);
-        }
-        strict_delivery.push(Summary::of(a));
-        paper_delivery.push(Summary::of(b));
-        strict_delta.push(Summary::of(c));
-        paper_delta.push(Summary::of(d));
-        paper_collisions.push(Summary::of(e));
-    }
-    table.add(strict_delivery);
-    table.add(paper_delivery);
-    table.add(strict_delta);
-    table.add(paper_delta);
-    table.add(paper_collisions);
-    table
+                .expect("build")
+        };
+        let strict = build(SlotMode::Strict);
+        let paper = build(SlotMode::PaperFaithful);
+        let so = strict.broadcast(Protocol::ImprovedCff);
+        let po = paper.broadcast(Protocol::ImprovedCff);
+        c[0].push(so.delivery_ratio());
+        c[1].push(po.delivery_ratio());
+        c[2].push(strict.stats().delta_l as f64);
+        c[3].push(paper.stats().delta_l as f64);
+        c[4].push(po.collisions.expect("fidelity runs record traces") as f64);
+    })
 }
 
 #[cfg(test)]

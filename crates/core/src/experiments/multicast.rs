@@ -7,8 +7,8 @@
 //! the pruning caveat in `dsnet-protocols::multicast`).
 
 use crate::builder::{GroupPlan, NetworkBuilder};
-use crate::experiments::common::SweepConfig;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::multicast::relay_count;
 use dsnet_protocols::runner::{Broadcast, MulticastSlots, Protocol, RunConfig};
 
@@ -18,32 +18,24 @@ pub const DENSITIES: [f64; 5] = [0.02, 0.05, 0.10, 0.25, 1.0];
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
     let n = *cfg.ns.last().expect("sweep has sizes");
-    let mut table = SweepTable::new(
-        format!("E7 — multicast vs broadcast across group densities (n = {n})"),
+    let names = [
+        "multicast rounds",
+        "reliable multicast rounds",
+        "broadcast rounds",
+        "#relays",
+        "total radio-on rounds",
+        "broadcast radio-on rounds",
+        "delivery ratio",
+        "reliable delivery",
+    ];
+    let title = format!("E7 — multicast vs broadcast across group densities (n = {n})");
+    sweep(
+        title,
         "membership",
-        DENSITIES.to_vec(),
-    );
-    let mut rounds = Series::new("multicast rounds");
-    let mut reliable_rounds = Series::new("reliable multicast rounds");
-    let mut bcast_rounds = Series::new("broadcast rounds");
-    let mut relays = Series::new("#relays");
-    let mut listen = Series::new("total radio-on rounds");
-    let mut bcast_listen = Series::new("broadcast radio-on rounds");
-    let mut delivery = Series::new("delivery ratio");
-    let mut reliable_delivery = Series::new("reliable delivery");
-
-    for &p in &DENSITIES {
-        let (mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h) = (
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-        );
-        for rep in 0..cfg.reps {
+        &DENSITIES,
+        cfg.reps,
+        &names,
+        |p, rep, c| {
             let net = NetworkBuilder::paper_field(cfg.field_side, n, cfg.seed(n, rep))
                 .groups(GroupPlan {
                     groups: 1,
@@ -55,33 +47,16 @@ pub fn run(cfg: &SweepConfig) -> SweepTable {
             let req = Broadcast::multicast(net.sink(), 0, MulticastSlots::Session);
             let rel = net.run(&req, &RunConfig::default()).outcome;
             let bc = net.broadcast(Protocol::ImprovedCff);
-            a.push(m.rounds as f64);
-            g.push(rel.rounds as f64);
-            b.push(bc.rounds as f64);
-            c.push(relay_count(net.mcnet(), 0) as f64);
-            d.push((m.energy.total_listen + m.energy.total_tx) as f64);
-            e.push((bc.energy.total_listen + bc.energy.total_tx) as f64);
-            f.push(m.delivery_ratio());
-            h.push(rel.delivery_ratio());
-        }
-        rounds.push(Summary::of(a));
-        reliable_rounds.push(Summary::of(g));
-        bcast_rounds.push(Summary::of(b));
-        relays.push(Summary::of(c));
-        listen.push(Summary::of(d));
-        bcast_listen.push(Summary::of(e));
-        delivery.push(Summary::of(f));
-        reliable_delivery.push(Summary::of(h));
-    }
-    table.add(rounds);
-    table.add(reliable_rounds);
-    table.add(bcast_rounds);
-    table.add(relays);
-    table.add(listen);
-    table.add(bcast_listen);
-    table.add(delivery);
-    table.add(reliable_delivery);
-    table
+            c[0].push(m.rounds as f64);
+            c[1].push(rel.rounds as f64);
+            c[2].push(bc.rounds as f64);
+            c[3].push(relay_count(net.mcnet(), 0) as f64);
+            c[4].push((m.energy.total_listen + m.energy.total_tx) as f64);
+            c[5].push((bc.energy.total_listen + bc.energy.total_tx) as f64);
+            c[6].push(m.delivery_ratio());
+            c[7].push(rel.delivery_ratio());
+        },
+    )
 }
 
 #[cfg(test)]

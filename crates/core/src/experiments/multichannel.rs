@@ -6,8 +6,8 @@
 //! rounds and awake time divide by `k`; this sweep holds n fixed at the
 //! largest configured size and varies `k`.
 
-use crate::experiments::common::SweepConfig;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::runner::{Broadcast, Protocol, RunConfig};
 
 /// Channel counts swept.
@@ -16,50 +16,33 @@ pub const CHANNELS: [u8; 4] = [1, 2, 4, 8];
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
     let n = *cfg.ns.last().expect("sweep has sizes");
-    let mut table = SweepTable::new(
-        format!("E5 — k-channel scaling of Algorithm 2 (n = {n})"),
-        "k",
-        CHANNELS.iter().map(|&k| k as f64).collect(),
-    );
-    let mut rounds = Series::new("CFF rounds (Alg 2)");
-    let mut cff1_rounds = Series::new("CFF rounds (Alg 1)");
-    let mut awake = Series::new("CFF max awake");
-    let mut bound = Series::new("Theorem 1(3) bound");
-    let mut delivery = Series::new("delivery ratio");
-
-    for &k in &CHANNELS {
-        let (mut a, mut b, mut c, mut d, mut e) = (vec![], vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let net = cfg.network(n, rep);
-            let rcfg = RunConfig {
-                channels: k,
-                ..Default::default()
-            };
-            let out = net
-                .run(&Broadcast::new(Protocol::ImprovedCff, net.sink()), &rcfg)
-                .outcome;
-            let cff1 = net
-                .run(&Broadcast::new(Protocol::BasicCff, net.sink()), &rcfg)
-                .outcome;
-            assert!(cff1.completed(), "Alg 1 k={k}");
-            a.push(out.rounds as f64);
-            e.push(cff1.rounds as f64);
-            b.push(out.energy.max_awake as f64);
-            c.push(out.bound as f64);
-            d.push(out.delivery_ratio());
-        }
-        rounds.push(Summary::of(a));
-        cff1_rounds.push(Summary::of(e));
-        awake.push(Summary::of(b));
-        bound.push(Summary::of(c));
-        delivery.push(Summary::of(d));
-    }
-    table.add(rounds);
-    table.add(cff1_rounds);
-    table.add(awake);
-    table.add(bound);
-    table.add(delivery);
-    table
+    let names = [
+        "CFF rounds (Alg 2)",
+        "CFF rounds (Alg 1)",
+        "CFF max awake",
+        "Theorem 1(3) bound",
+        "delivery ratio",
+    ];
+    let title = format!("E5 — k-channel scaling of Algorithm 2 (n = {n})");
+    sweep(title, "k", &CHANNELS, cfg.reps, &names, |k, rep, c| {
+        let net = cfg.network(n, rep);
+        let rcfg = RunConfig {
+            channels: k,
+            ..Default::default()
+        };
+        let run = |protocol| {
+            net.run(&Broadcast::new(protocol, net.sink()), &rcfg)
+                .outcome
+        };
+        let out = run(Protocol::ImprovedCff);
+        let cff1 = run(Protocol::BasicCff);
+        assert!(cff1.completed(), "Alg 1 k={k}");
+        c[0].push(out.rounds as f64);
+        c[1].push(cff1.rounds as f64);
+        c[2].push(out.energy.max_awake as f64);
+        c[3].push(out.bound as f64);
+        c[4].push(out.delivery_ratio());
+    })
 }
 
 #[cfg(test)]

@@ -5,12 +5,12 @@
 //! the primary structure is recovered through the others at the cost of
 //! extra rounds.
 
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use crate::multinet::MultiNet;
 use crate::network::SensorNetwork;
 use dsnet_geom::rng::{derive_seed, rng_from_seed};
 use dsnet_graph::NodeId;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::runner::RunConfig;
 use rand::seq::SliceRandom as _;
 
@@ -41,18 +41,19 @@ fn pick_sinks(net: &SensorNetwork, k: usize) -> Vec<NodeId> {
 pub fn run(cfg: &SweepConfig) -> SweepTable {
     let n = *cfg.ns.last().expect("sweep has sizes");
     let failures = 6usize;
-    let mut table = SweepTable::new(
-        format!("E14 — multi-sink failover under {failures} backbone failures (n = {n})"),
+    let names = [
+        "union delivery ratio",
+        "total rounds (all attempts)",
+        "attempts used",
+    ];
+    let title = format!("E14 — multi-sink failover under {failures} backbone failures (n = {n})");
+    sweep(
+        title,
         "sinks",
-        SINK_COUNTS.iter().map(|&k| k as f64).collect(),
-    );
-    let mut delivery = Series::new("union delivery ratio");
-    let mut rounds = Series::new("total rounds (all attempts)");
-    let mut attempts = Series::new("attempts used");
-
-    for &k in &SINK_COUNTS {
-        let (mut a, mut b, mut c) = (vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
+        &SINK_COUNTS,
+        cfg.reps,
+        &names,
+        |k, rep, c| {
             let net = cfg.network(n, rep);
             let multi = MultiNet::from_network(&net, &pick_sinks(&net, k));
             // Kill random backbone nodes of the primary structure.
@@ -74,18 +75,11 @@ pub fn run(cfg: &SweepConfig) -> SweepTable {
                 rcfg.failures.kill_node(v, 1);
             }
             let out = multi.broadcast_failover(&rcfg);
-            a.push(out.delivery_ratio());
-            b.push(out.total_rounds as f64);
-            c.push(out.attempts.len() as f64);
-        }
-        delivery.push(Summary::of(a));
-        rounds.push(Summary::of(b));
-        attempts.push(Summary::of(c));
-    }
-    table.add(delivery);
-    table.add(rounds);
-    table.add(attempts);
-    table
+            c[0].push(out.delivery_ratio());
+            c[1].push(out.total_rounds as f64);
+            c[2].push(out.attempts.len() as f64);
+        },
+    )
 }
 
 #[cfg(test)]

@@ -6,61 +6,46 @@
 //! nodes from a fresh network and account the repair work against the
 //! Theorem-3 `O(h + |T|·D²)` form.
 
-use crate::experiments::common::SweepConfig;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use dsnet_metrics::SweepTable;
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new(
-        "E8 — reconfiguration round costs (Theorems 2/3)",
-        "n",
-        cfg.xs(),
-    );
-    let mut movein = Series::new("move-in rounds (mean/node)");
-    let mut movein_slot = Series::new("move-in slot-repair rounds");
-    let mut moveout = Series::new("move-out rounds (mean)");
-    let mut moveout_rehomed = Series::new("move-out rehomed |T|-1");
-
-    for &n in &cfg.ns {
-        let (mut a, mut b, mut c, mut d) = (vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let mut net = cfg.network(n, rep);
-            for r in net.build_reports() {
-                a.push(r.cost.total() as f64);
-                b.push(r.cost.slot_update as f64);
+    let names = [
+        "move-in rounds (mean/node)",
+        "move-in slot-repair rounds",
+        "move-out rounds (mean)",
+        "move-out rehomed |T|-1",
+    ];
+    let title = "E8 — reconfiguration round costs (Theorems 2/3)";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let mut net = cfg.network(n, rep);
+        for r in net.build_reports() {
+            c[0].push(r.cost.total() as f64);
+            c[1].push(r.cost.slot_update as f64);
+        }
+        // Try to remove up to 5 interior (non-root) nodes; skip cut
+        // vertices, which the operation legitimately refuses.
+        let candidates: Vec<_> = net
+            .net()
+            .tree()
+            .nodes()
+            .filter(|&u| u != net.sink())
+            .step_by(7)
+            .take(10)
+            .collect();
+        let mut removed = 0;
+        for u in candidates {
+            if removed >= 5 {
+                break;
             }
-            // Try to remove up to 5 interior (non-root) nodes; skip cut
-            // vertices, which the operation legitimately refuses.
-            let candidates: Vec<_> = net
-                .net()
-                .tree()
-                .nodes()
-                .filter(|&u| u != net.sink())
-                .step_by(7)
-                .take(10)
-                .collect();
-            let mut removed = 0;
-            for u in candidates {
-                if removed >= 5 {
-                    break;
-                }
-                if let Ok(report) = net.leave(u) {
-                    c.push(report.cost.total() as f64);
-                    d.push(report.rehomed.len() as f64);
-                    removed += 1;
-                }
+            if let Ok(report) = net.leave(u) {
+                c[2].push(report.cost.total() as f64);
+                c[3].push(report.rehomed.len() as f64);
+                removed += 1;
             }
         }
-        movein.push(Summary::of(a));
-        movein_slot.push(Summary::of(b));
-        moveout.push(Summary::of(c));
-        moveout_rehomed.push(Summary::of(d));
-    }
-    table.add(movein);
-    table.add(movein_slot);
-    table.add(moveout);
-    table.add(moveout_rehomed);
-    table
+    })
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! each protocol still reaches. DFO freezes the moment the token hits a
 //! dead node; CFF keeps flooding through every surviving path.
 
-use crate::experiments::common::SweepConfig;
+use crate::experiments::common::{sweep, SweepConfig};
 use crate::Protocol;
 use dsnet_geom::rng::{derive_seed, rng_from_seed};
-use dsnet_metrics::{Series, Summary, SweepTable};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::runner::{Broadcast, RunConfig};
 use rand::seq::SliceRandom as _;
 
@@ -18,49 +18,34 @@ pub const FAILURES: [usize; 5] = [0, 1, 2, 4, 8];
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
     let n = *cfg.ns.last().expect("sweep has sizes");
-    let mut table = SweepTable::new(
-        format!("E6 — delivery ratio under f backbone failures (n = {n})"),
-        "f",
-        FAILURES.iter().map(|&f| f as f64).collect(),
-    );
-    let mut cff = Series::new("CFF delivery ratio");
-    let mut dfo = Series::new("DFO delivery ratio [19]");
+    let names = ["CFF delivery ratio", "DFO delivery ratio [19]"];
+    let title = format!("E6 — delivery ratio under f backbone failures (n = {n})");
+    sweep(title, "f", &FAILURES, cfg.reps, &names, |f, rep, c| {
+        let net = cfg.network(n, rep);
+        // Choose victims among non-root backbone nodes, deterministically
+        // per (f, rep).
+        let mut victims: Vec<_> = net
+            .net()
+            .backbone_nodes()
+            .into_iter()
+            .filter(|&u| u != net.sink())
+            .collect();
+        let mut rng = rng_from_seed(derive_seed(cfg.base_seed, 0xFA11 + rep * 131 + f as u64));
+        victims.shuffle(&mut rng);
+        victims.truncate(f);
 
-    for &f in &FAILURES {
-        let (mut a, mut b) = (vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let net = cfg.network(n, rep);
-            // Choose victims among non-root backbone nodes, deterministically
-            // per (f, rep).
-            let mut victims: Vec<_> = net
-                .net()
-                .backbone_nodes()
-                .into_iter()
-                .filter(|&u| u != net.sink())
-                .collect();
-            let mut rng = rng_from_seed(derive_seed(cfg.base_seed, 0xFA11 + rep * 131 + f as u64));
-            victims.shuffle(&mut rng);
-            victims.truncate(f);
-
-            let mut rcfg = RunConfig::default();
-            for &v in &victims {
-                rcfg.failures.kill_node(v, 1);
-            }
-            let cff_out = net
-                .run(&Broadcast::new(Protocol::ImprovedCff, net.sink()), &rcfg)
-                .outcome;
-            let dfo_out = net
-                .run(&Broadcast::new(Protocol::Dfo, net.sink()), &rcfg)
-                .outcome;
-            a.push(cff_out.delivery_ratio());
-            b.push(dfo_out.delivery_ratio());
+        let mut rcfg = RunConfig::default();
+        for &v in &victims {
+            rcfg.failures.kill_node(v, 1);
         }
-        cff.push(Summary::of(a));
-        dfo.push(Summary::of(b));
-    }
-    table.add(cff);
-    table.add(dfo);
-    table
+        for (i, protocol) in [Protocol::ImprovedCff, Protocol::Dfo]
+            .into_iter()
+            .enumerate()
+        {
+            let req = Broadcast::new(protocol, net.sink());
+            c[i].push(net.run(&req, &rcfg).outcome.delivery_ratio());
+        }
+    })
 }
 
 #[cfg(test)]

@@ -6,46 +6,29 @@
 //! table puts the measured maxima next to both the quadratic bounds and
 //! the degrees, so the gap is visible at every n.
 
-use crate::experiments::common::SweepConfig;
-use dsnet_metrics::{Series, Summary, SweepTable};
+use crate::experiments::common::{sweep, SweepConfig};
+use dsnet_metrics::SweepTable;
 use dsnet_protocols::analytic::slot_bounds;
 
 /// Run this experiment over `cfg` and return its table.
 pub fn run(cfg: &SweepConfig) -> SweepTable {
-    let mut table = SweepTable::new(
-        "E9 — measured slot maxima vs the Lemma-3 bounds",
-        "n",
-        cfg.xs(),
-    );
-    let mut delta_b = Series::new("δ measured");
-    let mut b_bound = Series::new("δ bound d(d+1)/2+1");
-    let mut delta_l = Series::new("Δ measured");
-    let mut l_bound = Series::new("Δ bound D(D+1)/2+1");
-    let mut ratio = Series::new("Δ / bound");
-
-    for &n in &cfg.ns {
-        let (mut a, mut b, mut c, mut d, mut e) = (vec![], vec![], vec![], vec![], vec![]);
-        for rep in 0..cfg.reps {
-            let s = cfg.network(n, rep).stats();
-            let (bb, lb) = slot_bounds(s.backbone_max_degree as u32, s.max_degree as u32);
-            a.push(s.delta_b as f64);
-            b.push(bb as f64);
-            c.push(s.delta_l as f64);
-            d.push(lb as f64);
-            e.push(s.delta_l as f64 / lb as f64);
-        }
-        delta_b.push(Summary::of(a));
-        b_bound.push(Summary::of(b));
-        delta_l.push(Summary::of(c));
-        l_bound.push(Summary::of(d));
-        ratio.push(Summary::of(e));
-    }
-    table.add(delta_b);
-    table.add(b_bound);
-    table.add(delta_l);
-    table.add(l_bound);
-    table.add(ratio);
-    table
+    let names = [
+        "δ measured",
+        "δ bound d(d+1)/2+1",
+        "Δ measured",
+        "Δ bound D(D+1)/2+1",
+        "Δ / bound",
+    ];
+    let title = "E9 — measured slot maxima vs the Lemma-3 bounds";
+    sweep(title, "n", &cfg.ns, cfg.reps, &names, |n, rep, c| {
+        let s = cfg.network(n, rep).stats();
+        let (bb, lb) = slot_bounds(s.backbone_max_degree as u32, s.max_degree as u32);
+        c[0].push(s.delta_b as f64);
+        c[1].push(bb as f64);
+        c[2].push(s.delta_l as f64);
+        c[3].push(lb as f64);
+        c[4].push(s.delta_l as f64 / lb as f64);
+    })
 }
 
 #[cfg(test)]

@@ -58,25 +58,10 @@ pub struct SensorNetwork {
 }
 
 impl SensorNetwork {
+    /// Adopt a built structure. `positions` are the nodes' current
+    /// coordinates by id: the deployment's own for a fresh build, the
+    /// post-motion ones for a structure maintained through motion.
     pub(crate) fn from_parts(
-        deployment: Deployment,
-        mc: McNet,
-        build_reports: Vec<MoveInReport>,
-    ) -> Self {
-        let positions = deployment.positions.clone();
-        Self {
-            deployment,
-            positions,
-            mc,
-            build_reports,
-            knowledge: KnowledgeCache::new(),
-        }
-    }
-
-    /// Adopt a structure that was maintained through motion: `positions`
-    /// are the *current* (post-motion) coordinates indexed by node id, not
-    /// the deployment's initial ones.
-    pub(crate) fn from_motion(
         deployment: Deployment,
         positions: Vec<Point2>,
         mc: McNet,

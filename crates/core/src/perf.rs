@@ -1394,4 +1394,66 @@ mod tests {
         assert_eq!(render_ledger(&a, false), render_ledger(&b, false));
         assert!(a.scenarios.iter().all(|s| s.rounds > 0 && s.targets > 0));
     }
+
+    fn quick(threads: usize) -> Ledger {
+        run_suite(&PerfOptions {
+            quick: true,
+            threads,
+            date: Some("2026-08-07".into()),
+        })
+    }
+
+    /// Regression pin: two `dsnet perf --quick` runs on 1 and 2 threads
+    /// produce identical JSON modulo timing fields.
+    #[test]
+    fn quick_ledger_is_identical_across_thread_counts_modulo_timing() {
+        let one = quick(1);
+        let two = quick(2);
+        assert_eq!(
+            render_ledger(&one, false),
+            render_ledger(&two, false),
+            "deterministic ledger fields drifted with --threads"
+        );
+        // And the timing-free render really is timing-free.
+        let doc = render_ledger(&one, false);
+        for field in ["wall_ms", "rounds_per_sec", "peak_rss_kb", "threads"] {
+            assert!(!doc.contains(field), "{field} in timing-free render");
+        }
+    }
+
+    /// A fresh ledger always passes the gate against its own render.
+    #[test]
+    fn fresh_quick_ledger_passes_gate_against_itself() {
+        let l = quick(2);
+        let doc = render_ledger(&l, true);
+        let cmp = compare(&doc, &l, 0.15);
+        assert!(cmp.passed(), "failures: {:?}", cmp.failures);
+        assert_eq!(cmp.notes.len(), l.scenarios.len());
+    }
+
+    /// The suite roster is fixed: names, order, and non-trivial work.
+    #[test]
+    fn suite_roster_is_stable() {
+        let l = quick(1);
+        assert_eq!(l.schema, SCHEMA);
+        let names: Vec<&str> = l.scenarios.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "static_cff",
+                "static_cff_10k",
+                "static_cff_100k",
+                "static_dfo",
+                "lossy_rcff_repair",
+                "mobility_100ep",
+                "mobility_400ep",
+                "mobility_bcast_10k"
+            ]
+        );
+        for s in &l.scenarios {
+            assert!(s.rounds > 0, "{} simulated no rounds", s.name);
+            assert!(s.targets > 0, "{} had no targets", s.name);
+            assert!(s.delivered <= s.targets, "{} over-delivered", s.name);
+        }
+    }
 }

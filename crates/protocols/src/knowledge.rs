@@ -822,16 +822,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsnet_cluster::ClusterNet;
-
-    fn chain_net(n: u32) -> ClusterNet {
-        let mut net = ClusterNet::with_defaults();
-        net.move_in(&[]).unwrap();
-        for i in 1..n {
-            net.move_in(&[NodeId(i - 1)]).unwrap();
-        }
-        net
-    }
+    use crate::chain_net;
 
     #[test]
     fn knowledge_covers_all_nodes() {

@@ -51,3 +51,15 @@ pub mod runner;
 
 pub use knowledge::{KnowledgeCache, NetKnowledge, NodeKnowledge};
 pub use runner::{Broadcast, BroadcastOutcome, Coverage, Protocol, RunConfig};
+
+/// Test fixture: the path `0 — 1 — … — n-1`, each node arriving next to
+/// the one before.
+#[cfg(test)]
+pub(crate) fn chain_net(n: u32) -> dsnet_cluster::ClusterNet {
+    let mut net = dsnet_cluster::ClusterNet::with_defaults();
+    net.move_in(&[]).unwrap();
+    for i in 1..n {
+        net.move_in(&[dsnet_graph::NodeId(i - 1)]).unwrap();
+    }
+    net
+}

@@ -307,18 +307,10 @@ impl NodeProgram for ReliableCffProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain_net;
     use crate::knowledge::build_knowledge;
     use dsnet_cluster::ClusterNet;
     use dsnet_radio::{Engine, EngineConfig, FailurePlan, LossModel, StopReason};
-
-    fn chain_net(n: u32) -> ClusterNet {
-        let mut net = ClusterNet::with_defaults();
-        net.move_in(&[]).unwrap();
-        for i in 1..n {
-            net.move_in(&[NodeId(i - 1)]).unwrap();
-        }
-        net
-    }
 
     fn run(
         net: &ClusterNet,

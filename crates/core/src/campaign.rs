@@ -136,32 +136,21 @@ fn failure_plan(template: &FailureTemplate, victims: &[NodeId]) -> FailurePlan {
     plan
 }
 
-/// Build the trial's network. Static cells use the incremental
-/// [`NetworkBuilder`] deployment; mobile cells drive the *same* deployment
-/// through the spec'd epochs of motion — structure maintained
-/// incrementally by [`MobileNetwork`], invariants checked every epoch —
-/// and measure the broadcast on the post-motion structure. Returns the
-/// network plus the maintenance totals (reconfigurations, slot churn),
-/// `None` for static cells.
-fn build_network(trial: &Trial) -> (SensorNetwork, Option<u64>, Option<u64>) {
-    if trial.mobility.is_none() {
-        let net = NetworkBuilder::paper_field(trial.field_side, trial.n, trial.scenario_seed)
-            .build()
-            .expect("incremental deployments always build");
-        return (net, None, None);
-    }
+/// A mobile cell's deployment and the [`MobileNetwork`] built on it,
+/// moving under the cell's model (random waypoint or Gauss–Markov). The
+/// trajectory stream is keyed by the scenario seed (not the trial's
+/// private stream seed) so every protocol / channel variant of the same
+/// repetition rides the identical motion history.
+pub(crate) fn mobile_network(trial: &Trial) -> (Deployment, MobileNetwork) {
     let d = Deployment::generate(DeploymentConfig::paper_field(
         trial.field_side,
         trial.n,
         trial.scenario_seed,
     ));
-    // The trajectory stream is keyed by the scenario seed (not the trial's
-    // private stream seed) so every protocol / channel variant of the same
-    // repetition rides the identical motion history.
     let model_seed = derive_seed(trial.scenario_seed, 0x6D0B);
     let speed = trial.mobility.speed();
     let model: Box<dyn MobilityModel> = match trial.mobility {
-        MobilitySpec::None => unreachable!("static cells return above"),
+        MobilitySpec::None => unreachable!("static cells have no motion model"),
         MobilitySpec::RandomWaypoint { pause, .. } => Box::new(RandomWaypoint::new(
             d.positions.clone(),
             d.config.region,
@@ -182,7 +171,25 @@ fn build_network(trial: &Trial) -> (SensorNetwork, Option<u64>, Option<u64>) {
             model_seed,
         )),
     };
-    let mut mob = MobileNetwork::new(&d, model).expect("incremental deployments arrive connected");
+    let mob = MobileNetwork::new(&d, model).expect("incremental deployments arrive connected");
+    (d, mob)
+}
+
+/// Build the trial's network. Static cells use the incremental
+/// [`NetworkBuilder`] deployment; mobile cells drive the *same* deployment
+/// through the spec'd epochs of motion — structure maintained
+/// incrementally by [`MobileNetwork`], invariants checked every epoch —
+/// and measure the broadcast on the post-motion structure. Returns the
+/// network plus the maintenance totals (reconfigurations, slot churn),
+/// `None` for static cells.
+fn build_network(trial: &Trial) -> (SensorNetwork, Option<u64>, Option<u64>) {
+    if trial.mobility.is_none() {
+        let net = NetworkBuilder::paper_field(trial.field_side, trial.n, trial.scenario_seed)
+            .build()
+            .expect("incremental deployments always build");
+        return (net, None, None);
+    }
+    let (d, mut mob) = mobile_network(trial);
     let report = mob
         .run(
             u64::from(trial.mobility.epochs()),

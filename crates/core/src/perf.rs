@@ -405,41 +405,20 @@ fn run_mobility(opts: &PerfOptions, name: &'static str) -> ScenarioResult {
         record_trace: false,
     };
     let mut result = run_campaign_scenario(name, n as u64, &spec, opts);
-    result.maintenance = Some(measure_maintenance(&spec, n, epochs));
+    result.maintenance = Some(measure_maintenance(&spec));
     result
 }
 
 /// Drive one standalone [`MobileNetwork`] that replicates the campaign's
-/// first mobility trial — same deployment seed, trajectory stream and
-/// epoch count as `build_network` — and sum its per-epoch
-/// [`dsnet_mobility::MaintenanceTimings`] into a ledger breakdown.
-/// Periodic broadcast probes (epochs/4 apart) exercise the knowledge
-/// cache so the hit/miss counters are live.
-fn measure_maintenance(spec: &CampaignSpec, n: usize, epochs: u32) -> MaintenanceBreakdown {
-    // Trial 0's scenario seed, as derived by `CampaignSpec::expand`.
-    let scenario_seed = derive_seed(spec.base_seed, (n as u64) << 20);
-    let d = Deployment::generate(DeploymentConfig::paper_field(
-        spec.field_side,
-        n,
-        scenario_seed,
-    ));
-    let model_seed = derive_seed(scenario_seed, 0x6D0B);
-    let MobilitySpec::RandomWaypoint { pause, .. } = spec.mobility[0] else {
-        unreachable!("perf mobility cells are random-waypoint");
-    };
-    let speed = spec.mobility[0].speed();
-    let model = RandomWaypoint::new(
-        d.positions.clone(),
-        d.config.region,
-        WaypointParams {
-            v_min: 0.5 * speed,
-            v_max: 1.5 * speed,
-            pause_epochs: pause,
-        },
-        model_seed,
-    );
-    let mut mob =
-        MobileNetwork::new(&d, Box::new(model)).expect("incremental deployments arrive connected");
+/// first mobility trial — the same deployment, trajectory stream and
+/// epoch count, built by the campaign's own constructor — and sum its
+/// per-epoch [`dsnet_mobility::MaintenanceTimings`] into a ledger
+/// breakdown. Periodic broadcast probes (epochs/4 apart) exercise the
+/// knowledge cache so the hit/miss counters are live.
+fn measure_maintenance(spec: &CampaignSpec) -> MaintenanceBreakdown {
+    let trial = &spec.expand()[0];
+    let (_, mut mob) = campaign::mobile_network(trial);
+    let epochs = trial.mobility.epochs();
     let cfg = MobilityConfig {
         broadcast_every: u64::from((epochs / 4).max(1)),
         ..MobilityConfig::default()
@@ -1379,64 +1358,32 @@ mod tests {
         assert_eq!(civil_from_days(20_672), (2026, 8, 7));
     }
 
+    /// Regression pin over one quick suite on 1 thread and one on 2: the
+    /// roster is fixed and does non-trivial work, the timing-free renders
+    /// are identical (and really timing-free), and a fresh ledger passes
+    /// the gate against its own render.
     #[test]
-    fn quick_suite_counters_are_thread_invariant() {
-        let a = run_suite(&PerfOptions {
-            quick: true,
-            threads: 1,
-            date: Some("2026-01-01".into()),
-        });
-        let b = run_suite(&PerfOptions {
-            quick: true,
-            threads: 2,
-            date: Some("2026-01-01".into()),
-        });
-        assert_eq!(render_ledger(&a, false), render_ledger(&b, false));
-        assert!(a.scenarios.iter().all(|s| s.rounds > 0 && s.targets > 0));
-    }
-
-    fn quick(threads: usize) -> Ledger {
-        run_suite(&PerfOptions {
-            quick: true,
-            threads,
-            date: Some("2026-08-07".into()),
-        })
-    }
-
-    /// Regression pin: two `dsnet perf --quick` runs on 1 and 2 threads
-    /// produce identical JSON modulo timing fields.
-    #[test]
-    fn quick_ledger_is_identical_across_thread_counts_modulo_timing() {
-        let one = quick(1);
-        let two = quick(2);
+    fn quick_ledger_is_thread_invariant_and_passes_its_own_gate() {
+        let quick = |threads| {
+            run_suite(&PerfOptions {
+                quick: true,
+                threads,
+                date: Some("2026-08-07".into()),
+            })
+        };
+        let (one, two) = (quick(1), quick(2));
+        let doc = render_ledger(&one, false);
         assert_eq!(
-            render_ledger(&one, false),
+            doc,
             render_ledger(&two, false),
             "deterministic ledger fields drifted with --threads"
         );
-        // And the timing-free render really is timing-free.
-        let doc = render_ledger(&one, false);
         for field in ["wall_ms", "rounds_per_sec", "peak_rss_kb", "threads"] {
             assert!(!doc.contains(field), "{field} in timing-free render");
         }
-    }
 
-    /// A fresh ledger always passes the gate against its own render.
-    #[test]
-    fn fresh_quick_ledger_passes_gate_against_itself() {
-        let l = quick(2);
-        let doc = render_ledger(&l, true);
-        let cmp = compare(&doc, &l, 0.15);
-        assert!(cmp.passed(), "failures: {:?}", cmp.failures);
-        assert_eq!(cmp.notes.len(), l.scenarios.len());
-    }
-
-    /// The suite roster is fixed: names, order, and non-trivial work.
-    #[test]
-    fn suite_roster_is_stable() {
-        let l = quick(1);
-        assert_eq!(l.schema, SCHEMA);
-        let names: Vec<&str> = l.scenarios.iter().map(|s| s.name).collect();
+        assert_eq!(one.schema, SCHEMA);
+        let names: Vec<&str> = one.scenarios.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             [
@@ -1450,10 +1397,14 @@ mod tests {
                 "mobility_bcast_10k"
             ]
         );
-        for s in &l.scenarios {
+        for s in &one.scenarios {
             assert!(s.rounds > 0, "{} simulated no rounds", s.name);
             assert!(s.targets > 0, "{} had no targets", s.name);
             assert!(s.delivered <= s.targets, "{} over-delivered", s.name);
         }
+
+        let cmp = compare(&render_ledger(&two, true), &two, 0.15);
+        assert!(cmp.passed(), "failures: {:?}", cmp.failures);
+        assert_eq!(cmp.notes.len(), two.scenarios.len());
     }
 }

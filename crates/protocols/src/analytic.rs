@@ -44,11 +44,14 @@ pub fn improved_bound(k: &NetKnowledge, offset: u64, channels: u8) -> u64 {
     .max(1)
 }
 
-/// Theorem 1(2)/(3) awake bound for Algorithm 2: `(2δ + Δ)/k`, floored at
-/// 2 rounds (one listen + one transmit).
+/// Theorem 1(2)/(3) awake bound for Algorithm 2: `⌈(2δ + Δ)/k⌉`, floored
+/// at 3 rounds — one listen plus one transmission per phase. The floor
+/// binds at `k ≥ 2`, where a receiver tunes to a single round: a non-root
+/// backbone node with both duties listens once, then transmits in phase 1
+/// and in phase 2.
 pub fn improved_awake_bound(k: &NetKnowledge, channels: u8) -> u64 {
     let kk = channels as u64;
-    ((2 * k.delta_b as u64 + k.delta_l as u64).div_ceil(kk)).max(2)
+    ((2 * k.delta_b as u64 + k.delta_l as u64).div_ceil(kk)).max(3)
 }
 
 pub use dsnet_cluster::slots::slot_bounds;

@@ -1,114 +1,311 @@
-//! Algorithm 1: collision-free flooding (CFF) over the whole CNet(G).
+//! Collision-free flooding (CFF): Algorithm 1, Algorithm 2 and the
+//! multicast of Section 3.4 as one per-node state machine.
 //!
-//! The message floods depth-by-depth. Each tree depth owns a TDM window of
-//! `Δ'` rounds; an internal node at depth `i` that holds the message
-//! transmits once, at round `offset + i·Δ' + slot`, where `slot` is its
-//! Algorithm-1 time slot (Time-Slot Condition 1 guarantees every depth-
-//! `(i+1)` node a collision-free reception). A node listens only during
-//! its parent depth's window — and only until it receives — then sleeps
-//! until its own transmission round, which is where the `O(Δ')` awake
-//! bound of Lemma 1 comes from.
+//! Every run opens with an optional source→root climb: the path node at
+//! distance `j` from the source transmits in round `j + 1`, reaching the
+//! root after `offset = depth(source)` rounds (at most `h`, as in the
+//! paper). Then the message floods in up to two phases:
 //!
-//! If the source is not the root, the message first climbs the tree: the
-//! path node at distance `j` from the source transmits in round `j + 1`,
-//! reaching the root after `offset = depth(source)` rounds (at most `h`,
-//! as in the paper).
+//! * **Phase 1 — per-depth flood.** Each tree depth `i` owns a TDM window
+//!   of `w` rounds. A transmitter at depth `i` that holds the message
+//!   sends once, at round `offset + i·w + slot`; a receiver listens (only)
+//!   during the window of the depth above it, until it receives, then
+//!   sleeps until its own transmission round.
+//! * **Phase 2 — leaf delivery.** Every internal node of CNet(G) transmits
+//!   once at its *l-time-slot* inside a single shared window of `Δ`
+//!   rounds; pure members listen in that window until they receive.
 //!
-//! With `k` channels (the paper's "Multi-Channels" remark), slots
-//! `i·k+1 ..= i·k+k` share one round on channels `0..k`: windows shrink to
-//! `⌈Δ'/k⌉` rounds, the broadcast completes in `⌈Δ'/k⌉·(h+1)` rounds and
-//! receivers tune to their guaranteed-unique transmitter's
-//! (round, channel), which knowledge (I) lets them compute.
+//! The paper's two algorithms are two [`CffSchedule`]s of this machine:
+//!
+//! * **Algorithm 1** ([`CffSchedule::algorithm1`]) runs phase 1 over the
+//!   whole CNet(G) with the Algorithm-1 flood slots: `Δ'`-round windows
+//!   over the `h` depths and no leaf window. Time-Slot Condition 1 gives
+//!   every receiver a collision-free slot; each node is awake `O(Δ')`
+//!   rounds (Lemma 1).
+//! * **Algorithm 2** ([`CffSchedule::algorithm2`]), the headline protocol
+//!   (Theorem 1), runs phase 1 over BT(G) only, with *b-time-slots* in
+//!   `δ`-round windows, then phase 2: `δ·h + Δ` rounds, each node awake
+//!   `O(δ + Δ)` rounds.
+//!
+//! With `k` channels (Section 3.3 "Multi-Channels") every window shrinks
+//! by a factor `k`: slot `s` maps to round `⌈s/k⌉` on channel
+//! `(s−1) mod k`, and a receiver tunes to its guaranteed-unique
+//! transmitter's (round, channel), which it can compute because knowledge
+//! (I) includes the neighbours' slots.
+//!
+//! A **multicast** (Section 3.4) is Algorithm 2 with participation flags
+//! derived from MCNet's group- and relay-lists: they decide who listens
+//! (`rx`) and who forwards (`tx`); everyone else sleeps through the whole
+//! session.
 
 use crate::knowledge::{NetKnowledge, Session};
 use dsnet_graph::NodeId;
-use dsnet_radio::{Action, NodeCtx, NodeProgram, Round};
+use dsnet_radio::{Action, Channel, NodeCtx, NodeProgram, Round};
 
-/// Over-the-air packet. The paper's package `(m, t, Δ', i)`; the receiver
-/// windows make the tags redundant for correctness but they are kept for
-/// fidelity and debugging.
+/// Over-the-air packet of a CFF run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(missing_docs)] // field names mirror the paper's package fields
 pub enum CffMsg {
     /// Source-to-root climb.
     Uplink { hop: u32 },
-    /// The flood proper.
+    /// Phase-1 per-depth flood (the paper's `(m, t, Δ', i)` package in
+    /// Algorithm 1, `(m, h)` in Algorithm 2; receivers know the schedule
+    /// from knowledge II already).
     Flood { slot: u32, depth: u32 },
+    /// Phase-2 leaf delivery.
+    Leaf { slot: u32 },
 }
 
-/// Per-node state machine for Algorithm 1.
+/// Who takes part in a session (all-true for a broadcast; derived from
+/// group-/relay-lists for a multicast).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Participation {
+    /// Needs to receive the message.
+    pub rx: bool,
+    /// Must forward the message (phase 1 and/or phase 2 as applicable).
+    pub tx: bool,
+}
+
+impl Participation {
+    /// Full participation (broadcast).
+    pub const FULL: Participation = Participation { rx: true, tx: true };
+    /// No participation (node sleeps through the session).
+    pub const NONE: Participation = Participation {
+        rx: false,
+        tx: false,
+    };
+}
+
+/// Shared schedule constants of one CFF session.
+#[derive(Debug, Clone, Copy)]
+pub struct CffSchedule {
+    /// Rounds consumed by the source→root climb.
+    pub offset: u64,
+    /// Phase-1 window length: `⌈Δ'/k⌉` (Algorithm 1) or `⌈δ/k⌉`
+    /// (Algorithm 2).
+    pub wb: u64,
+    /// Phase-2 window length `⌈Δ/k⌉` (0 in Algorithm 1).
+    pub wl: u64,
+    /// First round of phase 2 (exclusive): phase 2 occupies
+    /// `p2_start+1 ..= p2_start+wl`.
+    pub p2_start: u64,
+    /// Last scheduled round.
+    pub end_round: u64,
+    /// Radio channels `k`.
+    pub channels: u8,
+    /// Phase 1 covers every CNet node with its Algorithm-1 slots.
+    algorithm1: bool,
+}
+
+impl CffSchedule {
+    /// Algorithm 1: `⌈Δ'/k⌉`-round windows over the `h` depths of CNet(G),
+    /// no leaf window.
+    pub fn algorithm1(k: &NetKnowledge, session: &Session) -> Self {
+        let wb = (k.delta_flood.max(1) as u64).div_ceil(session.channels as u64);
+        Self::with_windows(session, wb, k.height, 0, true)
+    }
+
+    /// Algorithm 2: `⌈δ/k⌉`-round windows over the `h_BT` depths of BT(G),
+    /// then one `⌈Δ/k⌉`-round leaf window.
+    pub fn algorithm2(k: &NetKnowledge, session: &Session) -> Self {
+        let kk = session.channels as u64;
+        let (wb, wl) = (
+            (k.delta_b as u64).div_ceil(kk),
+            (k.delta_l as u64).div_ceil(kk),
+        );
+        Self::with_windows(session, wb, k.bt_height, wl, false)
+    }
+
+    fn with_windows(session: &Session, wb: u64, depths: u32, wl: u64, algorithm1: bool) -> Self {
+        let p2_start = session.offset + wb * depths as u64;
+        Self {
+            offset: session.offset,
+            wb,
+            wl,
+            p2_start,
+            end_round: (p2_start + wl).max(session.offset + 1),
+            channels: session.channels,
+            algorithm1,
+        }
+    }
+
+    /// Round-within-window and channel for a TDM slot under `k` channels.
+    pub(crate) fn map_slot(&self, slot: u32) -> (u64, Channel) {
+        let k = self.channels as u64;
+        (
+            (slot as u64).div_ceil(k),
+            ((slot as u64 - 1) % k) as Channel,
+        )
+    }
+
+    /// Last round before depth `depth`'s phase-1 window.
+    fn window_start(&self, depth: u32) -> u64 {
+        self.offset + depth as u64 * self.wb
+    }
+
+    /// Absolute transmit round + channel for a phase-1 slot at `depth`.
+    fn p1_tx(&self, depth: u32, slot: u32) -> (u64, Channel) {
+        let (r, c) = self.map_slot(slot);
+        (self.window_start(depth) + r, c)
+    }
+
+    /// Absolute transmit round + channel for a phase-2 slot.
+    fn p2_tx(&self, slot: u32) -> (u64, Channel) {
+        let (r, c) = self.map_slot(slot);
+        (self.p2_start + r, c)
+    }
+
+    /// A receiver's action in round `pos` (1-based) of a window: at
+    /// `k = 1` it listens through the window; at `k > 1` it tunes to the
+    /// round and channel of its `expected` (guaranteed-clean) slot, or
+    /// camps on channel 0 when none is known (only possible in
+    /// paper-faithful setups).
+    pub(crate) fn tuned_listen<M>(&self, pos: u64, expected: Option<u32>) -> Action<M> {
+        if self.channels == 1 {
+            return Action::listen();
+        }
+        match expected {
+            Some(s) => {
+                let (dr, ch) = self.map_slot(s);
+                if pos == dr {
+                    Action::Listen { channel: ch }
+                } else {
+                    Action::Sleep
+                }
+            }
+            None => Action::Listen { channel: 0 },
+        }
+    }
+
+    /// The round in which [`Self::tuned_listen`] next listens inside the
+    /// window `start+1 ..= start+len`, if any (`next_wake` drops a round
+    /// that is not after `now`).
+    fn next_listen(
+        &self,
+        now: Round,
+        start: u64,
+        len: u64,
+        expected: Option<u32>,
+    ) -> Option<Round> {
+        match expected.filter(|_| self.channels > 1) {
+            Some(slot) => Some(start + self.map_slot(slot).0),
+            None => Some((now + 1).max(start + 1)).filter(|&r| r <= start + len),
+        }
+    }
+}
+
+/// One round `r ≤ offset` of the source→root climb: a path node (position
+/// `pos`, source = 0) listens until it holds the message, then relays it
+/// once, in round `pos + 1`; everyone else sleeps.
+pub(crate) fn uplink_step<M>(
+    r: Round,
+    pos: Option<u64>,
+    received: bool,
+    sent: &mut bool,
+    msg: impl FnOnce(u32) -> M,
+) -> Action<M> {
+    if let Some(pos) = pos {
+        if r == pos + 1 && received && !*sent {
+            *sent = true;
+            return Action::transmit(msg(pos as u32));
+        }
+        if r <= pos && !received {
+            return Action::listen();
+        }
+    }
+    Action::Sleep
+}
+
+/// Per-node state machine for Algorithm 1, Algorithm 2 and multicast.
 #[derive(Debug, Clone)]
 pub struct CffProgram {
+    sched: CffSchedule,
     depth: u32,
-    flood_slot: Option<u32>,
-    /// Window length: `⌈Δ'/k⌉`.
-    delta: u64,
-    channels: u8,
-    expected_slot: Option<u32>,
-    offset: u64,
-    /// Position on the source→root path (`0` = source). `None` off-path.
+    /// Receives in phase 1 (every node in Algorithm 1, backbone nodes in
+    /// Algorithm 2); the others listen in the phase-2 window.
+    in_phase1: bool,
+    /// Phase-1 transmission slot (flood slot, or b-slot of a BT-internal
+    /// node), if it transmits; only nodes with `in_phase1` carry one.
+    p1_slot: Option<u32>,
+    /// Phase-2 transmission slot (l-slot), if it transmits.
+    p2_slot: Option<u32>,
+    expected_p1: Option<u32>,
+    expected_p2: Option<u32>,
+    part: Participation,
     uplink_pos: Option<u64>,
-    /// Holds the broadcast message.
+    /// Holds the message.
     pub received: bool,
     /// Round of first reception (0 for the source).
     pub received_round: Option<Round>,
-    transmitted: bool,
+    p1_sent: bool,
+    p2_sent: bool,
     uplink_sent: bool,
-    /// Flipped once the whole schedule has elapsed.
     finished: bool,
-    /// Last scheduled round of the whole flood.
-    end_round: u64,
 }
 
 impl CffProgram {
-    /// Build the Algorithm-1 program for node `u`.
-    pub fn new(k: &NetKnowledge, session: &Session, u: NodeId, uplink_pos: Option<u64>) -> Self {
+    /// Build node `u`'s program for a session run on `sched`, reading the
+    /// Algorithm-1 or Algorithm-2 slots as the schedule dictates.
+    pub fn new(
+        k: &NetKnowledge,
+        session: &Session,
+        sched: CffSchedule,
+        u: NodeId,
+        uplink_pos: Option<u64>,
+        part: Participation,
+    ) -> Self {
         let nk = k.of(u);
-        let kk = session.channels as u64;
-        let delta = (k.delta_flood.max(1) as u64).div_ceil(kk);
-        // Internal nodes live at depths 0..height-1; the deepest window is
-        // height-1, ending at offset + height·⌈Δ'/k⌉.
-        let end_round = session.offset + delta * k.height as u64;
-        let is_source = u == session.source;
+        let has_it = u == session.source || (nk.depth == 0 && session.offset == 0);
+        let (in_phase1, p1_slot, expected_p1, p2_slot, expected_p2) = if sched.algorithm1 {
+            (true, nk.flood_slot, nk.expected_flood_slot, None, None)
+        } else {
+            (
+                nk.status.in_backbone(),
+                nk.b_slot.filter(|_| nk.bt_internal),
+                nk.expected_b_slot,
+                nk.l_slot.filter(|_| nk.cnet_internal),
+                nk.expected_l_slot,
+            )
+        };
         Self {
+            sched,
             depth: nk.depth,
-            flood_slot: nk.flood_slot,
-            delta,
-            channels: session.channels,
-            expected_slot: nk.expected_flood_slot,
-            offset: session.offset,
+            in_phase1,
+            p1_slot,
+            p2_slot,
+            expected_p1,
+            expected_p2,
+            part,
             uplink_pos,
-            received: is_source || (nk.depth == 0 && session.offset == 0),
-            received_round: (is_source || (nk.depth == 0 && session.offset == 0)).then_some(0),
-            transmitted: false,
+            received: has_it,
+            received_round: has_it.then_some(0),
+            p1_sent: false,
+            p2_sent: false,
             uplink_sent: false,
             finished: false,
-            end_round: end_round.max(1),
         }
     }
 
-    /// First round of the window in which this node listens (exclusive
-    /// lower bound: listening happens in rounds `win_start+1 ..= win_end`).
-    fn listen_window(&self) -> Option<(u64, u64)> {
-        if self.depth == 0 {
-            return None;
-        }
-        let start = self.offset + (self.depth as u64 - 1) * self.delta;
-        Some((start, start + self.delta))
+    /// The phase-1 slot still owed, once the message is held.
+    fn p1_due(&self) -> Option<u32> {
+        self.p1_slot
+            .filter(|_| self.part.tx && self.received && !self.p1_sent)
     }
 
-    /// Round-within-window and channel for a slot under `k` channels.
-    fn map_slot(&self, slot: u32) -> (u64, u8) {
-        let k = self.channels as u64;
-        ((slot as u64).div_ceil(k), ((slot as u64 - 1) % k) as u8)
+    /// The phase-2 slot still owed, once the message is held.
+    fn p2_due(&self) -> Option<u32> {
+        self.p2_slot
+            .filter(|_| self.part.tx && self.received && !self.p2_sent)
     }
 
-    /// The (round, channel) this node transmits the flood (internal only).
-    fn tx_round(&self) -> Option<(u64, u8)> {
-        self.flood_slot.map(|s| {
-            let (r, c) = self.map_slot(s);
-            (self.offset + self.depth as u64 * self.delta + r, c)
-        })
+    /// Whether this node still waits for the message in phase 1.
+    fn p1_needy(&self) -> bool {
+        self.in_phase1 && (self.part.rx || self.part.tx) && !self.received && self.depth >= 1
+    }
+
+    /// Whether this node still waits for the message in phase 2.
+    fn p2_needy(&self) -> bool {
+        !self.in_phase1 && self.part.rx && !self.received
     }
 }
 
@@ -117,60 +314,51 @@ impl NodeProgram for CffProgram {
 
     fn act(&mut self, ctx: &NodeCtx) -> Action<CffMsg> {
         let r = ctx.round;
-        if r >= self.end_round {
+        let s = self.sched;
+        if r >= s.end_round {
             self.finished = true;
         }
-        // Uplink phase: rounds 1..=offset.
-        if let Some(pos) = self.uplink_pos {
-            if r <= self.offset {
-                if r == pos + 1 && self.received && !self.uplink_sent {
-                    self.uplink_sent = true;
-                    return Action::transmit(CffMsg::Uplink { hop: pos as u32 });
-                }
-                if r <= pos && !self.received {
-                    return Action::listen();
-                }
-                return Action::Sleep;
-            }
-        } else if r <= self.offset {
-            // Off-path nodes sleep through the climb.
+        if self.part == Participation::NONE && self.uplink_pos.is_none() {
             return Action::Sleep;
         }
-        // Flood phase.
-        if self.received {
-            if !self.transmitted {
-                if let Some((tx, ch)) = self.tx_round() {
-                    if r == tx {
-                        self.transmitted = true;
-                        return Action::Transmit {
-                            channel: ch,
-                            msg: CffMsg::Flood {
-                                slot: self.flood_slot.unwrap(),
-                                depth: self.depth,
-                            },
-                        };
-                    }
+        if r <= s.offset {
+            let (pos, received) = (self.uplink_pos, self.received);
+            return uplink_step(r, pos, received, &mut self.uplink_sent, |hop| {
+                CffMsg::Uplink { hop }
+            });
+        }
+
+        // Phase 1: per-depth flood.
+        if r <= s.p2_start {
+            if let Some(slot) = self.p1_due() {
+                let (tx, channel) = s.p1_tx(self.depth, slot);
+                if r == tx {
+                    self.p1_sent = true;
+                    let depth = self.depth;
+                    let msg = CffMsg::Flood { slot, depth };
+                    return Action::Transmit { channel, msg };
+                }
+            }
+            if self.p1_needy() {
+                let start = s.window_start(self.depth - 1);
+                if r > start && r <= start + s.wb {
+                    return s.tuned_listen(r - start, self.expected_p1);
                 }
             }
             return Action::Sleep;
         }
-        if let Some((start, end)) = self.listen_window() {
-            if r > start && r <= end {
-                if self.channels == 1 {
-                    return Action::listen();
-                }
-                // Targeted listening: tune to the guaranteed-unique slot.
-                match self.expected_slot {
-                    Some(s) => {
-                        let (dr, ch) = self.map_slot(s);
-                        if r == start + dr {
-                            return Action::Listen { channel: ch };
-                        }
-                        return Action::Sleep;
-                    }
-                    None => return Action::Listen { channel: 0 },
-                }
+
+        // Phase 2: leaf delivery.
+        if let Some(slot) = self.p2_due() {
+            let (tx, channel) = s.p2_tx(slot);
+            if r == tx {
+                self.p2_sent = true;
+                let msg = CffMsg::Leaf { slot };
+                return Action::Transmit { channel, msg };
             }
+        }
+        if self.p2_needy() && r <= s.p2_start + s.wl {
+            return s.tuned_listen(r - s.p2_start, self.expected_p2);
         }
         Action::Sleep
     }
@@ -186,7 +374,65 @@ impl NodeProgram for CffProgram {
         if self.finished {
             return true;
         }
-        self.received && (self.flood_slot.is_none() || self.transmitted)
+        let rx_ok = !self.part.rx || self.received;
+        let tx_ok = !self.part.tx
+            || ((self.p1_slot.is_none() || self.p1_sent)
+                && (self.p2_slot.is_none() || self.p2_sent));
+        // Non-root path nodes owe the uplink relay before they are done.
+        let uplink_ok = match self.uplink_pos {
+            Some(pos) if pos < self.sched.offset => self.uplink_sent,
+            _ => true,
+        };
+        rx_ok && tx_ok && uplink_ok
+    }
+
+    /// The TDM schedule makes every awake round computable in advance,
+    /// which is what lets the engine skip the long sleeps between a
+    /// node's windows: per Lemma 1 and Theorem 1(2) a node is awake
+    /// `O(Δ')` or `O(δ·k + Δ)` rounds, so a 100k-node run costs
+    /// awake-work, not `n × rounds`. Every skipped round provably falls
+    /// through `act()` to `Action::Sleep` without touching state:
+    /// transmissions, window listens and the end-of-schedule `finished`
+    /// flip are all enumerated below, and reception (the only other state
+    /// change) can only happen in a listen round, after which the engine
+    /// re-consults this hint.
+    fn next_wake(&self, now: Round) -> Option<Round> {
+        // `done()` is monotone for this program — nothing it depends on
+        // can un-happen — so a done node never needs to act again.
+        if self.done() {
+            return Some(Round::MAX);
+        }
+        let s = &self.sched;
+        // Acting at end_round flips `finished`; never sleep past it.
+        let mut w = s.end_round;
+        let mut cand = |r: Option<Round>| {
+            if let Some(r) = r.filter(|&r| r > now) {
+                w = w.min(r);
+            }
+        };
+        // Source→root climb: listen every round until our path position,
+        // relay one round after it.
+        if let Some(pos) = self.uplink_pos {
+            if !self.received && now < pos.min(s.offset) {
+                cand(Some(now + 1));
+            }
+            if self.received && !self.uplink_sent && pos < s.offset {
+                cand(Some(pos + 1));
+            }
+        }
+        // Phase 1: own slot once the message is held; the depth-above
+        // window (or just the expected slot's round, k > 1) until then.
+        cand(self.p1_due().map(|slot| s.p1_tx(self.depth, slot).0));
+        if self.p1_needy() {
+            let start = s.window_start(self.depth - 1);
+            cand(s.next_listen(now, start, s.wb, self.expected_p1));
+        }
+        // Phase 2: own l-slot / the shared leaf window.
+        cand(self.p2_due().map(|slot| s.p2_tx(slot).0));
+        if self.p2_needy() {
+            cand(s.next_listen(now, s.p2_start, s.wl, self.expected_p2));
+        }
+        Some(w)
     }
 }
 
@@ -195,12 +441,25 @@ mod tests {
     use super::*;
     use crate::chain_net;
     use crate::knowledge::build_knowledge;
+    use crate::runner::{run as run_req, Broadcast, Protocol, RunConfig};
     use dsnet_cluster::ClusterNet;
     use dsnet_radio::{Engine, EngineConfig, StopReason};
 
-    fn run_cff(net: &ClusterNet, source: NodeId) -> (u64, usize, Vec<Option<CffProgram>>) {
+    type Make = fn(&NetKnowledge, &Session) -> CffSchedule;
+    const BOTH: [Make; 2] = [CffSchedule::algorithm1, CffSchedule::algorithm2];
+
+    /// Run a full-participation session on `make`'s schedule; returns
+    /// (rounds, collisions, programs, per-node awake rounds).
+    #[allow(clippy::type_complexity)]
+    fn run(
+        net: &ClusterNet,
+        source: NodeId,
+        channels: u8,
+        make: Make,
+    ) -> (u64, usize, Vec<Option<CffProgram>>, Vec<u64>) {
         let k = build_knowledge(net);
-        let session = Session::new(&k, source, 1);
+        let session = Session::new(&k, source, channels);
+        let sched = make(&k, &session);
         let path = net.tree().path_to_root(source);
         let mut pos = vec![None; net.graph().capacity()];
         for (j, &u) in path.iter().enumerate() {
@@ -209,107 +468,31 @@ mod tests {
         let mut engine = Engine::new(
             net.graph(),
             EngineConfig {
-                max_rounds: 100_000,
+                channels,
+                max_rounds: sched.end_round + 4,
                 record_trace: true,
-                ..Default::default()
             },
-            |u| CffProgram::new(&k, &session, u, pos[u.index()]),
+            |u| CffProgram::new(&k, &session, sched, u, pos[u.index()], Participation::FULL),
         );
         let out = engine.run();
-        assert_eq!(out.stop, StopReason::AllDone);
-        let collisions = engine.trace().collision_count();
-        (out.rounds, collisions, engine.into_programs())
-    }
-
-    #[test]
-    fn floods_whole_chain_from_root() {
-        let net = chain_net(12);
-        let k = build_knowledge(&net);
-        let (rounds, collisions, programs) = run_cff(&net, net.root());
-        assert_eq!(collisions, 0, "strict-mode CFF must be collision-free");
-        for u in net.tree().nodes() {
-            assert!(programs[u.index()].as_ref().unwrap().received, "{u}");
-        }
-        // Lemma 1 bound: Δ'·(h+1) rounds.
-        assert!(rounds <= (k.delta_flood.max(1) as u64) * (k.height as u64 + 1));
-    }
-
-    #[test]
-    fn non_root_source_pays_uplink() {
-        let net = chain_net(10);
-        let deep = net
+        assert_eq!(out.stop, StopReason::AllDone, "schedule ran past its end");
+        let awake = net
             .tree()
             .nodes()
-            .max_by_key(|&u| net.tree().depth(u))
-            .unwrap();
-        let (rounds, collisions, programs) = run_cff(&net, deep);
-        assert_eq!(collisions, 0);
+            .map(|u| engine.meter(u).awake_rounds())
+            .collect();
+        let collisions = engine.trace().collision_count();
+        (out.rounds, collisions, engine.into_programs(), awake)
+    }
+
+    fn all_received(net: &ClusterNet, programs: &[Option<CffProgram>]) {
         for u in net.tree().nodes() {
             assert!(programs[u.index()].as_ref().unwrap().received, "{u}");
         }
-        let k = build_knowledge(&net);
-        let bound =
-            net.tree().depth(deep) as u64 + (k.delta_flood.max(1) as u64) * (k.height as u64 + 1);
-        assert!(rounds <= bound);
     }
 
-    #[test]
-    fn nodes_sleep_outside_their_windows() {
-        let net = chain_net(10);
-        let k = build_knowledge(&net);
-        let session = Session::new(&k, net.root(), 1);
-        let mut engine = Engine::new(
-            net.graph(),
-            EngineConfig {
-                max_rounds: 100_000,
-                ..Default::default()
-            },
-            |u| CffProgram::new(&k, &session, u, (u == net.root()).then_some(0)),
-        );
-        let out = engine.run();
-        // Lemma 1: each node awake at most 2Δ' rounds (we are tighter:
-        // ≤ Δ' listening + 1 transmitting).
-        let delta = k.delta_flood.max(1) as u64;
-        for u in net.tree().nodes() {
-            let awake = engine.meter(u).awake_rounds();
-            assert!(awake <= 2 * delta, "{u} awake {awake} > 2Δ'={}", 2 * delta);
-        }
-        assert!(out.rounds >= 1);
-    }
-
-    #[test]
-    fn two_node_network() {
-        let mut net = ClusterNet::with_defaults();
-        net.move_in(&[]).unwrap();
-        net.move_in(&[NodeId(0)]).unwrap();
-        let (rounds, collisions, programs) = run_cff(&net, NodeId(0));
-        assert_eq!(collisions, 0);
-        assert!(programs[1].as_ref().unwrap().received);
-        assert_eq!(rounds, 1); // root transmits at slot 1, member receives
-    }
-
-    #[test]
-    fn singleton_network_terminates() {
-        let mut net = ClusterNet::with_defaults();
-        net.move_in(&[]).unwrap();
-        let (rounds, _c, programs) = run_cff(&net, NodeId(0));
-        assert!(programs[0].as_ref().unwrap().received);
-        assert!(rounds <= 1);
-    }
-}
-
-#[cfg(test)]
-mod multichannel_tests {
-    use super::*;
-    use crate::knowledge::build_knowledge;
-    use crate::runner::{run, Broadcast, BroadcastOutcome, Protocol, RunConfig};
-    use dsnet_cluster::ClusterNet;
-
-    fn basic(net: &ClusterNet, cfg: &RunConfig) -> BroadcastOutcome {
-        run(net, &Broadcast::new(Protocol::BasicCff, net.root()), cfg).outcome
-    }
-
-    /// Bushy net so Δ' > 1 and channels have something to divide.
+    /// Bushy net so Δ', δ and Δ exceed 1 and channels have something to
+    /// divide: one head with many members, then two more clusters.
     fn bushy() -> ClusterNet {
         let mut net = ClusterNet::with_defaults();
         net.move_in(&[]).unwrap();
@@ -328,42 +511,152 @@ mod multichannel_tests {
     }
 
     #[test]
-    fn multichannel_cff1_delivers_and_never_slower() {
+    fn floods_whole_chain_within_lemma1_and_theorem1() {
+        let net = chain_net(14);
+        let k = build_knowledge(&net);
+        let bounds = [
+            // Lemma 1: Δ'·(h+1) rounds.
+            k.delta_flood.max(1) as u64 * (k.height as u64 + 1),
+            // Theorem 1(1): δ·h + Δ rounds (with the tighter BT height).
+            k.delta_b as u64 * k.bt_height as u64 + k.delta_l as u64,
+        ];
+        for (make, bound) in BOTH.into_iter().zip(bounds) {
+            let (rounds, collisions, programs, _) = run(&net, net.root(), 1, make);
+            assert_eq!(collisions, 0, "strict mode is collision-free");
+            all_received(&net, &programs);
+            assert!(rounds <= bound, "rounds {rounds} > bound {bound}");
+        }
+    }
+
+    #[test]
+    fn non_root_source_pays_uplink_then_floods() {
+        let net = chain_net(10);
+        let deep = net
+            .tree()
+            .nodes()
+            .max_by_key(|&u| net.tree().depth(u))
+            .unwrap();
+        let k = build_knowledge(&net);
+        for make in BOTH {
+            let (rounds, collisions, programs, _) = run(&net, deep, 1, make);
+            assert_eq!(collisions, 0);
+            all_received(&net, &programs);
+            let offset = net.tree().depth(deep) as u64;
+            assert!(rounds <= crate::analytic::cff_basic_bound(&k, offset, 1));
+        }
+    }
+
+    #[test]
+    fn awake_rounds_respect_lemma1_and_theorem1() {
+        let net = chain_net(14);
+        let k = build_knowledge(&net);
+        let bounds = [
+            // Lemma 1: 2Δ' (we are tighter: ≤ Δ' listening + 1 sending).
+            crate::analytic::cff_basic_awake_bound(&k),
+            // Theorem 1(2): 2δ + Δ.
+            crate::analytic::improved_awake_bound(&k, 1),
+        ];
+        for (make, bound) in BOTH.into_iter().zip(bounds) {
+            let (_, _, _, awake) = run(&net, net.root(), 1, make);
+            let max = awake.into_iter().max().unwrap();
+            assert!(max <= bound, "awake {max} > {bound}");
+        }
+    }
+
+    #[test]
+    fn two_node_network() {
+        let net = chain_net(2);
+        let (rounds, collisions, programs, _) = run(&net, NodeId(0), 1, CffSchedule::algorithm1);
+        assert_eq!(collisions, 0);
+        assert!(programs[1].as_ref().unwrap().received);
+        assert_eq!(rounds, 1); // root transmits at slot 1, member receives
+    }
+
+    #[test]
+    fn singleton_network_terminates() {
+        let net = chain_net(1);
+        for make in BOTH {
+            let (rounds, _, programs, _) = run(&net, NodeId(0), 1, make);
+            assert!(programs[0].as_ref().unwrap().received);
+            assert!(rounds <= 1);
+        }
+    }
+
+    #[test]
+    fn multichannel_delivers_and_is_never_slower() {
         let net = bushy();
         let k = build_knowledge(&net);
-        let base = basic(&net, &RunConfig::default());
-        assert!(base.completed());
-        let mut prev = base.rounds;
+        for make in BOTH {
+            let mut prev = u64::MAX;
+            for channels in [1u8, 2, 4] {
+                let (rounds, collisions, programs, _) = run(&net, net.root(), channels, make);
+                assert_eq!(collisions, 0, "k={channels}");
+                all_received(&net, &programs);
+                assert!(rounds <= prev, "k={channels}: {rounds} > {prev}");
+                prev = rounds;
+            }
+        }
         for channels in [2u8, 4] {
             let cfg = RunConfig {
                 channels,
                 ..Default::default()
             };
-            let out = basic(&net, &cfg);
-            assert!(
-                out.completed(),
-                "k={channels}: {}/{}",
-                out.delivered,
-                out.targets
-            );
-            assert!(out.rounds <= prev, "k={channels}: {} > {prev}", out.rounds);
-            assert!(out.rounds <= crate::analytic::cff_basic_bound(&k, 0, channels));
-            prev = out.rounds;
+            let out = run_req(&net, &Broadcast::new(Protocol::BasicCff, net.root()), &cfg);
+            assert!(out.outcome.completed(), "k={channels}");
+            let bound = crate::analytic::cff_basic_bound(&k, 0, channels);
+            assert!(out.outcome.rounds <= bound);
         }
     }
 
     #[test]
-    fn multichannel_cff1_works_on_deep_chains() {
+    fn multichannel_algorithm1_works_on_deep_chains() {
+        let net = chain_net(15);
+        let (_, collisions, programs, _) = run(&net, net.root(), 3, CffSchedule::algorithm1);
+        assert_eq!(collisions, 0);
+        all_received(&net, &programs);
+    }
+
+    #[test]
+    fn non_participants_sleep_entirely() {
+        let net = chain_net(8);
+        let k = build_knowledge(&net);
+        let session = Session::new(&k, net.root(), 1);
+        let sched = CffSchedule::algorithm2(&k, &session);
+        let silent = net
+            .tree()
+            .nodes()
+            .find(|&u| net.tree().is_leaf(u) && u != net.root())
+            .unwrap();
+        let mut engine = Engine::new(
+            net.graph(),
+            EngineConfig {
+                max_rounds: sched.end_round + 4,
+                ..Default::default()
+            },
+            |u| {
+                let part = if u == silent {
+                    Participation::NONE
+                } else {
+                    Participation::FULL
+                };
+                CffProgram::new(&k, &session, sched, u, (u == net.root()).then_some(0), part)
+            },
+        );
+        engine.run();
+        assert_eq!(engine.meter(silent).awake_rounds(), 0);
+    }
+
+    #[test]
+    fn star_delivers_in_delta_l() {
         let mut net = ClusterNet::with_defaults();
         net.move_in(&[]).unwrap();
-        for i in 1..15u32 {
-            net.move_in(&[NodeId(i - 1)]).unwrap();
+        for _ in 0..5 {
+            net.move_in(&[NodeId(0)]).unwrap();
         }
-        let cfg = RunConfig {
-            channels: 3,
-            ..Default::default()
-        };
-        let out = basic(&net, &cfg);
-        assert!(out.completed());
+        let k = build_knowledge(&net);
+        let (rounds, collisions, programs, _) = run(&net, net.root(), 1, CffSchedule::algorithm2);
+        assert_eq!(collisions, 0);
+        all_received(&net, &programs);
+        assert!(rounds <= k.delta_l as u64);
     }
 }

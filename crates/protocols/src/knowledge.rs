@@ -44,7 +44,8 @@
 //! cached version) the cache falls back to a full rebuild.
 
 use dsnet_cluster::slots::validate::{assign_flood_slots, flood_slot, flood_transmitters};
-use dsnet_cluster::{ClusterNet, NodeStatus};
+use dsnet_cluster::slots::view::NetView;
+use dsnet_cluster::{ClusterNet, NodeStatus, SlotMode};
 use dsnet_graph::NodeId;
 use std::sync::{Arc, Mutex};
 
@@ -157,26 +158,92 @@ fn unique_slot(slots: impl IntoIterator<Item = Option<u32>>) -> Option<u32> {
     unique_slot_sorted(&mut scratch)
 }
 
+/// The guaranteed-clean slots a receiver should expect, given each
+/// transmitter's b-slot (`b`) and l-slot (`l`): a non-root backbone node
+/// expects a phase-1 slot, a member leaf a phase-2 slot.
+fn expected_slots(
+    view: NetView<'_>,
+    mode: SlotMode,
+    u: NodeId,
+    b: impl Fn(NodeId) -> Option<u32>,
+    l: impl Fn(NodeId) -> Option<u32>,
+    scratch: &mut Vec<u32>,
+) -> (Option<u32>, Option<u32>) {
+    let expected_b = if view.in_backbone(u) && view.tree.depth(u) >= 1 {
+        scratch.clear();
+        scratch.extend(view.p_b_iter(u).filter_map(b));
+        unique_slot_sorted(scratch)
+    } else {
+        None
+    };
+    let expected_l = if view.is_member_leaf(u) {
+        scratch.clear();
+        scratch.extend(view.p_l_iter(u, mode).filter_map(l));
+        unique_slot_sorted(scratch)
+    } else {
+        None
+    };
+    (expected_b, expected_l)
+}
+
+/// The knowledge rule for one attached node `u`, shared by the full build
+/// and the patch path. The caller supplies the Algorithm-1 fields
+/// (`flood_slot`, `expected_flood_slot`); the tour range is left empty
+/// for [`emit_tour`] to fill.
+fn node_knowledge(
+    net: &ClusterNet,
+    u: NodeId,
+    flood: (Option<u32>, Option<u32>),
+    scratch: &mut Vec<u32>,
+) -> NodeKnowledge {
+    let (view, slots, tree) = (net.view(), net.slots(), net.tree());
+    let (expected_b_slot, expected_l_slot) =
+        expected_slots(view, net.mode(), u, |y| slots.b(y), |y| slots.l(y), scratch);
+    NodeKnowledge {
+        id: u,
+        depth: tree.depth(u),
+        status: net.status(u),
+        parent: tree.parent(u),
+        b_slot: slots.b(u),
+        l_slot: slots.l(u),
+        flood_slot: flood.0,
+        bt_internal: view.bt_internal(u),
+        cnet_internal: view.cnet_internal(u),
+        expected_b_slot,
+        expected_l_slot,
+        expected_flood_slot: flood.1,
+        bt_off: 0,
+        bt_len: 0,
+    }
+}
+
+/// Append `nk`'s DFO tour list (backbone children, then the backbone
+/// parent; empty for pure members) to `pool` — the canonical CSR
+/// emission, run in increasing-id order — and record its range.
+fn emit_tour(net: &ClusterNet, nk: &mut NodeKnowledge, pool: &mut Vec<NodeId>) {
+    let tree = net.tree();
+    nk.bt_off = pool.len() as u32;
+    if nk.status.in_backbone() {
+        pool.extend(
+            tree.children(nk.id)
+                .filter(|&c| net.status(c).in_backbone()),
+        );
+        pool.extend(nk.parent);
+    }
+    nk.bt_len = pool.len() as u32 - nk.bt_off;
+}
+
 /// Snapshot the knowledge of every attached node for a *session* with its
 /// own slot table and transmitter set — used by reliable multicast, where
 /// the initiator re-assigns slots over the participating transmitters
 /// (see `dsnet_cluster::slots::session`). Expected receiver slots are
 /// computed against the participating transmitters only.
-pub fn build_session_knowledge(
-    net: &ClusterNet,
-    session_slots: &dsnet_cluster::SlotTable,
-    tx: &dyn Fn(NodeId) -> bool,
-) -> NetKnowledge {
-    build_session_knowledge_from(net, &build_knowledge(net), session_slots, tx)
-}
-
-/// Like [`build_session_knowledge`], but starting from an already-built
-/// base snapshot of the same `net` (e.g. one served by a
-/// [`KnowledgeCache`]) instead of rebuilding it — the session rewrite
-/// only touches slots and expected slots, so the expensive base pass can
-/// be amortised across sessions. The base is cloned internally (two flat
-/// memcpys thanks to the CSR layout); callers holding an `Arc` no longer
-/// deep-clone per session.
+///
+/// Starts from an already-built base snapshot of the same `net` (e.g. one
+/// served by a [`KnowledgeCache`]): the session rewrite only touches slots
+/// and expected slots, so the expensive base pass is amortised across
+/// sessions. The base is cloned internally (two flat memcpys thanks to the
+/// CSR layout).
 pub fn build_session_knowledge_from(
     net: &ClusterNet,
     base: &NetKnowledge,
@@ -184,36 +251,19 @@ pub fn build_session_knowledge_from(
     tx: &dyn Fn(NodeId) -> bool,
 ) -> NetKnowledge {
     let mut k = base.clone();
-    let view = net.view();
-    let tree = net.tree();
-    let mode = net.mode();
     let mut scratch: Vec<u32> = Vec::new();
-    for u in tree.nodes() {
+    for u in net.tree().nodes() {
         let nk = k.per_node[u.index()].as_mut().expect("attached node");
         nk.b_slot = session_slots.b(u);
         nk.l_slot = session_slots.l(u);
-        nk.expected_b_slot = if nk.status.in_backbone() && nk.depth >= 1 {
-            scratch.clear();
-            scratch.extend(
-                view.p_b_iter(u)
-                    .filter(|&y| tx(y))
-                    .filter_map(|y| session_slots.b(y)),
-            );
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        nk.expected_l_slot = if view.is_member_leaf(u) {
-            scratch.clear();
-            scratch.extend(
-                view.p_l_iter(u, mode)
-                    .filter(|&y| tx(y))
-                    .filter_map(|y| session_slots.l(y)),
-            );
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
+        (nk.expected_b_slot, nk.expected_l_slot) = expected_slots(
+            net.view(),
+            net.mode(),
+            u,
+            |y| session_slots.b(y).filter(|_| tx(y)),
+            |y| session_slots.l(y).filter(|_| tx(y)),
+            &mut scratch,
+        );
     }
     k.delta_b = session_slots.max_b();
     k.delta_l = session_slots.max_l();
@@ -224,8 +274,6 @@ pub fn build_session_knowledge_from(
 pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
     let view = net.view();
     let tree = net.tree();
-    let slots = net.slots();
-    let mode = net.mode();
     let (flood, delta_flood) = assign_flood_slots(&view);
 
     let mut per_node: Vec<Option<NodeKnowledge>> = vec![None; net.graph().capacity()];
@@ -235,62 +283,25 @@ pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
     let mut scratch: Vec<u32> = Vec::new();
 
     for u in tree.nodes() {
-        let status = net.status(u);
-        let depth = tree.depth(u);
-        if status.in_backbone() {
-            bt_height = bt_height.max(depth);
-            backbone_size += 1;
-        }
-
-        let expected_b_slot = if status.in_backbone() && depth >= 1 {
-            scratch.clear();
-            scratch.extend(view.p_b_iter(u).filter_map(|y| slots.b(y)));
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        let expected_l_slot = if view.is_member_leaf(u) {
-            scratch.clear();
-            scratch.extend(view.p_l_iter(u, mode).filter_map(|y| slots.l(y)));
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        let expected_flood_slot = if depth >= 1 {
+        let expected_flood_slot = if tree.depth(u) >= 1 {
             scratch.clear();
             scratch.extend(flood_transmitters(&view, u).filter_map(|y| flood[y.index()]));
             unique_slot_sorted(&mut scratch)
         } else {
             None
         };
-
-        // Canonical CSR emission: increasing-id order, bt_off = pool
-        // length at this node's turn (even when the list stays empty).
-        let bt_off = bt_pool.len() as u32;
-        if status.in_backbone() {
-            bt_pool.extend(tree.children(u).filter(|&c| net.status(c).in_backbone()));
-            if let Some(p) = tree.parent(u) {
-                bt_pool.push(p);
-            }
+        let mut nk = node_knowledge(
+            net,
+            u,
+            (flood[u.index()], expected_flood_slot),
+            &mut scratch,
+        );
+        if nk.status.in_backbone() {
+            bt_height = bt_height.max(nk.depth);
+            backbone_size += 1;
         }
-        let bt_len = bt_pool.len() as u32 - bt_off;
-
-        per_node[u.index()] = Some(NodeKnowledge {
-            id: u,
-            depth,
-            status,
-            parent: tree.parent(u),
-            b_slot: slots.b(u),
-            l_slot: slots.l(u),
-            flood_slot: flood[u.index()],
-            bt_internal: view.bt_internal(u),
-            cnet_internal: view.cnet_internal(u),
-            expected_b_slot,
-            expected_l_slot,
-            expected_flood_slot,
-            bt_off,
-            bt_len,
-        });
+        emit_tour(net, &mut nk, &mut bt_pool);
+        per_node[u.index()] = Some(nk);
     }
 
     NetKnowledge {
@@ -335,8 +346,6 @@ fn patch_knowledge(
 
     let view = net.view();
     let tree = net.tree();
-    let slots = net.slots();
-    let mode = net.mode();
     let cap = net.graph().capacity();
 
     // One flat memcpy: the per-node table. The CSR pool is *not* cloned —
@@ -386,43 +395,16 @@ fn patch_knowledge(
     // departed. Flood fields keep their stale values until phases B/C.
     let mut scratch: Vec<u32> = Vec::new();
     for &u in &r {
+        let entry = &mut k.per_node[u.index()];
         if !tree.contains(u) {
-            k.per_node[u.index()] = None;
+            *entry = None;
             continue;
         }
-        let status = net.status(u);
-        let depth = tree.depth(u);
-        let expected_b_slot = if status.in_backbone() && depth >= 1 {
-            scratch.clear();
-            scratch.extend(view.p_b_iter(u).filter_map(|y| slots.b(y)));
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        let expected_l_slot = if view.is_member_leaf(u) {
-            scratch.clear();
-            scratch.extend(view.p_l_iter(u, mode).filter_map(|y| slots.l(y)));
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        let old = &k.per_node[u.index()];
-        k.per_node[u.index()] = Some(NodeKnowledge {
-            id: u,
-            depth,
-            status,
-            parent: tree.parent(u),
-            b_slot: slots.b(u),
-            l_slot: slots.l(u),
-            flood_slot: old.as_ref().and_then(|nk| nk.flood_slot),
-            bt_internal: view.bt_internal(u),
-            cnet_internal: view.cnet_internal(u),
-            expected_b_slot,
-            expected_l_slot,
-            expected_flood_slot: old.as_ref().and_then(|nk| nk.expected_flood_slot),
-            bt_off: 0, // set by the pool sweep below
-            bt_len: 0,
-        });
+        let flood = entry
+            .as_ref()
+            .map_or((None, None), |nk| (nk.flood_slot, nk.expected_flood_slot));
+        // The tour range is set by the pool sweep below.
+        *entry = Some(node_knowledge(net, u, flood, &mut scratch));
     }
 
     // Phase B: re-run Algorithm 1's assignment over a worklist, in the
@@ -545,15 +527,7 @@ fn patch_knowledge(
             delta_flood = delta_flood.max(f);
         }
         if in_r {
-            let bt_off = bt_pool.len() as u32;
-            if entry.status.in_backbone() {
-                bt_pool.extend(tree.children(u).filter(|&c| net.status(c).in_backbone()));
-                if let Some(p) = tree.parent(u) {
-                    bt_pool.push(p);
-                }
-            }
-            entry.bt_off = bt_off;
-            entry.bt_len = bt_pool.len() as u32 - bt_off;
+            emit_tour(net, entry, &mut bt_pool);
         } else {
             if run_len == 0 {
                 run_old = entry.bt_off;
@@ -1037,7 +1011,7 @@ mod tests {
         let rx = |_u: NodeId| true;
         let slots =
             dsnet_cluster::slots::session::assign_session_slots(&net.view(), net.mode(), &tx, &rx);
-        let fresh = build_session_knowledge(&net, &slots, &tx);
+        let fresh = build_session_knowledge_from(&net, &build_knowledge(&net), &slots, &tx);
         let cached = build_session_knowledge_from(&net, &base, &slots, &tx);
         assert_eq!(fresh, cached);
     }

@@ -8,13 +8,14 @@
 //!   the backbone; one transmitter per round; every node stays awake until
 //!   the tour ends. Fast to describe, slow and fragile in practice — the
 //!   paper's comparison target.
-//! * [`cff`] — **Algorithm 1**: collision-free flooding over the whole
-//!   CNet(G), one TDM window of `Δ'` rounds per tree depth.
-//! * [`improved`] — **Algorithm 2**: phase 1 floods the backbone using
-//!   b-time-slots (`δ`-round windows), phase 2 delivers to the
-//!   pure-member leaves in a single `Δ`-round window using l-time-slots;
-//!   supports `k` radio channels (Section 3.3 "Multi-Channels") and
-//!   relay-list pruning for multicast (Section 3.4).
+//! * [`cff`] — **Algorithm 1** and **Algorithm 2** as one collision-free
+//!   flooding machine on two schedules. Algorithm 1 floods the whole
+//!   CNet(G), one TDM window of `Δ'` rounds per tree depth; Algorithm 2
+//!   floods the backbone using b-time-slots (`δ`-round windows), then
+//!   delivers to the pure-member leaves in a single `Δ`-round window using
+//!   l-time-slots. Both support `k` radio channels (Section 3.3
+//!   "Multi-Channels"); Algorithm 2 also runs the relay-list-pruned
+//!   multicast (Section 3.4).
 //! * [`reliable`] — bounded-retry **reliable CFF**: Algorithm 1 extended
 //!   with per-hop NACK/retransmit epochs and deterministic backoff, so
 //!   delivery degrades gracefully on lossy channels instead of silencing
@@ -42,7 +43,6 @@ pub mod arrival;
 pub mod cff;
 pub mod dfo;
 pub mod flooding;
-pub mod improved;
 pub mod join;
 pub mod knowledge;
 pub mod multicast;

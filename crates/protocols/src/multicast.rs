@@ -15,7 +15,7 @@
 //! measured delivery ratio so the effect is visible (it is rare in
 //! practice because most receivers hear few transmitters).
 
-use crate::improved::Participation;
+use crate::cff::Participation;
 use dsnet_cluster::{GroupId, McNet};
 use dsnet_graph::NodeId;
 

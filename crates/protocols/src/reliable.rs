@@ -31,6 +31,7 @@
 //! still costs the idle feedback rounds: reliability is paid for in
 //! schedule length, which is the honest trade-off.
 
+use crate::cff::{uplink_step, CffSchedule};
 use crate::knowledge::{NetKnowledge, Session};
 use dsnet_graph::NodeId;
 use dsnet_radio::{Action, NodeCtx, NodeProgram, Round};
@@ -60,14 +61,12 @@ pub enum RcffMsg {
 #[derive(Debug, Clone)]
 pub struct ReliableCffProgram {
     id: NodeId,
+    /// Algorithm 1's schedule: climb, `⌈Δ'/k⌉`-round windows, slot map.
+    sched: CffSchedule,
     depth: u32,
     flood_slot: Option<u32>,
-    /// Window length: `⌈Δ'/k⌉`.
-    delta: u64,
-    channels: u8,
     expected_slot: Option<u32>,
-    offset: u64,
-    /// Data + feedback windows for every depth: `2·δ'·h` rounds.
+    /// Data + feedback windows for every depth: `2·⌈Δ'/k⌉·h` rounds.
     epoch_len: u64,
     /// `1 + max_retries` epochs in total.
     epochs: u64,
@@ -101,21 +100,16 @@ impl ReliableCffProgram {
         max_retries: u32,
     ) -> Self {
         let nk = k.of(u);
-        let kk = session.channels as u64;
-        let delta = (k.delta_flood.max(1) as u64).div_ceil(kk);
-        let epoch_len = 2 * delta * k.height as u64;
+        let sched = CffSchedule::algorithm1(k, session);
+        let epoch_len = 2 * sched.wb * k.height as u64;
         let epochs = 1 + max_retries as u64;
-        let end_round = (session.offset + epochs * epoch_len).max(1);
-        let is_source = u == session.source;
-        let has = is_source || (nk.depth == 0 && session.offset == 0);
+        let has = u == session.source || (nk.depth == 0 && session.offset == 0);
         Self {
             id: u,
+            sched,
             depth: nk.depth,
             flood_slot: nk.flood_slot,
-            delta,
-            channels: session.channels,
             expected_slot: nk.expected_flood_slot,
-            offset: session.offset,
             epoch_len,
             epochs,
             uplink_pos,
@@ -128,20 +122,8 @@ impl ReliableCffProgram {
             first_needy_epoch: None,
             seen_epoch: None,
             finished: false,
-            end_round,
+            end_round: (session.offset + epochs * epoch_len).max(1),
         }
-    }
-
-    /// Round-within-window and channel for a slot under `k` channels.
-    fn map_slot(&self, slot: u32) -> (u64, u8) {
-        let k = self.channels as u64;
-        ((slot as u64).div_ceil(k), ((slot as u64 - 1) % k) as u8)
-    }
-
-    /// The feedback slot a needy node complains in — its expected data
-    /// slot, i.e. exactly where its guaranteed transmitter listens.
-    fn nack_slot(&self) -> (u64, u8) {
-        self.map_slot(self.expected_slot.unwrap_or(1))
     }
 
     /// Epoch-boundary bookkeeping: resolve last epoch's feedback.
@@ -177,37 +159,29 @@ impl NodeProgram for ReliableCffProgram {
 
     fn act(&mut self, ctx: &NodeCtx) -> Action<RcffMsg> {
         let r = ctx.round;
+        let s = self.sched;
         if r >= self.end_round {
             self.finished = true;
         }
-        // Uplink phase: rounds 1..=offset, identical to plain CFF.
-        if let Some(pos) = self.uplink_pos {
-            if r <= self.offset {
-                if r == pos + 1 && self.received && !self.uplink_sent {
-                    self.uplink_sent = true;
-                    return Action::transmit(RcffMsg::Uplink { hop: pos as u32 });
-                }
-                if r <= pos && !self.received {
-                    return Action::listen();
-                }
-                return Action::Sleep;
-            }
-        } else if r <= self.offset {
-            return Action::Sleep;
+        if r <= s.offset {
+            let (pos, received) = (self.uplink_pos, self.received);
+            return uplink_step(r, pos, received, &mut self.uplink_sent, |hop| {
+                RcffMsg::Uplink { hop }
+            });
         }
         if self.epoch_len == 0 {
             return Action::Sleep;
         }
         // Position within the epoch grid.
-        let t = r - self.offset - 1;
+        let t = r - s.offset - 1;
         let e = t / self.epoch_len;
         if e >= self.epochs {
             return Action::Sleep;
         }
         self.enter_epoch(e);
         let w = t % self.epoch_len;
-        let win = w / self.delta; // 2i = data window of depth i, 2i+1 = its feedback
-        let pos = w % self.delta + 1; // 1-based round within the half-window
+        let win = w / s.wb; // 2i = data window of depth i, 2i+1 = its feedback
+        let pos = w % s.wb + 1; // 1-based round within the half-window
         let win_depth = (win / 2) as u32;
         let is_data = win.is_multiple_of(2);
 
@@ -215,7 +189,7 @@ impl NodeProgram for ReliableCffProgram {
             let Some(slot) = self.flood_slot else {
                 return Action::Sleep; // leaf: reception was its whole job
             };
-            let (my_round, my_ch) = self.map_slot(slot);
+            let (my_round, my_ch) = s.map_slot(slot);
             if win_depth == self.depth && pos == my_round {
                 if is_data && self.tx_due {
                     self.tx_due = false;
@@ -238,29 +212,16 @@ impl NodeProgram for ReliableCffProgram {
             return Action::Sleep;
         }
         // Needy: listen through the parent depth's data window, complain
-        // in its feedback window.
-        if self.depth == 0 {
-            return Action::Sleep; // root without a message: nothing to do
-        }
-        if win_depth != self.depth - 1 {
+        // in its feedback window — in the round and channel of the
+        // expected data slot, exactly where its transmitter listens. A
+        // root without the message has no parent window.
+        if self.depth == 0 || win_depth != self.depth - 1 {
             return Action::Sleep;
         }
         if is_data {
-            if self.channels == 1 {
-                return Action::listen();
-            }
-            match self.expected_slot {
-                Some(s) => {
-                    let (dr, ch) = self.map_slot(s);
-                    if pos == dr {
-                        return Action::Listen { channel: ch };
-                    }
-                    return Action::Sleep;
-                }
-                None => return Action::Listen { channel: 0 },
-            }
+            return s.tuned_listen(pos, self.expected_slot);
         }
-        let (nr, nch) = self.nack_slot();
+        let (nr, nch) = s.map_slot(self.expected_slot.unwrap_or(1));
         if pos == nr && self.may_nack(e) {
             return Action::Transmit {
                 channel: nch,

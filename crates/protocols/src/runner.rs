@@ -7,9 +7,8 @@
 //! failure plan) and condenses the run into a [`BroadcastOutcome`] — the
 //! unit every bench and figure in the evaluation is built from.
 
-use crate::cff::CffProgram;
+use crate::cff::{CffProgram, CffSchedule, Participation};
 use crate::dfo::DfoProgram;
-use crate::improved::{Cff2Program, Cff2Schedule, Participation};
 use crate::knowledge::{build_knowledge, build_session_knowledge_from, NetKnowledge, Session};
 use crate::reliable::ReliableCffProgram;
 use crate::{analytic, multicast};
@@ -396,6 +395,7 @@ pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
         }
         Protocol::BasicCff => {
             let session = Session::new(k, source, cfg.channels);
+            let sched = CffSchedule::algorithm1(k, &session);
             let bound = analytic::cff_basic_bound(k, session.offset, cfg.channels);
             drive(
                 net,
@@ -404,7 +404,7 @@ pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
                 bound + 4,
                 bound,
                 &all(),
-                |u| CffProgram::new(k, &session, u, pos[u.index()]),
+                |u| CffProgram::new(k, &session, sched, u, pos[u.index()], Participation::FULL),
                 |p| p.received,
             )
         }
@@ -477,7 +477,7 @@ fn drive_improved(
     targets: &[NodeId],
 ) -> Run {
     let session = Session::new(k, source, cfg.channels);
-    let sched = Cff2Schedule::new(k, &session);
+    let sched = CffSchedule::algorithm2(k, &session);
     let bound = analytic::improved_bound(k, session.offset, cfg.channels);
     let mut run = drive(
         net,
@@ -486,7 +486,7 @@ fn drive_improved(
         sched.end_round + 4,
         bound,
         targets,
-        |u| Cff2Program::new(k, &session, sched, u, pos[u.index()], part(u)),
+        |u| CffProgram::new(k, &session, sched, u, pos[u.index()], part(u)),
         |p| p.received,
     );
     // The documented k=1 contract (see `tests/protocol_properties.rs`):

@@ -1,12 +1,15 @@
 //! Round-by-round walkthrough of Algorithm 2 on a small network, printed
 //! from the radio engine's event trace — shows the two TDM phases, the
 //! per-depth windows and the collision-free deliveries exactly as the
-//! paper describes them.
+//! paper describes them. The program is the one CFF machine of
+//! `dsnet::protocols::cff` on its Algorithm-2 schedule
+//! (`CffSchedule::algorithm2`); `CffSchedule::algorithm1` runs Algorithm 1
+//! on the same machine.
 //!
 //! Run with: `cargo run --release --example trace_walkthrough`
 
 use dsnet::cluster::NodeStatus;
-use dsnet::protocols::improved::{Cff2Program, Cff2Schedule, Participation};
+use dsnet::protocols::cff::{CffProgram, CffSchedule, Participation};
 use dsnet::protocols::knowledge::{build_knowledge, Session};
 use dsnet::radio::{Engine, EngineConfig, TraceEvent};
 use dsnet::NetworkBuilder;
@@ -23,7 +26,7 @@ fn main() {
     );
 
     let session = Session::new(&k, net.root(), 1);
-    let sched = Cff2Schedule::new(&k, &session);
+    let sched = CffSchedule::algorithm2(&k, &session);
     println!(
         "schedule: phase 1 = rounds 1..={} ({} windows of δ={}), phase 2 = rounds {}..={}\n",
         sched.p2_start,
@@ -41,7 +44,7 @@ fn main() {
             channels: 1,
         },
         |u| {
-            Cff2Program::new(
+            CffProgram::new(
                 &k,
                 &session,
                 sched,

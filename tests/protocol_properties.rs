@@ -6,6 +6,7 @@
 
 use dsnet::cluster::{ClusterNet, GroupId, McNet};
 use dsnet::graph::NodeId;
+use dsnet::protocols::analytic;
 use dsnet::protocols::runner::{run, BroadcastOutcome, MulticastSlots, RunConfig};
 use dsnet::{Broadcast, Protocol};
 use proptest::prelude::*;
@@ -136,14 +137,21 @@ proptest! {
     #[test]
     fn awake_bound_holds_for_every_node(
         seeds in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u16>()), 2..40),
+        k in 1u8..5,
     ) {
         let mc = grow(&seeds, 0);
         let net = mc.net();
-        let k = dsnet::protocols::knowledge::build_knowledge(net);
-        let out = broadcast(net, Protocol::ImprovedCff, net.root(), &RunConfig::default());
-        let bound = dsnet::protocols::analytic::improved_awake_bound(&k, 1);
-        prop_assert!(out.energy.max_awake <= bound,
-            "awake {} > bound {}", out.energy.max_awake, bound);
+        let kn = dsnet::protocols::knowledge::build_knowledge(net);
+        let cfg = RunConfig { channels: k, ..Default::default() };
+        // Theorem 1(2)/(3) for Algorithm 2, Lemma 1 for Algorithm 1.
+        let cff2 = broadcast(net, Protocol::ImprovedCff, net.root(), &cfg);
+        let bound = analytic::improved_awake_bound(&kn, k);
+        prop_assert!(cff2.energy.max_awake <= bound,
+            "k={}: Alg 2 awake {} > bound {}", k, cff2.energy.max_awake, bound);
+        let cff1 = broadcast(net, Protocol::BasicCff, net.root(), &cfg);
+        let bound = analytic::cff_basic_awake_bound(&kn);
+        prop_assert!(cff1.energy.max_awake <= bound,
+            "k={}: Alg 1 awake {} > bound {}", k, cff1.energy.max_awake, bound);
     }
 
     #[test]

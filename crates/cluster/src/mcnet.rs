@@ -125,22 +125,15 @@ impl McNet {
         self.add_to_ancestors(u);
     }
 
-    /// Node departure with relay-list maintenance.
+    /// Node departure with relay-list maintenance. The preconditions are
+    /// those of [`ClusterNet::move_out`], checked once by
+    /// [`ClusterNet::can_move_out`] before anything changes.
     pub fn move_out(&mut self, lev: NodeId) -> Result<MoveOutReport, MoveOutError> {
         self.net.can_move_out(lev)?;
-        Ok(self.move_out_previewed(lev))
-    }
-
-    /// [`McNet::move_out`] for callers that already ran
-    /// [`ClusterNet::can_move_out`] on `lev` against the current graph —
-    /// skips the duplicate connectivity sweep (a full traversal) that
-    /// dominates the per-reconfiguration cost in the mobility driver.
-    /// Calling it without a successful preview panics mid-operation.
-    pub fn move_out_previewed(&mut self, lev: NodeId) -> MoveOutReport {
         let evicted = self.relay_before(lev);
         let (report, _) = self.net.evict(lev, Departure::Announced);
         self.relay_after(&evicted, Some(&report.rehomed));
-        report
+        Ok(report)
     }
 
     /// The sink itself departs: the underlying structure is rebuilt from a

@@ -108,7 +108,7 @@ impl ClusterNet {
         if lev == self.root() {
             return Err(MoveOutError::RootMoveOut);
         }
-        if components::disconnects_without(self.graph(), lev) {
+        if components::is_cut_vertex(self.graph(), lev) {
             return Err(MoveOutError::WouldDisconnect(lev));
         }
         Ok(())
@@ -136,7 +136,7 @@ impl ClusterNet {
         if self.len() <= 1 {
             return Err(MoveOutError::NotAttached(old_root));
         }
-        if components::disconnects_without(self.graph(), old_root) {
+        if components::is_cut_vertex(self.graph(), old_root) {
             return Err(MoveOutError::WouldDisconnect(old_root));
         }
         let (report, _) = self.rebuild_without(old_root);
@@ -152,10 +152,8 @@ impl ClusterNet {
     /// the survivors lost to a partition, which only a crash can cause.
     ///
     /// An announced departure must have passed
-    /// [`ClusterNet::can_move_out`]: the connectivity preview is a full
-    /// graph sweep, and the mobility driver already previews every
-    /// candidate departure, so re-checking here would triple the
-    /// per-reconfiguration traversal cost.
+    /// [`ClusterNet::can_move_out`], which its caller has just run; the
+    /// eviction does not repeat the preview.
     pub(crate) fn evict(
         &mut self,
         lev: NodeId,

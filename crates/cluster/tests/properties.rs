@@ -8,7 +8,7 @@ use dsnet_cluster::slots::validate::{
     assign_flood_slots, validate_condition1, validate_condition2,
 };
 use dsnet_cluster::{ClusterNet, GroupId, McNet, NodeStatus, ParentRule, RepairConfig, SlotMode};
-use dsnet_graph::{degree, NodeId};
+use dsnet_graph::{components, degree, NodeId};
 use proptest::prelude::*;
 
 /// The joins of a random growth: node i+1 hears up to 3 earlier nodes.
@@ -155,6 +155,14 @@ proptest! {
                 .map_err(|errs| TestCaseError::fail(format!("{errs:?}")))?;
             let violations = validate_condition2(&net.view(), net.slots(), net.mode());
             prop_assert!(violations.is_empty(), "{violations:?}");
+            // The departure preview agrees with a brute-force component
+            // count of G − u for every node that could leave next.
+            let g = net.graph();
+            for u in net.tree().nodes().filter(|&u| u != net.root()) {
+                let rest: Vec<NodeId> = g.nodes().filter(|&v| v != u).collect();
+                let stays_connected = components::components(&g.induced_subgraph(&rest)).len() == 1;
+                prop_assert_eq!(net.can_move_out(u).is_ok(), stays_connected, "node {}", u);
+            }
         }
     }
 

@@ -172,7 +172,7 @@ mod tests {
             .find(|&u| {
                 primary.status(u).in_backbone()
                     && primary.tree().depth(u) == 1
-                    && !dsnet_graph::components::disconnects_without(primary.graph(), u)
+                    && !dsnet_graph::components::is_cut_vertex(primary.graph(), u)
             })
             .expect("a non-cut depth-1 backbone node exists");
         let mut cfg = RunConfig::default();

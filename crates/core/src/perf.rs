@@ -719,6 +719,8 @@ impl Comparison {
 /// matter how fast it runs — and every counter the fresh ledger carries
 /// must be in the baseline.  `rounds_per_sec` may drift downward by at
 /// most `max_regress` (e.g. `0.15` = 15%); improvements always pass.
+/// At `max_regress = 1.0` no rate can fail (a ratio is never negative),
+/// so the comparison checks the counters alone.
 pub fn compare(baseline_json: &str, fresh: &Ledger, max_regress: f64) -> Comparison {
     let mut notes = Vec::new();
     let mut failures = Vec::new();
@@ -960,6 +962,11 @@ mod tests {
             "{:?}",
             c.failures
         );
+
+        // At `max_regress = 1.0` only the counters are compared: the slow
+        // ledger passes, the drifted one still fails.
+        assert!(compare(&doc, &slow, 1.0).passed());
+        assert!(!compare(&doc, &drifted, 1.0).passed());
 
         // A 10% dip stays inside the 15% budget.
         let mut ok = base.clone();

@@ -94,6 +94,37 @@ proptest! {
     }
 
     #[test]
+    fn cut_vertex_matches_the_component_oracle(
+        n in 1u8..24,
+        edges in prop::collection::vec((any::<u8>(), any::<u8>()), 0..48),
+        removals in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        // Sparse draws leave isolated nodes and several components;
+        // removals leave tombstones between the live ids.
+        let mut g = graph_from(n, &edges);
+        for &r in &removals {
+            let live: Vec<NodeId> = g.nodes().collect();
+            if live.len() <= 1 {
+                break;
+            }
+            g.remove_node(live[r as usize % live.len()]);
+        }
+        for u in g.nodes() {
+            let rest: Vec<NodeId> = g.nodes().filter(|&v| v != u).collect();
+            let mut comp_of = vec![usize::MAX; g.capacity()];
+            for (i, c) in components::components(&g.induced_subgraph(&rest)).iter().enumerate() {
+                for &v in c {
+                    comp_of[v.index()] = i;
+                }
+            }
+            let mut touched: Vec<usize> = g.neighbors(u).iter().map(|v| comp_of[v.index()]).collect();
+            touched.sort_unstable();
+            touched.dedup();
+            prop_assert_eq!(components::is_cut_vertex(&g, u), touched.len() > 1, "node {}", u);
+        }
+    }
+
+    #[test]
     fn greedy_sets_are_always_valid(
         n in 1u8..20,
         edges in prop::collection::vec((any::<u8>(), any::<u8>()), 0..50),

@@ -46,7 +46,7 @@ use crate::differ::{EdgeEvent, TopologyDiffer};
 use crate::model::MobilityModel;
 use crate::report::{BroadcastSample, EpochRecord, MaintenanceTimings, MobilityReport};
 use dsnet_cluster::invariants::{check_core, DirtyAudit};
-use dsnet_cluster::{GroupId, McNet, MoveInReport, NodeStatus};
+use dsnet_cluster::{GroupId, McNet, MoveInReport, MoveOutError, NodeStatus};
 use dsnet_geom::{Deployment, Point2};
 use dsnet_graph::NodeId;
 use dsnet_protocols::runner::{run, Broadcast, Protocol};
@@ -412,15 +412,17 @@ impl MobileNetwork {
                 s.still_dirty.push(u); // isolated: nothing to re-attach to
                 continue;
             }
-            if self.mc.net().can_move_out(self.node_of[u]).is_err() {
-                s.still_dirty.push(u); // momentarily a cut vertex
-                continue;
-            }
+            let out = match self.mc.move_out(self.node_of[u]) {
+                Err(MoveOutError::WouldDisconnect(_)) => {
+                    s.still_dirty.push(u); // momentarily a cut vertex
+                    continue;
+                }
+                other => other.expect("a dirty non-root node is attached"),
+            };
             // Surviving endpoints of the removed (old recorded) and
             // inserted (new desired) edges — the audit's dirty set.
             s.dirty_ids.extend_from_slice(&s.actual);
             s.dirty_ids.extend_from_slice(&s.desired);
-            let out = self.mc.move_out_previewed(self.node_of[u]);
             move_out_rounds += out.cost.total();
             rehomed += out.rehomed.len();
             s.dirty_ids.extend_from_slice(&out.rehomed);

@@ -41,6 +41,11 @@
 //! provably emits the artifacts an uninterrupted run would have — the
 //! `resume` determinism-smoke axis kills a campaign at an injected
 //! crash point and diffs exactly that.
+//!
+//! `perf --compare BASELINE --max-regress 1` is the counters-only check:
+//! a throughput ratio is never negative, so it fails only when a
+//! deterministic counter drifted or is missing — a machine-independent
+//! test that two builds simulate the same thing.
 
 use dsnet::campaign_engine::{
     parse_repair, render_csv, render_json, render_trials_csv, spec_fingerprint, write_artifact,
@@ -172,7 +177,8 @@ fn usage() -> ! {
          [--retries R] [--threads T] [--json FILE] [--csv FILE] \
          [--trials] [--no-trace] [--quiet] [--journal FILE | --resume FILE]\n\
          perf: dsnet perf [--quick] [--threads T] [--out FILE] [--date YYYY-MM-DD] \
-         [--compare BASELINE.json] [--max-regress F] [--quiet]\n\
+         [--compare BASELINE.json] [--max-regress F] [--quiet] \
+         (--max-regress 1 compares the exact counters only)\n\
          scale: dsnet scale --nodes N --seed S [--threads T] [--shards CELLS] \
          [--protocol cff|cff1|rcff|dfo] [--channels K] [--quiet]\n\
          serve: dsnet serve [--tcp ADDR] [--unix PATH] [--max-sessions N] \

@@ -2,8 +2,8 @@
 //!
 //! One module per figure/table. Each `run` is one call of the
 //! crate-internal sweep executor (`common::sweep`) and one row of the
-//! [`ALL`] registry, which drives both [`all_tables`] and the `figures`
-//! binary in `dsnet-bench`; EXPERIMENTS.md records the tables:
+//! [`ALL`] registry, which drives both [`all_tables`] and this crate's
+//! `figures` binary; EXPERIMENTS.md records the tables:
 //!
 //! * [`fig8`] — broadcast latency, CFF vs DFO (paper Figure 8);
 //! * [`fig9`] — awake rounds, CFF vs DFO (paper Figure 9);

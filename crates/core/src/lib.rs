@@ -41,8 +41,8 @@
 //!
 //! The [`experiments`] module regenerates every figure of the paper's
 //! evaluation (Figures 8–11) plus the extension tables listed in
-//! DESIGN.md; the `dsnet-bench` crate wraps them in Criterion benches and
-//! the `figures` binary.
+//! DESIGN.md; this crate's `figures` binary prints them
+//! (`cargo run -p dsnet --release --bin figures`).
 
 pub mod builder;
 pub mod campaign;

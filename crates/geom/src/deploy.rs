@@ -1,41 +1,20 @@
-//! Seeded node-placement generators.
+//! Seeded node-placement generator.
 //!
 //! The paper (Section 6) deploys `n` nodes on a square field with a 0.5-unit
 //! radio range and then runs every protocol on the resulting unit-disk
 //! graph. All protocols assume the graph is *connected* (CNet(G) is a
 //! spanning tree), and the architecture itself is built by adding nodes one
 //! at a time with `node-move-in`, each new node arriving inside the radio
-//! range of the existing network. [`DeploymentStrategy::IncrementalConnected`]
-//! reproduces exactly that regime and is the default for all experiments.
-//!
-//! Two additional generators are provided: a plain uniform scatter (with
-//! rejection until the graph is connected — only practical at high density)
-//! and a grid-with-jitter placement useful for dense, regular topologies in
-//! tests and ablations.
+//! range of the existing network. [`Deployment::generate`] reproduces
+//! exactly that regime: every node after the first lands within range of
+//! an already-placed one, so the unit-disk graph is connected by
+//! construction.
 
 use crate::point::Point2;
 use crate::region::Region;
 use crate::rng::{rng_from_seed, Rng};
 use crate::spatial::GridIndex;
 use rand::Rng as _;
-
-/// How node positions are drawn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeploymentStrategy {
-    /// Nodes are added one at a time; each candidate position is rejected
-    /// unless it lies within radio range of an already-placed node (the
-    /// first node seeds the process near the field centre). This mirrors
-    /// the paper's dynamic `node-move-in` regime and guarantees a connected
-    /// unit-disk graph by construction.
-    IncrementalConnected,
-    /// Uniform i.i.d. scatter over the field. The resulting graph may be
-    /// disconnected at the paper's density; use
-    /// [`Deployment::is_connected_hint`] or the graph crate to check.
-    UniformScatter,
-    /// Perturbed grid: nodes on a √n×√n lattice with uniform jitter of at
-    /// most half a lattice step. Produces dense, well-connected graphs.
-    GridJitter,
-}
 
 /// Full description of a deployment to generate.
 #[derive(Debug, Clone, Copy)]
@@ -46,8 +25,6 @@ pub struct DeploymentConfig {
     pub n: usize,
     /// Radio range in field units (0.5 for the paper's 50 m).
     pub range: f64,
-    /// Placement strategy.
-    pub strategy: DeploymentStrategy,
     /// RNG seed; equal seeds give identical deployments.
     pub seed: u64,
 }
@@ -60,7 +37,6 @@ impl DeploymentConfig {
             region: Region::paper_10x10(),
             n,
             range: crate::PAPER_RANGE_UNITS,
-            strategy: DeploymentStrategy::IncrementalConnected,
             seed,
         }
     }
@@ -72,7 +48,6 @@ impl DeploymentConfig {
             region: Region::square(side),
             n,
             range: crate::PAPER_RANGE_UNITS,
-            strategy: DeploymentStrategy::IncrementalConnected,
             seed,
         }
     }
@@ -90,12 +65,7 @@ pub struct Deployment {
 impl Deployment {
     /// Generate a deployment according to `config`.
     pub fn generate(config: DeploymentConfig) -> Self {
-        let mut rng = rng_from_seed(config.seed);
-        let positions = match config.strategy {
-            DeploymentStrategy::IncrementalConnected => incremental_connected(&config, &mut rng),
-            DeploymentStrategy::UniformScatter => uniform_scatter(&config, &mut rng),
-            DeploymentStrategy::GridJitter => grid_jitter(&config, &mut rng),
-        };
+        let positions = incremental_connected(&config, &mut rng_from_seed(config.seed));
         Self { config, positions }
     }
 
@@ -110,9 +80,9 @@ impl Deployment {
     }
 
     /// Cheap structural hint: `true` if every node (in arrival order) has a
-    /// predecessor within range, which for the incremental strategy proves
-    /// connectivity. For other strategies a `false` here does *not* imply
-    /// disconnection; use the graph crate for an exact check.
+    /// predecessor within range, which proves connectivity. A `false` does
+    /// *not* imply disconnection (a later arrival may bridge the gap); use
+    /// the graph crate for an exact check.
     pub fn is_connected_hint(&self) -> bool {
         if self.positions.len() <= 1 {
             return true;
@@ -196,39 +166,6 @@ fn incremental_connected(config: &DeploymentConfig, rng: &mut Rng) -> Vec<Point2
     out
 }
 
-fn uniform_scatter(config: &DeploymentConfig, rng: &mut Rng) -> Vec<Point2> {
-    (0..config.n)
-        .map(|_| uniform_point(config.region, rng))
-        .collect()
-}
-
-fn grid_jitter(config: &DeploymentConfig, rng: &mut Rng) -> Vec<Point2> {
-    let region = config.region;
-    let n = config.n;
-    if n == 0 {
-        return Vec::new();
-    }
-    let cols = (n as f64).sqrt().ceil() as usize;
-    let rows = n.div_ceil(cols);
-    let sx = region.width() / cols as f64;
-    let sy = region.height() / rows as f64;
-    let mut out = Vec::with_capacity(n);
-    'outer: for row in 0..rows {
-        for col in 0..cols {
-            if out.len() == n {
-                break 'outer;
-            }
-            let base = Point2::new((col as f64 + 0.5) * sx, (row as f64 + 0.5) * sy);
-            let jitter = Point2::new(
-                rng.random_range(-0.5 * sx..=0.5 * sx) * 0.9,
-                rng.random_range(-0.5 * sy..=0.5 * sy) * 0.9,
-            );
-            out.push(region.clamp(base + jitter));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,46 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn grid_jitter_covers_the_field() {
-        let cfg = DeploymentConfig {
-            region: Region::square(10.0),
-            n: 100,
-            range: 0.5,
-            strategy: DeploymentStrategy::GridJitter,
-            seed: 1,
-        };
-        let dep = Deployment::generate(cfg);
-        assert_eq!(dep.len(), 100);
-        // Spread check: points land in all four quadrants.
-        let c = cfg.region.center();
-        let quads = [
-            dep.positions.iter().any(|p| p.x < c.x && p.y < c.y),
-            dep.positions.iter().any(|p| p.x >= c.x && p.y < c.y),
-            dep.positions.iter().any(|p| p.x < c.x && p.y >= c.y),
-            dep.positions.iter().any(|p| p.x >= c.x && p.y >= c.y),
-        ];
-        assert!(quads.iter().all(|&q| q));
-    }
-
-    #[test]
-    fn uniform_scatter_has_exact_count() {
-        let cfg = DeploymentConfig {
-            region: Region::square(4.0),
-            n: 57,
-            range: 0.5,
-            strategy: DeploymentStrategy::UniformScatter,
-            seed: 3,
-        };
-        assert_eq!(Deployment::generate(cfg).len(), 57);
-    }
-
-    #[test]
     fn empty_deployment_is_fine() {
         let cfg = DeploymentConfig {
             region: Region::square(4.0),
             n: 0,
             range: 0.5,
-            strategy: DeploymentStrategy::IncrementalConnected,
             seed: 3,
         };
         let dep = Deployment::generate(cfg);

@@ -12,10 +12,9 @@
 //!   paper's three field sizes),
 //! * [`GridIndex`] — a uniform-grid spatial hash used to answer "who is in
 //!   radio range of this point?" queries in O(neighbours) time,
-//! * [`deploy`] — seeded placement generators, most importantly
-//!   [`DeploymentStrategy::IncrementalConnected`], which mirrors the paper's dynamic
-//!   node-move-in regime by ensuring every node lands within range of the
-//!   already-deployed network.
+//! * [`deploy`] — the seeded placement generator [`Deployment::generate`],
+//!   which mirrors the paper's dynamic node-move-in regime by ensuring
+//!   every node lands within range of the already-deployed network.
 //!
 //! Everything is deterministic given a seed; no global RNG state is used.
 
@@ -25,7 +24,7 @@ pub mod region;
 pub mod rng;
 pub mod spatial;
 
-pub use deploy::{Deployment, DeploymentConfig, DeploymentStrategy};
+pub use deploy::{Deployment, DeploymentConfig};
 pub use point::Point2;
 pub use region::Region;
 pub use spatial::GridIndex;

@@ -51,11 +51,6 @@ impl Point2 {
     pub fn midpoint(&self, other: Point2) -> Point2 {
         Point2::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
     }
-
-    /// Squared length of this point treated as a vector from the origin.
-    pub fn norm_sq(&self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
 }
 
 impl Add for Point2 {

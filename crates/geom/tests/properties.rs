@@ -1,6 +1,6 @@
 //! Property-based tests of the geometry layer.
 
-use dsnet_geom::{Deployment, DeploymentConfig, DeploymentStrategy, GridIndex, Point2, Region};
+use dsnet_geom::{Deployment, DeploymentConfig, GridIndex, Point2, Region};
 use proptest::prelude::*;
 
 proptest! {
@@ -76,7 +76,6 @@ proptest! {
             region: Region::square(side),
             n,
             range: 0.5,
-            strategy: DeploymentStrategy::IncrementalConnected,
             seed,
         };
         let a = Deployment::generate(cfg);

@@ -96,7 +96,6 @@ mod tests {
             region: Region::paper_8x8(),
             n: 150,
             range: 0.5,
-            strategy: dsnet_geom::DeploymentStrategy::IncrementalConnected,
             seed: 4,
         });
         let g = graph_of_deployment(&dep);

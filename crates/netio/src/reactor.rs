@@ -173,10 +173,6 @@ impl PushHandle {
         self.0.shard.waker.wake();
         true
     }
-
-    pub fn is_closed(&self) -> bool {
-        self.0.closed.load(Ordering::Acquire)
-    }
 }
 
 /// Reactor tuning knobs.

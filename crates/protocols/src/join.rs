@@ -141,11 +141,6 @@ impl JoinProgram {
             _ => None,
         }
     }
-
-    /// Whether the newcomer has stopped probing.
-    pub fn is_finished(&self) -> bool {
-        matches!(&self.role, Role::Newcomer { finished: true, .. })
-    }
 }
 
 impl NodeProgram for JoinProgram {

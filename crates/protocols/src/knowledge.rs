@@ -558,40 +558,11 @@ fn patch_knowledge(
     Some((k, r.len()))
 }
 
-/// A version-keyed cache for [`NetKnowledge`] snapshots.
-///
-/// The cache keys snapshots on [`ClusterNet::structure_version`]:
-/// repeated broadcasts over an unchanged structure reuse the `Arc`ed
-/// snapshot. When the version moved, the cache first tries the
-/// dirty-scoped **patch path** ([`patch_knowledge`]) against the freshest
-/// retained entry, and only falls back to a from-scratch
-/// [`build_knowledge`] when the mutation journal cannot vouch for the
-/// cached version or the dirty set exceeds the staleness threshold
-/// (`max(64, nodes/8)` by default). Correctness leans on the version
-/// contract — equal versions imply identical structure — plus the
-/// patched-equals-rebuilt property pinned by `knowledge_patch_props` and
-/// `tests/cache_equivalence.rs`, so the cached path is observably
-/// indistinguishable from rebuilding every time.
-///
-/// The cache keeps the **last two** `(version, knowledge)` entries in
-/// MRU order. One entry is enough for static workloads, but callers that
-/// alternate between two structures per epoch (a mobility probe against
-/// the pre- and post-repair structure, an A/B comparison harness) would
-/// thrash a single slot every access.
-///
-/// Counter semantics: a `get` is a *hit* when the version matches a
-/// retained entry and a *miss* otherwise; `patched` counts the subset of
-/// misses served by the patch path instead of a full rebuild (so
-/// `hits + misses` equals the number of `get` calls regardless of how a
-/// miss was served). [`KnowledgeCache::full_stats`] additionally exposes
-/// the summed patch closure size and the fallback count. Setting the
-/// environment variable `DSNET_KNOWLEDGE_PATCH=off` (read at cache
-/// construction) disables the patch path entirely — the determinism
-/// smoke diffs traced streams between both modes.
-#[derive(Debug, Default)]
+/// The retained snapshot and the lifetime counters, under one lock.
+#[derive(Debug, Default, Clone)]
 struct CacheState {
-    /// MRU-ordered entries: index 0 is the most recently used.
-    entries: Vec<(u64, Arc<NetKnowledge>)>,
+    /// The newest `(structure version, snapshot)` pair served.
+    entry: Option<(u64, Arc<NetKnowledge>)>,
     hits: u64,
     misses: u64,
     patched: u64,
@@ -602,7 +573,7 @@ struct CacheState {
 /// Lifetime counters of a [`KnowledgeCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Gets served from a retained entry (version match).
+    /// Gets served from the retained snapshot (version match).
     pub hits: u64,
     /// Gets that had to produce a new snapshot (patched or rebuilt).
     pub misses: u64,
@@ -610,12 +581,41 @@ pub struct CacheStats {
     pub patched: u64,
     /// Total nodes in the patched closures (scope of all patches).
     pub patched_scope: u64,
-    /// Misses where a retained entry existed but patching was refused
+    /// Misses where a retained snapshot existed but patching was refused
     /// (journal poisoned/evicted, or dirty set over the threshold).
     pub fallbacks: u64,
 }
 
-/// See the type-level docs above; this is the shared handle.
+/// A version-keyed cache for [`NetKnowledge`] snapshots.
+///
+/// The cache keys snapshots on [`ClusterNet::structure_version`]:
+/// repeated broadcasts over an unchanged structure reuse the `Arc`ed
+/// snapshot. When the version moved, the cache first tries the
+/// dirty-scoped **patch path** (`patch_knowledge`) against the retained
+/// snapshot, and only falls back to a from-scratch
+/// [`build_knowledge`] when the mutation journal cannot vouch for the
+/// cached version or the dirty set exceeds the staleness threshold
+/// (`max(64, nodes/8)` by default). Correctness leans on the version
+/// contract — equal versions imply identical structure — plus the
+/// patched-equals-rebuilt property pinned by `knowledge_patch_props` and
+/// `tests/cache_equivalence.rs`, so the cached path is observably
+/// indistinguishable from rebuilding every time.
+///
+/// The cache keeps **one** `(version, knowledge)` entry, the newest. A
+/// cache serves a single structure whose version only grows, so an older
+/// snapshot could never be hit again nor be a better patch base; a miss
+/// replaces the entry, releasing the superseded snapshot as soon as no
+/// caller holds it.
+///
+/// Counter semantics: a `get` is a *hit* when the version matches the
+/// retained entry and a *miss* otherwise; `patched` counts the subset of
+/// misses served by the patch path instead of a full rebuild (so
+/// `hits + misses` equals the number of `get` calls regardless of how a
+/// miss was served). [`KnowledgeCache::full_stats`] additionally exposes
+/// the summed patch closure size and the fallback count. Setting the
+/// environment variable `DSNET_KNOWLEDGE_PATCH=off` (read at cache
+/// construction) disables the patch path entirely — the determinism
+/// smoke diffs traced streams between both modes.
 #[derive(Debug)]
 pub struct KnowledgeCache {
     state: Mutex<CacheState>,
@@ -658,30 +658,22 @@ impl KnowledgeCache {
     }
 
     /// The knowledge snapshot for `net`'s current structure — served from
-    /// cache when the structure version matches either retained entry,
-    /// patched from the freshest stale entry when the mutation journal
-    /// covers the gap, rebuilt otherwise.
+    /// cache when the structure version matches the retained snapshot,
+    /// patched from it when the mutation journal covers the gap, rebuilt
+    /// otherwise.
     pub fn get(&self, net: &ClusterNet) -> Arc<NetKnowledge> {
         let version = net.structure_version();
         let mut state = self.state.lock().expect("knowledge cache poisoned");
-        if let Some(pos) = state.entries.iter().position(|(v, _)| *v == version) {
+        if let Some((_, k)) = state.entry.as_ref().filter(|(v, _)| *v == version) {
+            let k = Arc::clone(k);
             state.hits += 1;
-            let entry = state.entries.remove(pos);
-            let k = Arc::clone(&entry.1);
-            state.entries.insert(0, entry);
             return k;
         }
         state.misses += 1;
-        let base = if self.patch_enabled {
-            state
-                .entries
-                .iter()
-                .filter(|(v, _)| *v < version)
-                .max_by_key(|(v, _)| *v)
-                .map(|(v, k)| (*v, Arc::clone(k)))
-        } else {
-            None
-        };
+        let base = state
+            .entry
+            .take()
+            .filter(|(v, _)| self.patch_enabled && *v < version);
         if let Some((base_version, base)) = base {
             let limit = self
                 .patch_limit
@@ -691,22 +683,19 @@ impl KnowledgeCache {
                     state.patched += 1;
                     state.patched_scope += scope as u64;
                     let k = Arc::new(patched);
-                    state.entries.insert(0, (version, Arc::clone(&k)));
-                    state.entries.truncate(2);
+                    state.entry = Some((version, Arc::clone(&k)));
                     return k;
                 }
                 None => state.fallbacks += 1,
             }
         }
         let k = Arc::new(build_knowledge(net));
-        state.entries.insert(0, (version, Arc::clone(&k)));
-        state.entries.truncate(2);
+        state.entry = Some((version, Arc::clone(&k)));
         k
     }
 
     /// Lifetime totals of `(hits, misses, patched)` across every
-    /// [`KnowledgeCache::get`] call (including gets after a
-    /// [`KnowledgeCache::clear`]). `patched` is the subset of misses
+    /// [`KnowledgeCache::get`] call. `patched` is the subset of misses
     /// served by the dirty-scoped patch path.
     pub fn stats(&self) -> (u64, u64, u64) {
         let state = self.state.lock().expect("knowledge cache poisoned");
@@ -724,44 +713,14 @@ impl KnowledgeCache {
             fallbacks: state.fallbacks,
         }
     }
-
-    /// Drop any cached snapshots (the next [`KnowledgeCache::get`]
-    /// rebuilds). Never needed for correctness — the version key already
-    /// invalidates — but lets callers release memory early. Statistics
-    /// are retained.
-    pub fn clear(&self) {
-        self.state
-            .lock()
-            .expect("knowledge cache poisoned")
-            .entries
-            .clear();
-    }
 }
 
 impl Clone for KnowledgeCache {
     fn clone(&self) -> Self {
-        // Snapshot under the lock — `Arc` clones, no deep copies — and
-        // build the clone outside the critical section.
-        let (entries, hits, misses, patched, patched_scope, fallbacks) = {
-            let state = self.state.lock().expect("knowledge cache poisoned");
-            (
-                state.entries.clone(),
-                state.hits,
-                state.misses,
-                state.patched,
-                state.patched_scope,
-                state.fallbacks,
-            )
-        };
+        // `Arc` clones, no deep copies.
+        let state = self.state.lock().expect("knowledge cache poisoned").clone();
         Self {
-            state: Mutex::new(CacheState {
-                entries,
-                hits,
-                misses,
-                patched,
-                patched_scope,
-                fallbacks,
-            }),
+            state: Mutex::new(state),
             patch_enabled: self.patch_enabled,
             patch_limit: self.patch_limit,
         }
@@ -980,14 +939,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_clear_releases_but_stays_correct() {
-        let net = chain_net(6);
+    fn superseded_snapshot_is_released() {
+        let mut net = chain_net(10);
         let cache = KnowledgeCache::new();
-        let a = cache.get(&net);
-        cache.clear();
-        let b = cache.get(&net);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, *b);
+        let first = cache.get(&net);
+        net.move_in(&[NodeId(9)]).unwrap();
+        let _second = cache.get(&net);
+        assert_eq!(
+            Arc::strong_count(&first),
+            1,
+            "the cache must not retain a superseded snapshot"
+        );
     }
 
     #[test]

@@ -33,17 +33,9 @@
 
 use crate::cff::{uplink_step, CffSchedule};
 use crate::knowledge::{NetKnowledge, Session};
+use dsnet_geom::rng::splitmix64;
 use dsnet_graph::NodeId;
 use dsnet_radio::{Action, NodeCtx, NodeProgram, Round};
-
-/// SplitMix64 finalizer — deterministic per-(node, epoch) backoff bit.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Over-the-air packet of the reliable flood.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,7 +141,7 @@ impl ReliableCffProgram {
             // Send with probability 3/4: enough asymmetry that colliding
             // siblings separate within a few epochs, cheap enough that a
             // lone frontier node rarely wastes a retry epoch.
-            _ => mix(((self.id.0 as u64) << 32) ^ e) & 3 != 3,
+            _ => splitmix64(((self.id.0 as u64) << 32) ^ e) & 3 != 3,
         }
     }
 }

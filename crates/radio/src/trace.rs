@@ -172,17 +172,6 @@ impl Trace {
             .expect("collision_count() on a disabled trace: enable record_trace or use try_collision_count()")
     }
 
-    /// Number of receptions destroyed by channel loss, or `None` when the
-    /// trace was disabled and the count is unknowable.
-    pub fn try_drop_count(&self) -> Option<usize> {
-        self.enabled.then(|| {
-            self.events
-                .iter()
-                .filter(|e| matches!(e, TraceEvent::LinkDrop { .. }))
-                .count()
-        })
-    }
-
     /// Number of clean deliveries over the run.
     pub fn delivery_count(&self) -> usize {
         self.events

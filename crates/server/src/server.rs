@@ -21,7 +21,7 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -183,11 +183,6 @@ impl Server {
         self.host.begin_drain();
         self.reactor.begin_drain();
         self.signal.trigger();
-    }
-
-    /// Whether shutdown has been requested (by any path).
-    pub fn is_stopping(&self) -> bool {
-        self.signal.is_stopped()
     }
 
     /// Block until shutdown is requested, then stop accepting and give
@@ -549,9 +544,4 @@ pub fn install_sigint_handler() {
 /// Whether SIGINT has been received since the handler was installed.
 pub fn sigint_received() -> bool {
     SIGINT.load(Ordering::SeqCst)
-}
-
-/// Remove a unix socket path best-effort (for CLI cleanup on bind races).
-pub fn cleanup_socket(path: &Path) {
-    let _ = std::fs::remove_file(path);
 }

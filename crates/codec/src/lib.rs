@@ -13,8 +13,6 @@
 //! * **Objects preserve insertion order** (a `Vec` of pairs, not a map),
 //!   so rendering is deterministic and round-trips are byte-stable.
 
-pub mod binary;
-
 use std::fmt::Write as _;
 
 /// A JSON value (integer-only numbers; see module docs).

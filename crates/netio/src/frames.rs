@@ -1,7 +1,8 @@
 //! Tear-free length-prefixed frame buffers for non-blocking streams.
 //!
 //! The wire format is dsnet-server's: a 4-byte big-endian payload
-//! length followed by the payload, with a hard cap on payload size.
+//! length followed by the payload, with a hard cap ([`MAX_FRAME`]) on
+//! payload size.
 //! [`FrameReader`] accumulates whatever bytes the socket yields and
 //! only ever surfaces *complete* payloads; [`FrameWriter`] queues
 //! whole frames and flushes as far as the socket allows, tracking the
@@ -12,6 +13,10 @@ use std::io::{self, Write};
 
 /// Length prefix size in bytes (big-endian u32).
 pub const LEN_PREFIX: usize = 4;
+
+/// Hard ceiling on frame payload size (1 MiB), enforced by the reactor's
+/// readers and by dsnet-server's blocking frame codec.
+pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Frame-level fault: the connection is unrecoverable after this
 /// (the reader can no longer find the next frame boundary).

@@ -24,7 +24,7 @@ pub mod reactor;
 pub mod sys;
 pub mod wake;
 
-pub use frames::{FrameError, FrameReader, FrameWriter, LEN_PREFIX};
+pub use frames::{FrameError, FrameReader, FrameWriter, LEN_PREFIX, MAX_FRAME};
 pub use poller::{Backend, Event, Interest, Poller};
 pub use reactor::{
     Action, ConnCx, Handler, HandlerFactory, Listener, NetStream, PushHandle, Reactor,
@@ -252,8 +252,7 @@ mod reactor_tests {
             Arc::new(|| Box::new(Echo) as Box<dyn Handler>),
             ReactorConfig {
                 shards: 1, // both conns share one event loop
-                read_deadline: Some(Duration::from_millis(200)),
-                ..ReactorConfig::default()
+                read_deadline: Duration::from_millis(200),
             },
         )
         .unwrap();

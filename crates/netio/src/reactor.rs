@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::frames::{FrameError, FrameReader, FrameWriter};
+use crate::frames::{FrameError, FrameReader, FrameWriter, MAX_FRAME};
 use crate::poller::{Event, Interest, Poller};
 use crate::sys;
 use crate::wake::{wake_pair, WakeReader, Waker};
@@ -175,30 +175,27 @@ impl PushHandle {
     }
 }
 
-/// Reactor tuning knobs.
+/// Reactor tuning knobs. Every reader enforces the [`MAX_FRAME`]
+/// payload cap.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Worker event loops; 0 means `min(available cores, 8)`.
     pub shards: usize,
-    /// Frame payload cap enforced at the reader.
-    pub max_frame: usize,
-    /// Close a connection that has been parked mid-frame for this
-    /// long. `None` waits forever (matches the old blocking daemon).
-    pub read_deadline: Option<Duration>,
-    /// Total budget for flushing pending writes during a hard stop.
-    pub hard_stop_flush: Duration,
+    /// Close a connection that has been parked mid-frame for this long.
+    pub read_deadline: Duration,
 }
 
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             shards: 0,
-            max_frame: 1 << 20,
-            read_deadline: Some(Duration::from_secs(30)),
-            hard_stop_flush: Duration::from_millis(500),
+            read_deadline: Duration::from_secs(30),
         }
     }
 }
+
+/// Total budget for flushing pending writes during a hard stop.
+const HARD_STOP_FLUSH: Duration = Duration::from_millis(500);
 
 fn resolve_shards(requested: usize) -> usize {
     if requested > 0 {
@@ -529,7 +526,7 @@ impl Shard {
     }
 
     fn next_deadline_timeout(&self) -> Option<Duration> {
-        let deadline = self.config.read_deadline?;
+        let deadline = self.config.read_deadline;
         if self.mid_count == 0 {
             return None;
         }
@@ -748,7 +745,7 @@ impl Shard {
             self.conns[token] = Some(Conn {
                 stream,
                 fd,
-                reader: FrameReader::new(self.config.max_frame),
+                reader: FrameReader::new(MAX_FRAME as usize),
                 writer: FrameWriter::new(),
                 handler: (self.factory)(),
                 shared,
@@ -791,9 +788,7 @@ impl Shard {
     }
 
     fn enforce_deadlines(&mut self) {
-        let Some(deadline) = self.config.read_deadline else {
-            return;
-        };
+        let deadline = self.config.read_deadline;
         if self.mid_count == 0 {
             return;
         }
@@ -831,7 +826,7 @@ impl Shard {
     /// everything. Writes stop at frame boundaries whenever the
     /// budget allows the in-flight frame to complete.
     fn hard_close_all(&mut self) {
-        let budget = Instant::now() + self.config.hard_stop_flush;
+        let budget = Instant::now() + HARD_STOP_FLUSH;
         for token in 0..self.conns.len() {
             {
                 let Some(conn) = self.conns[token].as_mut() else {

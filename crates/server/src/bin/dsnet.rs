@@ -18,7 +18,7 @@
 //! dsnet scale     --nodes 10000 --seed 7 [--threads T] [--shards CELLS] \
 //!                 [--protocol cff|cff1|rcff|dfo] [--channels k] [--quiet]
 //! dsnet serve     [--tcp ADDR] [--unix PATH] [--max-sessions N] [--shards N] [--quiet]
-//! dsnet client    (--tcp ADDR | --unix PATH) [--session NAME] [--binary] \
+//! dsnet client    (--tcp ADDR | --unix PATH) [--session NAME] \
 //!                 (--ping | --create | --destroy | --script FILE [--keep] | \
 //!                  --stream | --peek | --watch [--count K] | --shutdown) \
 //!                 [--nodes N] [--seed S] [--field SIDE] [--groups G] [--density P]
@@ -31,9 +31,10 @@
 //! prints the full traced event stream of one density-scaled broadcast —
 //! byte-identical for any `--threads`/`--shards` value, which is exactly
 //! what the `scale` determinism-smoke axis diffs. `client
-//! --script` against a live daemon and `direct --script` print the same
-//! deterministic event stream for the same spec and script — CI diffs
-//! the two (the server determinism-smoke axis).
+//! --script` against a live daemon (over its JSON wire protocol) and
+//! `direct --script` print the same deterministic event stream for the
+//! same spec and script — CI diffs the two (the `server-reactor`
+//! determinism-smoke axis).
 //!
 //! `campaign --journal FILE` appends a crash-consistent intent/commit
 //! record per trial to an fsync'd journal; after a crash, `campaign
@@ -61,7 +62,7 @@ use dsnet::{
 use dsnet_graph::NodeId;
 use dsnet_radio::LossModel;
 use dsnet_server::protocol::{parse_script, protocol_from_label};
-use dsnet_server::{run_script, Client, ClientError, FrameFormat, ServeOptions, Server};
+use dsnet_server::{run_script, Client, ClientError, ServeOptions, Server};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -105,7 +106,6 @@ struct Args {
     unix_sock: Option<String>,
     max_sessions: usize,
     shards: usize,
-    binary: bool,
     session: Option<String>,
     script: Option<String>,
     action: Option<&'static str>,
@@ -153,7 +153,6 @@ impl Default for Args {
             unix_sock: None,
             max_sessions: 0,
             shards: 0,
-            binary: false,
             session: None,
             script: None,
             action: None,
@@ -183,7 +182,7 @@ fn usage() -> ! {
          [--protocol cff|cff1|rcff|dfo] [--channels K] [--quiet]\n\
          serve: dsnet serve [--tcp ADDR] [--unix PATH] [--max-sessions N] \
          [--shards N] [--quiet]\n\
-         client: dsnet client (--tcp ADDR | --unix PATH) [--session NAME] [--binary] \
+         client: dsnet client (--tcp ADDR | --unix PATH) [--session NAME] \
          (--ping | --create | --destroy | --script FILE [--keep] | --stream | \
          --peek | --watch [--count K] | --shutdown) \
          [--nodes N] [--seed S] [--field SIDE] [--groups G] [--density P]\n\
@@ -246,7 +245,6 @@ fn parse() -> (String, Args) {
             "--unix" => a.unix_sock = Some(val()),
             "--max-sessions" => a.max_sessions = val().parse().unwrap_or_else(|_| usage()),
             "--shards" => a.shards = val().parse().unwrap_or_else(|_| usage()),
-            "--binary" => a.binary = true,
             "--session" => a.session = Some(val()),
             "--script" => {
                 a.script = Some(val());
@@ -683,9 +681,6 @@ fn load_script(a: &Args) -> Vec<dsnet::SessionCommand> {
 
 fn run_client_cmd(a: &Args) {
     let mut client = connect_client(a);
-    if a.binary {
-        client_ok(client.negotiate(FrameFormat::Binary));
-    }
     let session = || {
         a.session.clone().unwrap_or_else(|| {
             eprintln!("client: this action needs --session NAME");

@@ -12,7 +12,7 @@ use dsnet::{SessionCommand, SessionSpec};
 use crate::json::Json;
 use crate::protocol::{
     decode_response_bytes, encode_request_bytes, read_frame_bytes, write_frame_bytes, Body,
-    ErrKind, FrameFormat, Op, PayloadFault, Request, WireError,
+    ErrKind, FrameFormat, Op, Request, Response, WireError,
 };
 
 /// A client-side failure: transport fault or a typed server error.
@@ -55,7 +55,6 @@ impl ClientStream for UnixStream {}
 pub struct Client {
     stream: Box<dyn ClientStream>,
     next_id: u64,
-    format: FrameFormat,
 }
 
 impl Client {
@@ -66,7 +65,6 @@ impl Client {
         Ok(Client {
             stream: Box::new(stream),
             next_id: 1,
-            format: FrameFormat::Json,
         })
     }
 
@@ -75,41 +73,32 @@ impl Client {
         Ok(Client {
             stream: Box::new(UnixStream::connect(path)?),
             next_id: 1,
-            format: FrameFormat::Json,
         })
     }
 
-    /// The payload format currently in effect on this connection.
-    pub fn format(&self) -> FrameFormat {
-        self.format
+    /// Send one request frame; returns its correlation id.
+    fn send(&mut self, op: Op) -> Result<u64, WireError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let payload = encode_request_bytes(&Request { id, op }, FrameFormat::Json);
+        write_frame_bytes(&mut self.stream, &payload)?;
+        Ok(id)
     }
 
-    /// Negotiate the connection's payload format. The server acks in
-    /// the old format and switches after, so the switch here happens
-    /// once the ack has been read. A no-op when already negotiated.
-    pub fn negotiate(&mut self, format: FrameFormat) -> Result<(), ClientError> {
-        if format == self.format {
-            return Ok(());
-        }
-        self.request_ok(Op::Frames { format })?;
-        self.format = format;
-        Ok(())
+    /// Read and decode the next response frame.
+    fn recv(&mut self) -> Result<Response, WireError> {
+        let payload = read_frame_bytes(&mut self.stream)?;
+        decode_response_bytes(&payload, FrameFormat::Json)
+            .map_err(|f| WireError::Malformed(f.detail().to_string()))
     }
 
     /// Issue one request and wait for its response body. Pushed event
     /// frames (id 0) arriving out of band are skipped — they belong to
     /// watch mode.
     pub fn request(&mut self, op: Op) -> Result<Body, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame_bytes(
-            &mut self.stream,
-            &encode_request_bytes(&Request { id, op }, self.format),
-        )?;
+        let id = self.send(op)?;
         loop {
-            let payload = read_frame_bytes(&mut self.stream)?;
-            let resp = decode_response_bytes(&payload, self.format)
-                .map_err(|f: PayloadFault| WireError::Malformed(f.detail().to_string()))?;
+            let resp = self.recv()?;
             if resp.id == id {
                 return match resp.body {
                     Body::Err { kind, detail } => Err(ClientError::Server { kind, detail }),
@@ -206,27 +195,15 @@ impl Client {
         session: &str,
         mut on_line: impl FnMut(&str) -> bool,
     ) -> Result<(), ClientError> {
-        let id = self.next_id;
-        write_frame_bytes(
-            &mut self.stream,
-            &encode_request_bytes(
-                &Request {
-                    id,
-                    op: Op::Watch {
-                        session: session.into(),
-                    },
-                },
-                self.format,
-            ),
-        )?;
+        self.send(Op::Watch {
+            session: session.into(),
+        })?;
         loop {
-            let payload = match read_frame_bytes(&mut self.stream) {
-                Ok(p) => p,
+            let resp = match self.recv() {
+                Ok(resp) => resp,
                 Err(WireError::Closed) => return Ok(()),
                 Err(e) => return Err(e.into()),
             };
-            let resp = decode_response_bytes(&payload, self.format)
-                .map_err(|f: PayloadFault| WireError::Malformed(f.detail().to_string()))?;
             match resp.body {
                 Body::Ok(_) => {}
                 Body::Err { kind, detail } => return Err(ClientError::Server { kind, detail }),

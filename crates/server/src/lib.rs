@@ -4,16 +4,15 @@
 //!
 //! This crate turns the `dsnet` library into a daemon: many concurrent,
 //! fully isolated network sessions (tenants), each an executor over one
-//! [`dsnet::SensorNetwork`], driven over a length-prefixed wire
-//! protocol (JSON or negotiated binary payloads) on TCP and unix
-//! sockets.
+//! [`dsnet::SensorNetwork`], driven over a length-prefixed JSON wire
+//! protocol on TCP and unix sockets.
 //!
 //! ## Layers
 //!
 //! | module | what it provides |
 //! |---|---|
-//! | [`json`] | integer-only JSON value model + the binary codec (no external deps) |
-//! | [`protocol`] | framing, request/response grammar, format negotiation, error taxonomy |
+//! | [`json`] | re-export of the integer-only JSON value model of [`dsnet_codec`] |
+//! | [`protocol`] | framing, request/response grammar, error taxonomy |
 //! | [`host`] | the multi-tenant session host (capacity, drain, watch) |
 //! | [`server`] | the daemon on the sharded `dsnet-netio` reactor, plus graceful shutdown and SIGINT |
 //! | [`client`] | blocking client + scripted session runner |
@@ -29,10 +28,9 @@
 //! per-session event stream (`stream` op, [`dsnet::session::render_stream`]
 //! with timing off) byte-identical to the same sequence applied directly
 //! to a [`dsnet::NetSession`]. Both paths run the same executor; the
-//! server adds transport, never semantics — under either payload format
-//! ([`protocol::FrameFormat`]). CI pins this with the `server-reactor`
-//! determinism-smoke axis; both formats are asserted in
-//! `tests/reactor.rs`.
+//! server adds transport, never semantics. CI pins this with the
+//! `server-reactor` determinism-smoke axis, and `tests/reactor.rs`
+//! asserts it in-process.
 
 pub mod client;
 pub mod host;
@@ -43,7 +41,5 @@ pub mod server;
 
 pub use client::{run_script, Client, ClientError, ScriptReport};
 pub use host::{Host, HostConfig, HostError, PeekReport};
-pub use protocol::{
-    Body, ErrKind, FrameFormat, Op, PayloadFault, Request, Response, WireError, MAX_FRAME,
-};
+pub use protocol::{Body, ErrKind, Op, PayloadFault, Request, Response, WireError, MAX_FRAME};
 pub use server::{install_sigint_handler, ServeOptions, Server};

@@ -15,19 +15,9 @@
 //! echo the id: `{"id": <u64>, "ok": <value>}` or
 //! `{"id": <u64>, "err": "<kind>", "detail": "<text>"}`. Watch events
 //! arrive as `{"id": 0, "event": <value>}` interleaved on a subscribed
-//! connection. All numbers are integers (see [`crate::json`]).
-//!
-//! ## Payload formats
-//!
-//! The framing (length prefix, 1 MiB cap) is format-independent; the
-//! *payload* encoding is negotiable per connection. Every connection
-//! starts in [`FrameFormat::Json`]; a `{"op": "frames", "format":
-//! "binary"}` request switches it to the tagged binary encoding of the
-//! same value model ([`dsnet_codec::binary`]) — the ack is sent in the
-//! old format, every subsequent frame in the new one. The grammar is
-//! identical in both formats; only the byte-level value encoding
-//! differs, so the [`request_to_json`]/[`request_from_json`] pair (and
-//! the response twins) are the single source of truth for both.
+//! connection. All numbers are integers (see [`crate::json`]), and an
+//! integer field that does not fit its type is a grammar error naming
+//! the field, never a truncated value.
 
 use std::io::{Read, Write};
 
@@ -35,8 +25,7 @@ use dsnet::{Protocol, SessionCommand, SessionSpec};
 
 use crate::json::{obj, parse, Json};
 
-/// Hard ceiling on frame payload size (1 MiB).
-pub const MAX_FRAME: u32 = 1 << 20;
+pub use dsnet_netio::MAX_FRAME;
 
 /// Everything that can go wrong on the wire, split so callers can tell
 /// transport faults from protocol faults.
@@ -151,49 +140,28 @@ pub fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
-/// The negotiable payload encoding of a connection's frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The payload encoding of a frame, which is always JSON.
+///
+/// A shim: the benchmark client passes `FrameFormat::Json` to
+/// [`encode_request_bytes`] and [`decode_response_bytes`], so those two
+/// signatures keep it until the next benchmark change drops it together
+/// with the [`crate::json`] re-export shim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameFormat {
-    /// UTF-8 JSON text (the initial format of every connection).
-    #[default]
+    /// UTF-8 JSON text.
     Json,
-    /// The tagged binary encoding of the same value model
-    /// ([`crate::json::binary`]): no escape handling or digit parsing
-    /// on the hot decode path.
-    Binary,
-}
-
-impl FrameFormat {
-    /// Stable wire label (the `format` field of the `frames` op).
-    pub fn label(self) -> &'static str {
-        match self {
-            FrameFormat::Json => "json",
-            FrameFormat::Binary => "binary",
-        }
-    }
-
-    /// Parse a wire label.
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "json" => FrameFormat::Json,
-            "binary" => FrameFormat::Binary,
-            _ => return None,
-        })
-    }
 }
 
 /// A payload-level decode failure, split by severity so connection
-/// handlers can preserve the error taxonomy the thread server pinned
-/// down: an [`Encoding`](PayloadFault::Encoding) fault means the bytes
-/// aren't a document in the negotiated format at all (the peer's framing
-/// state is suspect — answer id 0 and close), while a
-/// [`Grammar`](PayloadFault::Grammar) fault means a well-formed document
-/// didn't match the protocol grammar (answer id 0, keep the connection
-/// usable).
+/// handlers can preserve the error taxonomy: an
+/// [`Encoding`](PayloadFault::Encoding) fault means the bytes aren't
+/// text at all (the peer's framing state is suspect — answer id 0 and
+/// close), while a [`Grammar`](PayloadFault::Grammar) fault means the
+/// text didn't parse or didn't match the protocol grammar (answer id 0,
+/// keep the connection usable).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PayloadFault {
-    /// Undecodable payload: non-UTF-8 JSON frame, or a binary frame the
-    /// tagged decoder rejects.
+    /// The payload is not UTF-8.
     Encoding(String),
     /// A decodable document with the wrong shape (unknown op, missing
     /// field, reserved id…). Includes JSON *parse* errors, which the
@@ -299,12 +267,6 @@ pub enum Op {
         /// Tenant session name.
         session: String,
     },
-    /// Switch this connection's payload encoding. The ack is sent in
-    /// the *old* format; every frame after it uses the new one.
-    Frames {
-        /// Requested payload encoding.
-        format: FrameFormat,
-    },
     /// Ask the host to drain and exit.
     Shutdown,
 }
@@ -376,15 +338,24 @@ pub fn spec_to_json(spec: &SessionSpec) -> Json {
     ])
 }
 
-fn field_u64(v: &Json, key: &str, default: Option<u64>) -> Result<u64, String> {
+/// Read the value `j` of field `key` as a `T`: a value that is not an
+/// integer, or does not fit `T`, is an error naming the field.
+fn int<T: TryFrom<i64>>(j: &Json, key: &str) -> Result<T, String> {
+    let n = j
+        .as_i64()
+        .ok_or_else(|| format!("field '{key}' must be an integer"))?;
+    T::try_from(n).map_err(|_| {
+        let ty = std::any::type_name::<T>();
+        format!("field '{key}' is out of range for {ty}")
+    })
+}
+
+/// Read field `key` of `v` with [`int`]; an absent field takes
+/// `default`, and is an error when there is none.
+fn field<T: TryFrom<i64>>(v: &Json, key: &str, default: Option<T>) -> Result<T, String> {
     match v.get(key) {
         None => default.ok_or_else(|| format!("missing field '{key}'")),
-        Some(j) => {
-            let n = j
-                .as_i64()
-                .ok_or_else(|| format!("field '{key}' must be an integer"))?;
-            u64::try_from(n).map_err(|_| format!("field '{key}' must be non-negative"))
-        }
+        Some(j) => int(j, key),
     }
 }
 
@@ -394,16 +365,12 @@ fn field_u64(v: &Json, key: &str, default: Option<u64>) -> Result<u64, String> {
 /// seeds above `i64::MAX` round-trip exactly.
 pub fn spec_from_json(v: &Json) -> Result<SessionSpec, String> {
     let d = SessionSpec::default();
-    let seed = match v.get("seed") {
-        None => d.seed,
-        Some(j) => j.as_i64().ok_or("field 'seed' must be an integer")? as u64,
-    };
     Ok(SessionSpec {
-        nodes: field_u64(v, "nodes", Some(d.nodes as u64))? as usize,
-        seed,
-        field_milli: field_u64(v, "field_milli", Some(d.field_milli as u64))? as u32,
-        groups: field_u64(v, "groups", Some(d.groups as u64))? as u16,
-        membership_ppm: field_u64(v, "membership_ppm", Some(d.membership_ppm as u64))? as u32,
+        nodes: field(v, "nodes", Some(d.nodes))?,
+        seed: field::<i64>(v, "seed", Some(d.seed as i64))? as u64,
+        field_milli: field(v, "field_milli", Some(d.field_milli))?,
+        groups: field(v, "groups", Some(d.groups))?,
+        membership_ppm: field(v, "membership_ppm", Some(d.membership_ppm))?,
     })
 }
 
@@ -473,93 +440,58 @@ pub fn command_from_json(v: &Json) -> Result<SessionCommand, String> {
         .get("cmd")
         .and_then(Json::as_str)
         .ok_or("missing string field 'cmd'")?;
-    let node = |key: &str| -> Result<u32, String> { field_u64(v, key, None).map(|n| n as u32) };
+    let node = || field(v, "node", None);
+    // An absent or null source means the sink.
+    let source = || match v.get("source") {
+        None | Some(Json::Null) => Ok(None),
+        Some(j) => int(j, "source").map(Some),
+    };
     Ok(match kind {
         "broadcast" => {
             let label = v.get("protocol").and_then(Json::as_str).unwrap_or("cff");
-            let protocol =
-                protocol_from_label(label).ok_or_else(|| format!("unknown protocol '{label}'"))?;
-            let source = match v.get("source") {
-                None | Some(Json::Null) => None,
-                Some(j) => Some(
-                    j.as_i64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or("field 'source' must be a node id")?,
-                ),
-            };
             SessionCommand::Broadcast {
-                protocol,
-                source,
-                channels: field_u64(v, "channels", Some(1))? as u8,
-                loss_ppm: field_u64(v, "loss_ppm", Some(0))? as u32,
-                retries: field_u64(v, "retries", Some(0))? as u32,
-                min_delivery_ppm: field_u64(v, "min_delivery_ppm", Some(0))? as u32,
+                protocol: protocol_from_label(label)
+                    .ok_or_else(|| format!("unknown protocol '{label}'"))?,
+                source: source()?,
+                channels: field(v, "channels", Some(1))?,
+                loss_ppm: field(v, "loss_ppm", Some(0))?,
+                retries: field(v, "retries", Some(0))?,
+                min_delivery_ppm: field(v, "min_delivery_ppm", Some(0))?,
             }
         }
-        "multicast" => {
-            let source = match v.get("source") {
-                None | Some(Json::Null) => None,
-                Some(j) => Some(
-                    j.as_i64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or("field 'source' must be a node id")?,
-                ),
-            };
-            SessionCommand::Multicast {
-                group: field_u64(v, "group", Some(0))? as u16,
-                source,
-            }
-        }
-        "move_in" => {
-            let coord = |key: &str| -> Result<i64, String> {
-                v.get(key)
-                    .ok_or_else(|| format!("missing field '{key}'"))?
-                    .as_i64()
-                    .ok_or_else(|| format!("field '{key}' must be an integer"))
-            };
-            let groups = match v.get("groups") {
+        "multicast" => SessionCommand::Multicast {
+            group: field(v, "group", Some(0))?,
+            source: source()?,
+        },
+        "move_in" => SessionCommand::MoveIn {
+            x_milli: field(v, "x_milli", None)?,
+            y_milli: field(v, "y_milli", None)?,
+            groups: match v.get("groups") {
                 None => Vec::new(),
                 Some(j) => j
                     .as_arr()
                     .ok_or("field 'groups' must be an array")?
                     .iter()
-                    .map(|g| {
-                        g.as_i64()
-                            .and_then(|n| u16::try_from(n).ok())
-                            .ok_or("group ids must be u16 integers".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            SessionCommand::MoveIn {
-                x_milli: coord("x_milli")?,
-                y_milli: coord("y_milli")?,
-                groups,
-            }
-        }
-        "move_out" => SessionCommand::MoveOut {
-            node: node("node")?,
+                    .map(|g| int(g, "groups"))
+                    .collect::<Result<_, _>>()?,
+            },
         },
-        "kill" => SessionCommand::Kill {
-            node: node("node")?,
-        },
-        "revive" => SessionCommand::Revive {
-            node: node("node")?,
-        },
-        "repair" => SessionCommand::Repair {
-            node: node("node")?,
-        },
+        "move_out" => SessionCommand::MoveOut { node: node()? },
+        "kill" => SessionCommand::Kill { node: node()? },
+        "revive" => SessionCommand::Revive { node: node()? },
+        "repair" => SessionCommand::Repair { node: node()? },
         "mobility" => SessionCommand::Mobility {
-            epochs: field_u64(v, "epochs", Some(1))? as u32,
-            movers: field_u64(v, "movers", Some(1))? as u32,
-            step_milli: field_u64(v, "step_milli", Some(500))? as u32,
+            epochs: field(v, "epochs", Some(1))?,
+            movers: field(v, "movers", Some(1))?,
+            step_milli: field(v, "step_milli", Some(500))?,
         },
         "snapshot" => SessionCommand::Snapshot,
         other => return Err(format!("unknown command '{other}'")),
     })
 }
 
-/// Encode a request as the JSON value model shared by both frame
-/// formats (the single source of truth for the request grammar).
+/// Encode a request as a JSON value (the single source of truth for the
+/// request grammar).
 pub fn request_to_json(req: &Request) -> Json {
     let mut pairs: Vec<(&str, Json)> = vec![("id", Json::Int(req.id as i64))];
     match &req.op {
@@ -590,18 +522,14 @@ pub fn request_to_json(req: &Request) -> Json {
             pairs.push(("op", Json::Str("peek".into())));
             pairs.push(("session", Json::Str(session.clone())));
         }
-        Op::Frames { format } => {
-            pairs.push(("op", Json::Str("frames".into())));
-            pairs.push(("format", Json::Str(format.label().into())));
-        }
         Op::Shutdown => pairs.push(("op", Json::Str("shutdown".into()))),
     }
     obj(pairs)
 }
 
-/// Decode a request from the shared JSON value model.
+/// Decode a request from its JSON value.
 pub fn request_from_json(v: &Json) -> Result<Request, String> {
-    let id = field_u64(v, "id", None)?;
+    let id = field(v, "id", None)?;
     if id == 0 {
         return Err("request id 0 is reserved for events".into());
     }
@@ -640,24 +568,13 @@ pub fn request_from_json(v: &Json) -> Result<Request, String> {
         "peek" => Op::Peek {
             session: session()?,
         },
-        "frames" => {
-            let label = v
-                .get("format")
-                .and_then(Json::as_str)
-                .ok_or("missing string field 'format'")?;
-            Op::Frames {
-                format: FrameFormat::from_label(label)
-                    .ok_or_else(|| format!("unknown frame format '{label}'"))?,
-            }
-        }
         "shutdown" => Op::Shutdown,
         other => return Err(format!("unknown op '{other}'")),
     };
     Ok(Request { id, op })
 }
 
-/// Encode a response as the JSON value model shared by both frame
-/// formats.
+/// Encode a response as a JSON value.
 pub fn response_to_json(resp: &Response) -> Json {
     let mut pairs: Vec<(&str, Json)> = vec![("id", Json::Int(resp.id as i64))];
     match &resp.body {
@@ -671,9 +588,9 @@ pub fn response_to_json(resp: &Response) -> Json {
     obj(pairs)
 }
 
-/// Decode a response from the shared JSON value model.
+/// Decode a response from its JSON value.
 pub fn response_from_json(v: &Json) -> Result<Response, String> {
-    let id = field_u64(v, "id", None)?;
+    let id = field(v, "id", None)?;
     let body = if let Some(ok) = v.get("ok") {
         Body::Ok(ok.clone())
     } else if let Some(kind) = v.get("err") {
@@ -695,48 +612,36 @@ pub fn response_from_json(v: &Json) -> Result<Response, String> {
     Ok(Response { id, body })
 }
 
-/// Encode a request frame payload in the given format.
-pub fn encode_request_bytes(req: &Request, format: FrameFormat) -> Vec<u8> {
-    match format {
-        FrameFormat::Json => request_to_json(req).render().into_bytes(),
-        FrameFormat::Binary => crate::json::binary::to_bytes(&request_to_json(req)),
-    }
+/// Encode a request frame payload (`_format` is the [`FrameFormat`]
+/// shim).
+pub fn encode_request_bytes(req: &Request, _format: FrameFormat) -> Vec<u8> {
+    request_to_json(req).render().into_bytes()
 }
 
-/// Encode a response frame payload in the given format.
-pub fn encode_response_bytes(resp: &Response, format: FrameFormat) -> Vec<u8> {
-    match format {
-        FrameFormat::Json => response_to_json(resp).render().into_bytes(),
-        FrameFormat::Binary => crate::json::binary::to_bytes(&response_to_json(resp)),
-    }
+/// Encode a response frame payload.
+pub fn encode_response_bytes(resp: &Response) -> Vec<u8> {
+    response_to_json(resp).render().into_bytes()
 }
 
-fn payload_to_json(payload: &[u8], format: FrameFormat) -> Result<Json, PayloadFault> {
-    match format {
-        FrameFormat::Json => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| PayloadFault::Encoding("payload is not UTF-8".into()))?;
-            parse(text).map_err(|e| PayloadFault::Grammar(e.to_string()))
-        }
-        FrameFormat::Binary => crate::json::binary::from_bytes(payload)
-            .map_err(|e| PayloadFault::Encoding(e.to_string())),
-    }
+fn payload_to_json(payload: &[u8]) -> Result<Json, PayloadFault> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| PayloadFault::Encoding("payload is not UTF-8".into()))?;
+    parse(text).map_err(|e| PayloadFault::Grammar(e.to_string()))
 }
 
-/// Decode a request frame payload in the given format, classifying
-/// failures per the [`PayloadFault`] taxonomy.
-pub fn decode_request_bytes(payload: &[u8], format: FrameFormat) -> Result<Request, PayloadFault> {
-    let v = payload_to_json(payload, format)?;
-    request_from_json(&v).map_err(PayloadFault::Grammar)
+/// Decode a request frame payload, classifying failures per the
+/// [`PayloadFault`] taxonomy.
+pub fn decode_request_bytes(payload: &[u8]) -> Result<Request, PayloadFault> {
+    request_from_json(&payload_to_json(payload)?).map_err(PayloadFault::Grammar)
 }
 
-/// Decode a response frame payload in the given format.
+/// Decode a response frame payload (`_format` is the [`FrameFormat`]
+/// shim).
 pub fn decode_response_bytes(
     payload: &[u8],
-    format: FrameFormat,
+    _format: FrameFormat,
 ) -> Result<Response, PayloadFault> {
-    let v = payload_to_json(payload, format)?;
-    response_from_json(&v).map_err(PayloadFault::Grammar)
+    response_from_json(&payload_to_json(payload)?).map_err(PayloadFault::Grammar)
 }
 
 /// Parse a script: one flat command object per line; blank lines and
@@ -808,7 +713,7 @@ mod tests {
     fn roundtrip_req(req: Request) {
         let bytes = encode_request_bytes(&req, FrameFormat::Json);
         let text = String::from_utf8_lossy(&bytes);
-        let got = decode_request_bytes(&bytes, FrameFormat::Json);
+        let got = decode_request_bytes(&bytes);
         assert_eq!(got.expect(&text), req, "{text}");
     }
 
@@ -954,7 +859,7 @@ mod tests {
             },
         ];
         for resp in cases {
-            let bytes = encode_response_bytes(&resp, FrameFormat::Json);
+            let bytes = encode_response_bytes(&resp);
             let text = String::from_utf8_lossy(&bytes);
             let got = decode_response_bytes(&bytes, FrameFormat::Json);
             assert_eq!(got.unwrap(), resp, "{text}");
@@ -990,125 +895,88 @@ mod tests {
             "{\"id\":1,\"op\":\"cmd\",\"session\":\"s\",\"command\":{\"cmd\":\"zap\"}}",
             "{\"id\":1,\"op\":\"create\",\"session\":\"s\",\"spec\":{\"nodes\":-5}}",
             "{\"id\":1,\"op\":\"destroy\"}",
+            "{\"id\":1,\"op\":\"frames\",\"format\":\"json\"}",
         ] {
             assert!(
-                decode_request_bytes(bad.as_bytes(), FrameFormat::Json).is_err(),
+                decode_request_bytes(bad.as_bytes()).is_err(),
                 "{bad:?} should fail"
             );
         }
     }
 
     #[test]
-    fn frame_format_labels_roundtrip() {
-        for format in [FrameFormat::Json, FrameFormat::Binary] {
-            assert_eq!(FrameFormat::from_label(format.label()), Some(format));
+    fn payload_faults_classify_by_severity() {
+        // Bad UTF-8 is an encoding fault (close); bad JSON text and
+        // wrong-shape documents are grammar faults (keep).
+        assert!(matches!(
+            decode_request_bytes(&[0xff, 0xfe]),
+            Err(PayloadFault::Encoding(_))
+        ));
+        for bad in ["{oops", "{\"id\":1,\"op\":\"warp\"}"] {
+            assert!(matches!(
+                decode_request_bytes(bad.as_bytes()),
+                Err(PayloadFault::Grammar(_))
+            ));
         }
-        assert_eq!(FrameFormat::from_label("msgpack"), None);
-        assert_eq!(FrameFormat::default(), FrameFormat::Json);
     }
 
+    /// Every narrowed integer field rejects the first value past its
+    /// type's range with an error naming the field, and still takes the
+    /// largest value that fits.
     #[test]
-    fn frames_op_roundtrips_in_both_formats() {
-        for format in [FrameFormat::Json, FrameFormat::Binary] {
-            let req = Request {
-                id: 11,
-                op: Op::Frames { format },
+    fn narrowed_fields_are_range_checked() {
+        let spec = |key: &str, n: i64| spec_from_json(&obj(vec![(key, Json::Int(n))]));
+        for (key, max) in [
+            ("field_milli", u32::MAX as i64),
+            ("groups", u16::MAX as i64),
+            ("membership_ppm", u32::MAX as i64),
+        ] {
+            assert!(spec(key, max).is_ok(), "{key} = {max}");
+            let err = spec(key, max + 1).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{key}: {err}");
+        }
+        assert!(spec("nodes", -1).unwrap_err().contains("'nodes'"));
+
+        let cmd = |kind: &str, key: &str, n: i64| {
+            let value = match key {
+                "groups" => Json::Arr(vec![Json::Int(n)]),
+                _ => Json::Int(n),
             };
-            roundtrip_req(req.clone());
-            for wire in [FrameFormat::Json, FrameFormat::Binary] {
-                let bytes = encode_request_bytes(&req, wire);
-                assert_eq!(decode_request_bytes(&bytes, wire).unwrap(), req);
+            command_from_json(&obj(vec![
+                ("cmd", Json::Str(kind.into())),
+                ("x_milli", Json::Int(0)),
+                ("y_milli", Json::Int(0)),
+                (key, value),
+            ]))
+        };
+        let u8_max = u8::MAX as i64;
+        let u16_max = u16::MAX as i64;
+        let u32_max = u32::MAX as i64;
+        for (kind, key, max) in [
+            ("move_out", "node", u32_max),
+            ("kill", "node", u32_max),
+            ("revive", "node", u32_max),
+            ("repair", "node", u32_max),
+            ("broadcast", "source", u32_max),
+            ("broadcast", "channels", u8_max),
+            ("broadcast", "loss_ppm", u32_max),
+            ("broadcast", "retries", u32_max),
+            ("broadcast", "min_delivery_ppm", u32_max),
+            ("multicast", "group", u16_max),
+            ("multicast", "source", u32_max),
+            ("move_in", "groups", u16_max),
+            ("mobility", "epochs", u32_max),
+            ("mobility", "movers", u32_max),
+            ("mobility", "step_milli", u32_max),
+        ] {
+            assert!(cmd(kind, key, max).is_ok(), "{kind}.{key} = {max}");
+            for bad in [max + 1, -1] {
+                let err = cmd(kind, key, bad).unwrap_err();
+                assert!(err.contains(&format!("'{key}'")), "{kind}.{key}: {err}");
             }
         }
-        for bad in [
-            "{\"id\":1,\"op\":\"frames\"}",
-            "{\"id\":1,\"op\":\"frames\",\"format\":\"xml\"}",
-        ] {
-            assert!(decode_request_bytes(bad.as_bytes(), FrameFormat::Json).is_err());
-        }
-    }
-
-    #[test]
-    fn bytes_codecs_agree_across_formats() {
-        let reqs = vec![
-            Request {
-                id: 1,
-                op: Op::Ping,
-            },
-            Request {
-                id: 2,
-                op: Op::Create {
-                    session: "s \"q\" ε".into(),
-                    spec: SessionSpec {
-                        seed: u64::MAX,
-                        ..SessionSpec::default()
-                    },
-                },
-            },
-            Request {
-                id: 3,
-                op: Op::Cmd {
-                    session: "s".into(),
-                    cmd: SessionCommand::MoveIn {
-                        x_milli: -1,
-                        y_milli: 2,
-                        groups: vec![0, 7],
-                    },
-                },
-            },
-        ];
-        for req in reqs {
-            let json = decode_request_bytes(
-                &encode_request_bytes(&req, FrameFormat::Json),
-                FrameFormat::Json,
-            );
-            let bin = decode_request_bytes(
-                &encode_request_bytes(&req, FrameFormat::Binary),
-                FrameFormat::Binary,
-            );
-            assert_eq!(json.as_ref().unwrap(), &req);
-            assert_eq!(json.unwrap(), bin.unwrap());
-        }
-        let resp = Response {
-            id: 9,
-            body: Body::Err {
-                kind: ErrKind::Busy,
-                detail: "at capacity".into(),
-            },
-        };
-        for wire in [FrameFormat::Json, FrameFormat::Binary] {
-            let bytes = encode_response_bytes(&resp, wire);
-            assert_eq!(decode_response_bytes(&bytes, wire).unwrap(), resp);
-        }
-    }
-
-    #[test]
-    fn payload_faults_classify_by_severity() {
-        // JSON: bad UTF-8 is an encoding fault (close), bad JSON text
-        // and wrong-shape documents are grammar faults (keep).
-        assert!(matches!(
-            decode_request_bytes(&[0xff, 0xfe], FrameFormat::Json),
-            Err(PayloadFault::Encoding(_))
-        ));
-        assert!(matches!(
-            decode_request_bytes(b"{oops", FrameFormat::Json),
-            Err(PayloadFault::Grammar(_))
-        ));
-        assert!(matches!(
-            decode_request_bytes(b"{\"id\":1,\"op\":\"warp\"}", FrameFormat::Json),
-            Err(PayloadFault::Grammar(_))
-        ));
-        // Binary: an undecodable document is an encoding fault; a
-        // well-formed document with the wrong shape is grammar.
-        assert!(matches!(
-            decode_request_bytes(&[99], FrameFormat::Binary),
-            Err(PayloadFault::Encoding(_))
-        ));
-        let wrong_shape = crate::json::binary::to_bytes(&obj(vec![("id", Json::Int(1))]));
-        assert!(matches!(
-            decode_request_bytes(&wrong_shape, FrameFormat::Binary),
-            Err(PayloadFault::Grammar(_))
-        ));
+        // The reported case: 2^32 + 5 must not depart node 5.
+        assert!(cmd("move_out", "node", (1 << 32) + 5).is_err());
     }
 
     #[test]

@@ -36,8 +36,8 @@ use dsnet_netio::{
 use crate::host::{Host, HostConfig, HostError};
 use crate::json::{obj, Json};
 use crate::protocol::{
-    decode_request_bytes, encode_response_bytes, spec_to_json, Body, ErrKind, FrameFormat, Op,
-    PayloadFault, Response, WireError, MAX_FRAME,
+    decode_request_bytes, encode_response_bytes, spec_to_json, Body, ErrKind, Op, PayloadFault,
+    Response, WireError,
 };
 
 /// Back-off before retrying a failed stop-wait poll.
@@ -145,13 +145,11 @@ impl Server {
         };
         let config = ReactorConfig {
             shards: opts.shards,
-            max_frame: MAX_FRAME as usize,
             read_deadline: if opts.read_deadline_ms == 0 {
                 ReactorConfig::default().read_deadline
             } else {
-                Some(Duration::from_millis(opts.read_deadline_ms))
+                Duration::from_millis(opts.read_deadline_ms)
             },
-            ..ReactorConfig::default()
         };
         let reactor = Reactor::start(listeners, factory, config)?;
 
@@ -238,8 +236,8 @@ fn block_until_stop(signal: &StopSignal, stop_rx: &mut WakeReader) {
 
 // ---- connections --------------------------------------------------------
 
-/// Per-connection protocol state: the negotiated frame format, watch
-/// mode, and the current command batch.
+/// Per-connection protocol state: watch mode and the current command
+/// batch.
 ///
 /// Consecutive `cmd` requests for the same session within one
 /// readiness burst are applied through [`Host::apply_batch`] under a
@@ -249,7 +247,6 @@ fn block_until_stop(signal: &StopSignal, stop_rx: &mut WakeReader) {
 struct ConnHandler {
     host: Arc<Host>,
     signal: StopSignal,
-    format: FrameFormat,
     watching: bool,
     batch_session: Option<String>,
     batch_ids: Vec<u64>,
@@ -261,7 +258,6 @@ impl ConnHandler {
         ConnHandler {
             host,
             signal,
-            format: FrameFormat::Json,
             watching: false,
             batch_session: None,
             batch_ids: Vec::new(),
@@ -270,7 +266,7 @@ impl ConnHandler {
     }
 
     fn reply(&self, id: u64, body: Body, cx: &mut ConnCx<'_>) {
-        cx.send(&encode_response_bytes(&Response { id, body }, self.format));
+        cx.send(&encode_response_bytes(&Response { id, body }));
     }
 
     fn flush_cmds(&mut self, cx: &mut ConnCx<'_>) {
@@ -294,7 +290,7 @@ impl Handler for ConnHandler {
             return Action::Continue;
         }
         for frame in frames {
-            let req = match decode_request_bytes(&frame, self.format) {
+            let req = match decode_request_bytes(&frame) {
                 Ok(req) => req,
                 Err(fault) => {
                     self.flush_cmds(cx);
@@ -325,23 +321,13 @@ impl Handler for ConnHandler {
                     self.batch_ids.push(req.id);
                     self.batch_cmds.push(cmd);
                 }
-                Op::Frames { format } => {
-                    // Ack in the old format, switch after.
-                    let ack = Body::Ok(obj(vec![("format", Json::Str(format.label().into()))]));
-                    self.reply(req.id, ack, cx);
-                    self.format = format;
-                }
                 Op::Watch { session } => {
                     let push = cx.push_handle();
-                    let format = self.format;
                     let registered = self.host.watch_fn(&session, move |line| {
-                        push.push(encode_response_bytes(
-                            &Response {
-                                id: 0,
-                                body: Body::Event(Json::Str(line.to_string())),
-                            },
-                            format,
-                        ))
+                        push.push(encode_response_bytes(&Response {
+                            id: 0,
+                            body: Body::Event(Json::Str(line.to_string())),
+                        }))
                     });
                     match registered {
                         Ok(()) => {
@@ -376,16 +362,11 @@ impl Handler for ConnHandler {
             }
             .to_string(),
         };
-        cx.send(&encode_response_bytes(
-            &Response {
-                id: 0,
-                body: Body::Err {
-                    kind: ErrKind::MalformedFrame,
-                    detail,
-                },
-            },
-            self.format,
-        ));
+        let body = Body::Err {
+            kind: ErrKind::MalformedFrame,
+            detail,
+        };
+        self.reply(0, body, cx);
     }
 }
 
@@ -426,9 +407,8 @@ fn cmd_outcome_body(outcome: Result<dsnet::CommandRecord, HostError>) -> Body {
 }
 
 /// Body for every op that answers with a single, stateless reply.
-/// `cmd` (batched), `frames` (a format switch) and `watch` (a
-/// subscription) change connection state and are handled by
-/// [`ConnHandler`] itself.
+/// `cmd` (batched) and `watch` (a subscription) change connection state
+/// and are handled by [`ConnHandler`] itself.
 fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Body {
     match op {
         Op::Ping => Body::Ok(obj(vec![
@@ -469,7 +449,7 @@ fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Body {
             ])),
             Err(e) => host_err_body(e),
         },
-        Op::Cmd { .. } | Op::Frames { .. } | Op::Watch { .. } => {
+        Op::Cmd { .. } | Op::Watch { .. } => {
             unreachable!("connection-state ops are handled by the handler")
         }
         Op::Shutdown => {

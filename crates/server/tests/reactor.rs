@@ -1,9 +1,9 @@
 //! Reactor integration tests: the sharded readiness reactor must serve
-//! the exact streams the library-direct executor produces, over both
-//! payload formats, while keeping its
-//! multiplexing guarantees — a peer stalled mid-frame cannot stall its
-//! shard, pipelined frames answer in order, and shutdown latency is
-//! bounded by the reactor, not by polling loops.
+//! the exact streams the library-direct executor produces while keeping
+//! its multiplexing guarantees — a peer stalled mid-frame cannot stall
+//! its shard, pipelined frames answer in order, a grammar fault leaves
+//! the connection usable, and shutdown latency is bounded by the
+//! reactor, not by polling loops.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -14,7 +14,7 @@ use dsnet::session::render_stream;
 use dsnet::{NetSession, Protocol, SessionCommand, SessionSpec};
 use dsnet_server::protocol::{
     decode_response_bytes, encode_request_bytes, read_frame_bytes, write_frame_bytes, Body,
-    FrameFormat, Op, Request,
+    ErrKind, FrameFormat, Op, Request,
 };
 use dsnet_server::{run_script, Client, ServeOptions, Server};
 
@@ -71,94 +71,55 @@ fn direct_stream() -> String {
     render_stream(direct.spec(), direct.records(), false)
 }
 
-fn daemon_stream(addr: &str, format: FrameFormat) -> String {
-    let mut client = Client::connect_tcp(addr).expect("connect");
-    client.negotiate(format).expect("format negotiation");
-    let report = run_script(&mut client, "s", spec(), &script(), true).expect("scripted run");
-    report.stream
-}
-
-/// The tentpole determinism contract across both payload formats: the
-/// reactor daemon and the library-direct executor yield byte-identical
-/// streams.
+/// The determinism contract: the reactor daemon and the library-direct
+/// executor yield byte-identical streams.
 #[test]
 fn reactor_and_direct_streams_are_byte_identical() {
-    let want = direct_stream();
     let (server, addr) = serve(0, 0);
-    for format in [FrameFormat::Json, FrameFormat::Binary] {
-        assert_eq!(
-            daemon_stream(&addr, format),
-            want,
-            "stream drift on {format:?}"
-        );
-    }
     let mut client = Client::connect_tcp(&addr).expect("connect");
+    let report = run_script(&mut client, "s", spec(), &script(), true).expect("scripted run");
+    assert_eq!(report.stream, direct_stream());
     client.shutdown().expect("shutdown");
     drop(client);
     server.wait();
 }
 
-/// Mid-connection format negotiation: a session driven half in JSON and
-/// half in binary (switched between commands) records the same stream.
+/// A `frames` request is an unknown op like any other: a typed
+/// `malformed_frame` reply at id 0, and the same connection keeps
+/// answering.
 #[test]
-fn mid_connection_negotiation_preserves_the_stream() {
+fn frames_op_is_a_grammar_error_and_the_connection_stays_open() {
     let (server, addr) = serve(0, 0);
-    let mut client = Client::connect_tcp(&addr).expect("connect");
-    let cmds = script();
-    client.create("s", spec()).expect("create");
-    for (i, cmd) in cmds.iter().enumerate() {
-        // Flip the payload format before every other command.
-        let format = if i % 2 == 0 {
-            FrameFormat::Binary
-        } else {
-            FrameFormat::Json
-        };
-        client.negotiate(format).expect("negotiate");
-        let _ = client.cmd("s", cmd.clone());
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    write_frame_bytes(
+        &mut raw,
+        br#"{"id": 1, "op": "frames", "format": "binary"}"#,
+    )
+    .expect("frames request");
+    let payload = read_frame_bytes(&mut raw).expect("error reply");
+    let resp = decode_response_bytes(&payload, FrameFormat::Json).expect("decode");
+    assert_eq!(resp.id, 0, "grammar faults are answered at id 0");
+    match resp.body {
+        Body::Err { kind, detail } => {
+            assert_eq!(kind, ErrKind::MalformedFrame);
+            assert_eq!(detail, "unknown op 'frames'");
+        }
+        other => panic!("expected malformed_frame, got {other:?}"),
     }
-    let stream = client.stream_text("s").expect("stream");
-    assert_eq!(stream, direct_stream());
 
+    let ping = Request {
+        id: 2,
+        op: Op::Ping,
+    };
+    write_frame_bytes(&mut raw, &encode_request_bytes(&ping, FrameFormat::Json)).expect("ping");
+    let payload = read_frame_bytes(&mut raw).expect("pong");
+    let resp = decode_response_bytes(&payload, FrameFormat::Json).expect("decode");
+    assert_eq!(resp.id, 2);
+    assert!(matches!(resp.body, Body::Ok(_)), "{:?}", resp.body);
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
     client.shutdown().expect("shutdown");
-    drop(client);
-    server.wait();
-}
-
-/// Watch subscriptions honour the format the connection had when the
-/// watch was registered: a binary-negotiated watcher receives decodable
-/// binary event frames.
-#[test]
-fn binary_watcher_receives_events() {
-    let (server, addr) = serve(0, 0);
-    let mut driver = Client::connect_tcp(&addr).expect("driver connect");
-    driver.create("s", spec()).expect("create");
-
-    let mut watcher = Client::connect_tcp(&addr).expect("watcher connect");
-    watcher
-        .negotiate(FrameFormat::Binary)
-        .expect("binary negotiation");
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    let watch_thread = std::thread::spawn(move || {
-        watcher
-            .watch("s", |line| {
-                tx.send(line.to_string()).expect("collect");
-                false
-            })
-            .expect("watch");
-    });
-    std::thread::sleep(Duration::from_millis(200));
-    driver
-        .cmd("s", SessionCommand::Kill { node: 1 })
-        .expect("cmd");
-
-    let line = rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("watch event over binary framing");
-    assert!(line.contains("\"cmd\": \"kill\""), "{line}");
-    watch_thread.join().expect("watch thread");
-
-    driver.shutdown().expect("shutdown");
-    drop(driver);
+    drop((raw, client));
     server.wait();
 }
 
@@ -255,7 +216,7 @@ fn pipelined_requests_answer_in_order() {
 
     let mut client = Client::connect_tcp(&addr).expect("connect");
     client.shutdown().expect("shutdown");
-    drop(client);
+    drop((raw, client));
     server.wait();
 }
 

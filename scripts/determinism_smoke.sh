@@ -11,9 +11,8 @@
 #   loss            lossy channels × repair × transient outages
 #   mobility-audit  long-horizon motion with dirty-scoped invariant
 #                   auditing on every maintenance epoch
-#   server-reactor  scripted session through a live reactor daemon,
-#                   driven once over JSON frames and once over negotiated
-#                   binary frames, both byte-identical to the same script
+#   server-reactor  scripted session through a live reactor daemon over
+#                   its JSON frames, byte-identical to the same script
 #                   applied library-direct
 #   resume          crash a journaled campaign at a fixed injected point,
 #                   resume from the journal, and require the resumed
@@ -167,11 +166,10 @@ EOS
 }
 
 # Server determinism: boot a unix-socket daemon, run a fixed churn-heavy
-# script through `client --script` once per requested framing ($@: ""
-# for JSON, "--binary" for negotiated binary frames), run the same
-# script library-direct, and require every stream byte-identical.
+# script through `client --script`, run the same script library-direct,
+# and require the two streams byte-identical.
 server_smoke() {
-    local sock="tserver.sock" script="tserver.script" pid framing tag
+    local sock="tserver.sock" script="tserver.script" pid
     rm -f "$sock"
     # Build up front so the daemon's socket-wait window below never
     # races a cold compile.
@@ -195,15 +193,10 @@ EOS
     [ -S "$sock" ] || { echo "daemon did not come up" >&2; exit 1; }
     "${DSNET[@]}" direct --script "$script" \
         --nodes 40 --seed 2007 > tserver_direct.stream
-    for framing in "$@"; do
-        tag=json
-        [ -n "$framing" ] && tag=binary
-        # shellcheck disable=SC2086  # framing is "" or a single flag
-        "${DSNET[@]}" client --unix "$sock" $framing \
-            --session "smoke-$tag" --script "$script" \
-            --nodes 40 --seed 2007 > "tserver_reactor_${tag}.stream"
-        cmp "tserver_reactor_${tag}.stream" tserver_direct.stream
-    done
+    "${DSNET[@]}" client --unix "$sock" \
+        --session smoke-json --script "$script" \
+        --nodes 40 --seed 2007 > tserver_reactor_json.stream
+    cmp tserver_reactor_json.stream tserver_direct.stream
     "${DSNET[@]}" client --unix "$sock" --shutdown > /dev/null
     wait "$pid"
 }
@@ -211,8 +204,8 @@ EOS
 for axis in "$@"; do
     if [ "$axis" = server-reactor ]; then
         echo "=== determinism smoke: server-reactor ==="
-        server_smoke "" "--binary"
-        echo "=== server-reactor: reactor daemon (JSON and binary framing) matches library-direct ==="
+        server_smoke
+        echo "=== server-reactor: reactor daemon matches library-direct ==="
         continue
     fi
     if [ "$axis" = resume ]; then

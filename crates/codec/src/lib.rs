@@ -145,11 +145,20 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Parse one JSON document (rejects trailing garbage).
+/// The deepest array/object nesting [`parse`] accepts. Each level costs
+/// the parser one stack frame, so without a limit a single frame of `[`
+/// well under the wire's 1 MiB cap would overflow the parsing thread's
+/// stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document (rejects trailing garbage and nesting deeper
+/// than [`MAX_DEPTH`]). Runs in time linear in the input.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -161,8 +170,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -208,11 +220,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
         }
+    }
+
+    /// Parse one array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -236,13 +263,26 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote or
+            // backslash as one slice of the input. Both stop bytes are
+            // ASCII, so the run ends on a char boundary; a byte below 0x20
+            // is always a whole (control) character in UTF-8.
+            let start = self.pos;
+            while let Some(b) = self.peek().filter(|&b| b != b'"' && b != b'\\') {
+                if b < 0x20 {
+                    return Err(self.err("raw control character in string"));
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.input[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -270,17 +310,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -430,6 +459,51 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "refused at the first level too deep");
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        // Objects count too, and half a MiB of openers is refused at the
+        // cap instead of recursing through it.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse(&objects).unwrap_err().at, 5 * MAX_DEPTH);
+        assert_eq!(parse(&"[".repeat(500_000)).unwrap_err().at, MAX_DEPTH);
+    }
+
+    #[test]
+    fn control_characters_are_refused_where_they_stand() {
+        let err = parse("\"ab\u{1}c\"").unwrap_err();
+        assert_eq!(
+            (err.at, err.message.as_str()),
+            (3, "raw control character in string")
+        );
+        let err = parse("\"ε\n\"").unwrap_err();
+        assert_eq!(err.at, 3, "offsets count bytes, not characters");
+        assert_eq!(parse("\"ab").unwrap_err().at, 3);
+        assert_eq!(parse("\"δ\\\\x\"").unwrap(), Json::Str("δ\\x".into()));
+    }
+
+    /// One string the size of the wire's frame cap (1 MiB) decodes in
+    /// linear time: a per-character rescan of the rest of the input took
+    /// tens of seconds on this size.
+    #[test]
+    fn frame_cap_sized_string_decodes_quickly() {
+        let body = "abcdefghijklmnoΔ".repeat((1 << 20) / 17);
+        let text = format!("{{\"s\":\"{body}\\n\"}}");
+        let t = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let elapsed = t.elapsed();
+        assert_eq!(v.get("s").unwrap().as_str().unwrap().len(), body.len() + 1);
+        assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
     }
 
     #[test]

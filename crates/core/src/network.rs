@@ -228,14 +228,19 @@ impl SensorNetwork {
     /// [`KnowledgeCache`]: repeated runs over an unchanged structure skip
     /// the (dominant) snapshot rebuild, while any structural mutation
     /// invalidates the cache automatically. Multicasts apply their group
-    /// tables on top of that base snapshot per call.
+    /// tables on top of that base snapshot per call. The cache serves the
+    /// Algorithm-1 flood part too, but only to the protocols that read it
+    /// ([`Protocol::reads_flood`]); no other run builds one.
     pub fn run(&self, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
-        if req.knowledge.is_some() {
-            return runner::run(&self.mc, req, cfg);
-        }
-        let k = self.knowledge.get(self.net());
+        let k = req
+            .knowledge
+            .is_none()
+            .then(|| self.knowledge.get(self.net()));
+        let flood = (req.protocol.reads_flood() && req.flood.is_none())
+            .then(|| self.knowledge.flood(self.net()));
         let req = Broadcast {
-            knowledge: Some(&k),
+            knowledge: req.knowledge.or(k.as_deref()),
+            flood: req.flood.or(flood.as_deref()),
             ..*req
         };
         runner::run(&self.mc, &req, cfg)
@@ -381,6 +386,38 @@ mod tests {
         if !in_range {
             assert!(net.join(far, &[]).is_err());
         }
+    }
+
+    #[test]
+    fn only_algorithm1_runs_build_the_flood_part() {
+        let mut net = NetworkBuilder::paper(80, 3)
+            .groups(GroupPlan {
+                groups: 1,
+                membership: 0.3,
+            })
+            .build()
+            .unwrap();
+        let (sink, cfg) = (net.sink(), RunConfig::default());
+        for req in [
+            Broadcast::new(Protocol::ImprovedCff, sink),
+            Broadcast::new(Protocol::Dfo, sink),
+            Broadcast::multicast(sink, 0, MulticastSlots::RelayPruned),
+            Broadcast::multicast(sink, 0, MulticastSlots::Session),
+        ] {
+            net.run(&req, &cfg);
+        }
+        assert_eq!(net.knowledge.flood_version(), None, "nothing read it");
+        let victim = net.net().tree().nodes().last().unwrap();
+        net.leave(victim).unwrap();
+        // The counters must move exactly as one bare `get` per run would.
+        let shadow = net.knowledge.clone();
+        for p in [Protocol::BasicCff, Protocol::ReliableCff] {
+            assert!(net.run(&Broadcast::new(p, sink), &cfg).outcome.completed());
+            let version = Some(net.structure_version());
+            assert_eq!(net.knowledge.flood_version(), version, "{p:?}");
+            let _ = shadow.get(net.net());
+        }
+        assert_eq!(net.knowledge.full_stats(), shadow.full_stats());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! used to cross-check the simulated executions and to print the
 //! "theoretical" columns of the experiment tables.
 
-use crate::knowledge::NetKnowledge;
+use crate::knowledge::{FloodKnowledge, NetKnowledge};
 
 /// Exact DFO completion rounds from a backbone source:
 /// `2·(|BT| − 1)` token hops (plus 2 when the source is a pure member:
@@ -16,21 +16,27 @@ pub fn dfo_rounds(backbone_size: usize, source_is_member: bool) -> u64 {
 
 /// Lemma 1 bound for Algorithm 1 with `channels` radios:
 /// `offset + ⌈Δ'/k⌉·(h + 1)`.
-pub fn cff_basic_bound(k: &NetKnowledge, offset: u64, channels: u8) -> u64 {
-    offset + (k.delta_flood.max(1) as u64).div_ceil(channels as u64) * (k.height as u64 + 1)
+pub fn cff_basic_bound(k: &NetKnowledge, flood: &FloodKnowledge, offset: u64, channels: u8) -> u64 {
+    offset + (flood.delta_flood.max(1) as u64).div_ceil(channels as u64) * (k.height as u64 + 1)
 }
 
 /// Schedule length of the bounded-retry reliable flood: `1 + max_retries`
 /// epochs, each holding a data *and* a feedback window per tree depth:
 /// `offset + (1 + R)·2·⌈Δ'/k⌉·h`, floored at the one round any run costs.
-pub fn cff_reliable_bound(k: &NetKnowledge, offset: u64, channels: u8, max_retries: u32) -> u64 {
-    let delta = (k.delta_flood.max(1) as u64).div_ceil(channels as u64);
+pub fn cff_reliable_bound(
+    k: &NetKnowledge,
+    flood: &FloodKnowledge,
+    offset: u64,
+    channels: u8,
+    max_retries: u32,
+) -> u64 {
+    let delta = (flood.delta_flood.max(1) as u64).div_ceil(channels as u64);
     (offset + (1 + max_retries as u64) * 2 * delta * k.height as u64).max(1)
 }
 
 /// Lemma 1 awake bound for Algorithm 1: `2Δ'`.
-pub fn cff_basic_awake_bound(k: &NetKnowledge) -> u64 {
-    2 * k.delta_flood.max(1) as u64
+pub fn cff_basic_awake_bound(flood: &FloodKnowledge) -> u64 {
+    2 * flood.delta_flood.max(1) as u64
 }
 
 /// Theorem 1(1)/(3) bound for Algorithm 2 with `channels` radios:
@@ -59,7 +65,7 @@ pub use dsnet_cluster::slots::slot_bounds;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knowledge::build_knowledge;
+    use crate::knowledge::{build_flood_knowledge, build_knowledge};
     use dsnet_cluster::ClusterNet;
     use dsnet_graph::NodeId;
 
@@ -96,9 +102,12 @@ mod tests {
         let mut net = ClusterNet::with_defaults();
         net.move_in(&[]).unwrap();
         net.move_in(&[NodeId(0)]).unwrap();
-        let k = build_knowledge(&net);
-        assert_eq!(cff_basic_bound(&k, 5, 1) - cff_basic_bound(&k, 0, 1), 5);
-        assert!(cff_basic_bound(&k, 0, 2) <= cff_basic_bound(&k, 0, 1));
-        assert!(cff_basic_awake_bound(&k) >= 2);
+        let (k, f) = (build_knowledge(&net), build_flood_knowledge(&net));
+        assert_eq!(
+            cff_basic_bound(&k, &f, 5, 1) - cff_basic_bound(&k, &f, 0, 1),
+            5
+        );
+        assert!(cff_basic_bound(&k, &f, 0, 2) <= cff_basic_bound(&k, &f, 0, 1));
+        assert!(cff_basic_awake_bound(&f) >= 2);
     }
 }

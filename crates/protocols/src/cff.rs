@@ -18,8 +18,9 @@
 //! The paper's two algorithms are two [`CffSchedule`]s of this machine:
 //!
 //! * **Algorithm 1** ([`CffSchedule::algorithm1`]) runs phase 1 over the
-//!   whole CNet(G) with the Algorithm-1 flood slots: `Δ'`-round windows
-//!   over the `h` depths and no leaf window. Time-Slot Condition 1 gives
+//!   whole CNet(G) with the Algorithm-1 flood slots of the
+//!   [`FloodKnowledge`] part: `Δ'`-round windows over the `h` depths and
+//!   no leaf window. Time-Slot Condition 1 gives
 //!   every receiver a collision-free slot; each node is awake `O(Δ')`
 //!   rounds (Lemma 1).
 //! * **Algorithm 2** ([`CffSchedule::algorithm2`]), the headline protocol
@@ -38,7 +39,7 @@
 //! (`rx`) and who forwards (`tx`); everyone else sleeps through the whole
 //! session.
 
-use crate::knowledge::{NetKnowledge, Session};
+use crate::knowledge::{FloodKnowledge, NetKnowledge, Session};
 use dsnet_graph::NodeId;
 use dsnet_radio::{Action, Channel, NodeCtx, NodeProgram, Round};
 
@@ -100,8 +101,8 @@ pub struct CffSchedule {
 impl CffSchedule {
     /// Algorithm 1: `⌈Δ'/k⌉`-round windows over the `h` depths of CNet(G),
     /// no leaf window.
-    pub fn algorithm1(k: &NetKnowledge, session: &Session) -> Self {
-        let wb = (k.delta_flood.max(1) as u64).div_ceil(session.channels as u64);
+    pub fn algorithm1(k: &NetKnowledge, flood: &FloodKnowledge, session: &Session) -> Self {
+        let wb = (flood.delta_flood.max(1) as u64).div_ceil(session.channels as u64);
         Self::with_windows(session, wb, k.height, 0, true)
     }
 
@@ -245,9 +246,12 @@ pub struct CffProgram {
 
 impl CffProgram {
     /// Build node `u`'s program for a session run on `sched`, reading the
-    /// Algorithm-1 or Algorithm-2 slots as the schedule dictates.
+    /// Algorithm-1 slots of `flood` (which an Algorithm-1 schedule
+    /// requires) or the Algorithm-2 slots of `k`, as the schedule
+    /// dictates.
     pub fn new(
         k: &NetKnowledge,
+        flood: Option<&FloodKnowledge>,
         session: &Session,
         sched: CffSchedule,
         u: NodeId,
@@ -257,7 +261,10 @@ impl CffProgram {
         let nk = k.of(u);
         let has_it = u == session.source || (nk.depth == 0 && session.offset == 0);
         let (in_phase1, p1_slot, expected_p1, p2_slot, expected_p2) = if sched.algorithm1 {
-            (true, nk.flood_slot, nk.expected_flood_slot, None, None)
+            let f = flood
+                .expect("an Algorithm-1 schedule reads the flood part")
+                .of(u);
+            (true, f.flood_slot, f.expected_flood_slot, None, None)
         } else {
             (
                 nk.status.in_backbone(),
@@ -440,26 +447,35 @@ impl NodeProgram for CffProgram {
 mod tests {
     use super::*;
     use crate::chain_net;
-    use crate::knowledge::build_knowledge;
+    use crate::knowledge::{build_flood_knowledge, build_knowledge};
     use crate::runner::{run as run_req, Broadcast, Protocol, RunConfig};
     use dsnet_cluster::ClusterNet;
     use dsnet_radio::{Engine, EngineConfig, StopReason};
 
-    type Make = fn(&NetKnowledge, &Session) -> CffSchedule;
-    const BOTH: [Make; 2] = [CffSchedule::algorithm1, CffSchedule::algorithm2];
+    /// Which of the paper's algorithms a test session runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Alg {
+        One,
+        Two,
+    }
+    const BOTH: [Alg; 2] = [Alg::One, Alg::Two];
 
-    /// Run a full-participation session on `make`'s schedule; returns
+    /// Run a full-participation session of `alg`; returns
     /// (rounds, collisions, programs, per-node awake rounds).
     #[allow(clippy::type_complexity)]
     fn run(
         net: &ClusterNet,
         source: NodeId,
         channels: u8,
-        make: Make,
+        alg: Alg,
     ) -> (u64, usize, Vec<Option<CffProgram>>, Vec<u64>) {
         let k = build_knowledge(net);
+        let flood = build_flood_knowledge(net);
         let session = Session::new(&k, source, channels);
-        let sched = make(&k, &session);
+        let sched = match alg {
+            Alg::One => CffSchedule::algorithm1(&k, &flood, &session),
+            Alg::Two => CffSchedule::algorithm2(&k, &session),
+        };
         let path = net.tree().path_to_root(source);
         let mut pos = vec![None; net.graph().capacity()];
         for (j, &u) in path.iter().enumerate() {
@@ -472,7 +488,10 @@ mod tests {
                 max_rounds: sched.end_round + 4,
                 record_trace: true,
             },
-            |u| CffProgram::new(&k, &session, sched, u, pos[u.index()], Participation::FULL),
+            |u| {
+                let (pos, part) = (pos[u.index()], Participation::FULL);
+                CffProgram::new(&k, Some(&flood), &session, sched, u, pos, part)
+            },
         );
         let out = engine.run();
         assert_eq!(out.stop, StopReason::AllDone, "schedule ran past its end");
@@ -514,14 +533,15 @@ mod tests {
     fn floods_whole_chain_within_lemma1_and_theorem1() {
         let net = chain_net(14);
         let k = build_knowledge(&net);
+        let flood = build_flood_knowledge(&net);
         let bounds = [
             // Lemma 1: Δ'·(h+1) rounds.
-            k.delta_flood.max(1) as u64 * (k.height as u64 + 1),
+            flood.delta_flood.max(1) as u64 * (k.height as u64 + 1),
             // Theorem 1(1): δ·h + Δ rounds (with the tighter BT height).
             k.delta_b as u64 * k.bt_height as u64 + k.delta_l as u64,
         ];
-        for (make, bound) in BOTH.into_iter().zip(bounds) {
-            let (rounds, collisions, programs, _) = run(&net, net.root(), 1, make);
+        for (alg, bound) in BOTH.into_iter().zip(bounds) {
+            let (rounds, collisions, programs, _) = run(&net, net.root(), 1, alg);
             assert_eq!(collisions, 0, "strict mode is collision-free");
             all_received(&net, &programs);
             assert!(rounds <= bound, "rounds {rounds} > bound {bound}");
@@ -537,12 +557,13 @@ mod tests {
             .max_by_key(|&u| net.tree().depth(u))
             .unwrap();
         let k = build_knowledge(&net);
-        for make in BOTH {
-            let (rounds, collisions, programs, _) = run(&net, deep, 1, make);
+        let flood = build_flood_knowledge(&net);
+        for alg in BOTH {
+            let (rounds, collisions, programs, _) = run(&net, deep, 1, alg);
             assert_eq!(collisions, 0);
             all_received(&net, &programs);
             let offset = net.tree().depth(deep) as u64;
-            assert!(rounds <= crate::analytic::cff_basic_bound(&k, offset, 1));
+            assert!(rounds <= crate::analytic::cff_basic_bound(&k, &flood, offset, 1));
         }
     }
 
@@ -552,12 +573,12 @@ mod tests {
         let k = build_knowledge(&net);
         let bounds = [
             // Lemma 1: 2Δ' (we are tighter: ≤ Δ' listening + 1 sending).
-            crate::analytic::cff_basic_awake_bound(&k),
+            crate::analytic::cff_basic_awake_bound(&build_flood_knowledge(&net)),
             // Theorem 1(2): 2δ + Δ.
             crate::analytic::improved_awake_bound(&k, 1),
         ];
-        for (make, bound) in BOTH.into_iter().zip(bounds) {
-            let (_, _, _, awake) = run(&net, net.root(), 1, make);
+        for (alg, bound) in BOTH.into_iter().zip(bounds) {
+            let (_, _, _, awake) = run(&net, net.root(), 1, alg);
             let max = awake.into_iter().max().unwrap();
             assert!(max <= bound, "awake {max} > {bound}");
         }
@@ -566,7 +587,7 @@ mod tests {
     #[test]
     fn two_node_network() {
         let net = chain_net(2);
-        let (rounds, collisions, programs, _) = run(&net, NodeId(0), 1, CffSchedule::algorithm1);
+        let (rounds, collisions, programs, _) = run(&net, NodeId(0), 1, Alg::One);
         assert_eq!(collisions, 0);
         assert!(programs[1].as_ref().unwrap().received);
         assert_eq!(rounds, 1); // root transmits at slot 1, member receives
@@ -575,8 +596,8 @@ mod tests {
     #[test]
     fn singleton_network_terminates() {
         let net = chain_net(1);
-        for make in BOTH {
-            let (rounds, _, programs, _) = run(&net, NodeId(0), 1, make);
+        for alg in BOTH {
+            let (rounds, _, programs, _) = run(&net, NodeId(0), 1, alg);
             assert!(programs[0].as_ref().unwrap().received);
             assert!(rounds <= 1);
         }
@@ -586,10 +607,11 @@ mod tests {
     fn multichannel_delivers_and_is_never_slower() {
         let net = bushy();
         let k = build_knowledge(&net);
-        for make in BOTH {
+        let flood = build_flood_knowledge(&net);
+        for alg in BOTH {
             let mut prev = u64::MAX;
             for channels in [1u8, 2, 4] {
-                let (rounds, collisions, programs, _) = run(&net, net.root(), channels, make);
+                let (rounds, collisions, programs, _) = run(&net, net.root(), channels, alg);
                 assert_eq!(collisions, 0, "k={channels}");
                 all_received(&net, &programs);
                 assert!(rounds <= prev, "k={channels}: {rounds} > {prev}");
@@ -603,7 +625,7 @@ mod tests {
             };
             let out = run_req(&net, &Broadcast::new(Protocol::BasicCff, net.root()), &cfg);
             assert!(out.outcome.completed(), "k={channels}");
-            let bound = crate::analytic::cff_basic_bound(&k, 0, channels);
+            let bound = crate::analytic::cff_basic_bound(&k, &flood, 0, channels);
             assert!(out.outcome.rounds <= bound);
         }
     }
@@ -611,7 +633,7 @@ mod tests {
     #[test]
     fn multichannel_algorithm1_works_on_deep_chains() {
         let net = chain_net(15);
-        let (_, collisions, programs, _) = run(&net, net.root(), 3, CffSchedule::algorithm1);
+        let (_, collisions, programs, _) = run(&net, net.root(), 3, Alg::One);
         assert_eq!(collisions, 0);
         all_received(&net, &programs);
     }
@@ -639,7 +661,8 @@ mod tests {
                 } else {
                     Participation::FULL
                 };
-                CffProgram::new(&k, &session, sched, u, (u == net.root()).then_some(0), part)
+                let pos = (u == net.root()).then_some(0);
+                CffProgram::new(&k, None, &session, sched, u, pos, part)
             },
         );
         engine.run();
@@ -654,7 +677,7 @@ mod tests {
             net.move_in(&[NodeId(0)]).unwrap();
         }
         let k = build_knowledge(&net);
-        let (rounds, collisions, programs, _) = run(&net, net.root(), 1, CffSchedule::algorithm2);
+        let (rounds, collisions, programs, _) = run(&net, net.root(), 1, Alg::Two);
         assert_eq!(collisions, 0);
         all_received(&net, &programs);
         assert!(rounds <= k.delta_l as u64);

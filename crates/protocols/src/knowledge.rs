@@ -26,27 +26,40 @@
 //! both the full build and the patch path emit exactly this layout, so
 //! derived `PartialEq` remains byte-meaningful.
 //!
+//! ## Two parts, the second on demand
+//!
+//! Knowledge comes in two parts. The base snapshot, [`NetKnowledge`],
+//! holds knowledge (I) and the b-/l-slot half of (II): everything
+//! Algorithm 2 (Theorem 1), DFO and the multicasts read. Algorithm 1's
+//! flood slots and `Δ'` form a separate [`FloodKnowledge`] part, read
+//! only by `cff1`, `rcff` and their Lemma-1 bounds, so a run of any
+//! other protocol never pays for them. [`build_knowledge`] and
+//! [`build_flood_knowledge`] are the from-scratch oracles of the two
+//! parts.
+//!
 //! ## Incremental maintenance
 //!
-//! [`KnowledgeCache::get`] no longer rebuilds from scratch on every
-//! structure change: when the cached version is stale it asks
-//! [`ClusterNet::dirty_since`] for the journal of dirty nodes `T`,
-//! clones the per-node table (one flat memcpy), and recomputes
-//! knowledge only over the dirty closure `R = L ∪ N_G(L)`,
-//! `L = T ∪ parent(T)` — the same closure rules the dirty invariant
-//! audit uses (DESIGN §12/§17). Flood slots re-run Algorithm 1's
+//! [`KnowledgeCache`] keeps the newest copy of each part and serves a
+//! stale one by patching it rather than rebuilding from scratch. Both
+//! patches ask [`ClusterNet::dirty_since`] for the journal of dirty
+//! nodes `T` since their own part's version, clone the flat per-node
+//! table (one memcpy), and recompute only over the dirty closure
+//! `R = L ∪ N_G(L)`, `L = T ∪ parent(T)` — the same closure rules the
+//! dirty invariant audit uses (DESIGN §12/§17). The base patch
+//! maintains its global scalars in the same fused flat sweep that
+//! rebuilds the CSR pool. The flood patch re-runs Algorithm 1's
 //! assignment over a worklist seeded from `R` in the exact `(depth, id)`
 //! order of the full pass, cascading to same-depth co-transmitters when
 //! a slot actually changes, so the patched assignment is byte-equal to
-//! [`assign_flood_slots`] from scratch. Global scalars are maintained in
-//! the same fused flat sweep that rebuilds the CSR pool. Past a
-//! staleness/size threshold (or when the journal cannot vouch for the
-//! cached version) the cache falls back to a full rebuild.
+//! [`assign_flood_slots`] from scratch. Past a staleness/size threshold
+//! (or when the journal cannot vouch for the cached version) either part
+//! falls back to a full rebuild.
 
 use dsnet_cluster::slots::validate::{assign_flood_slots, flood_slot, flood_transmitters};
 use dsnet_cluster::slots::view::NetView;
 use dsnet_cluster::{ClusterNet, NodeStatus, SlotMode};
 use dsnet_graph::NodeId;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// Everything one node knows before a broadcast session starts.
@@ -64,8 +77,6 @@ pub struct NodeKnowledge {
     pub b_slot: Option<u32>,
     /// Phase-2 transmission slot (CNet-internal nodes only).
     pub l_slot: Option<u32>,
-    /// Algorithm-1 transmission slot (CNet-internal nodes only).
-    pub flood_slot: Option<u32>,
     /// Transmits in phase 1 (backbone node with a backbone child).
     pub bt_internal: bool,
     /// Transmits in phase 2 (has children).
@@ -75,8 +86,6 @@ pub struct NodeKnowledge {
     pub expected_b_slot: Option<u32>,
     /// The collision-free slot this member leaf should expect in phase 2.
     pub expected_l_slot: Option<u32>,
-    /// The collision-free slot this node should expect in Algorithm 1.
-    pub expected_flood_slot: Option<u32>,
     /// Start of this node's DFO tour list in [`NetKnowledge::bt_pool`]
     /// (backbone children followed by the backbone parent, in tour-visit
     /// order; empty for pure members). Canonically the pool length at
@@ -104,8 +113,6 @@ pub struct NetKnowledge {
     pub delta_b: u32,
     /// Δ — largest l-slot.
     pub delta_l: u32,
-    /// Δ' — largest Algorithm-1 flood slot.
-    pub delta_flood: u32,
     /// Number of attached nodes.
     pub nodes: usize,
     /// Number of backbone nodes.
@@ -129,6 +136,34 @@ impl NetKnowledge {
     /// [`NetKnowledge::bt_neighbors`] for an already-fetched entry.
     pub fn bt_neighbors_of(&self, nk: &NodeKnowledge) -> &[NodeId] {
         &self.bt_pool[nk.bt_off as usize..(nk.bt_off + nk.bt_len) as usize]
+    }
+}
+
+/// One node's Algorithm-1 knowledge (both `None` off-structure).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NodeFlood {
+    /// Algorithm-1 transmission slot (CNet-internal nodes only).
+    pub flood_slot: Option<u32>,
+    /// The collision-free slot this node should expect in Algorithm 1
+    /// (`None` at the root).
+    pub expected_flood_slot: Option<u32>,
+}
+
+/// Algorithm 1's part of knowledge (II): every node's flood slots and
+/// `Δ'`. Only Algorithm 1 (`cff1`), its reliable variant (`rcff`) and
+/// their Lemma-1 bounds read it; see the module docs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FloodKnowledge {
+    /// Per-node flood slots, indexed by id.
+    pub per_node: Vec<NodeFlood>,
+    /// Δ' — largest Algorithm-1 flood slot.
+    pub delta_flood: u32,
+}
+
+impl FloodKnowledge {
+    /// Flood slots of node `u` (both `None` when `u` is not attached).
+    pub fn of(&self, u: NodeId) -> NodeFlood {
+        self.per_node[u.index()]
     }
 }
 
@@ -186,16 +221,26 @@ fn expected_slots(
     (expected_b, expected_l)
 }
 
-/// The knowledge rule for one attached node `u`, shared by the full build
-/// and the patch path. The caller supplies the Algorithm-1 fields
-/// (`flood_slot`, `expected_flood_slot`); the tour range is left empty
-/// for [`emit_tour`] to fill.
-fn node_knowledge(
-    net: &ClusterNet,
+/// The Algorithm-1 slot a receiver `u` should expect, given each
+/// transmitter's flood slot (`slot_of`); `None` at the root.
+fn expected_flood_slot(
+    view: &NetView<'_>,
     u: NodeId,
-    flood: (Option<u32>, Option<u32>),
+    slot_of: impl Fn(NodeId) -> Option<u32>,
     scratch: &mut Vec<u32>,
-) -> NodeKnowledge {
+) -> Option<u32> {
+    if view.tree.depth(u) == 0 {
+        return None;
+    }
+    scratch.clear();
+    scratch.extend(flood_transmitters(view, u).filter_map(slot_of));
+    unique_slot_sorted(scratch)
+}
+
+/// The knowledge rule for one attached node `u`, shared by the full build
+/// and the patch path. The tour range is left empty for [`emit_tour`] to
+/// fill.
+fn node_knowledge(net: &ClusterNet, u: NodeId, scratch: &mut Vec<u32>) -> NodeKnowledge {
     let (view, slots, tree) = (net.view(), net.slots(), net.tree());
     let (expected_b_slot, expected_l_slot) =
         expected_slots(view, net.mode(), u, |y| slots.b(y), |y| slots.l(y), scratch);
@@ -206,12 +251,10 @@ fn node_knowledge(
         parent: tree.parent(u),
         b_slot: slots.b(u),
         l_slot: slots.l(u),
-        flood_slot: flood.0,
         bt_internal: view.bt_internal(u),
         cnet_internal: view.cnet_internal(u),
         expected_b_slot,
         expected_l_slot,
-        expected_flood_slot: flood.1,
         bt_off: 0,
         bt_len: 0,
     }
@@ -270,12 +313,10 @@ pub fn build_session_knowledge_from(
     k
 }
 
-/// Snapshot the knowledge of every attached node of `net`.
+/// Snapshot the base knowledge of every attached node of `net` (no
+/// Algorithm-1 work: see [`build_flood_knowledge`]).
 pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
-    let view = net.view();
     let tree = net.tree();
-    let (flood, delta_flood) = assign_flood_slots(&view);
-
     let mut per_node: Vec<Option<NodeKnowledge>> = vec![None; net.graph().capacity()];
     let mut bt_pool: Vec<NodeId> = Vec::new();
     let mut bt_height = 0u32;
@@ -283,19 +324,7 @@ pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
     let mut scratch: Vec<u32> = Vec::new();
 
     for u in tree.nodes() {
-        let expected_flood_slot = if tree.depth(u) >= 1 {
-            scratch.clear();
-            scratch.extend(flood_transmitters(&view, u).filter_map(|y| flood[y.index()]));
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        let mut nk = node_knowledge(
-            net,
-            u,
-            (flood[u.index()], expected_flood_slot),
-            &mut scratch,
-        );
+        let mut nk = node_knowledge(net, u, &mut scratch);
         if nk.status.in_backbone() {
             bt_height = bt_height.max(nk.depth);
             backbone_size += 1;
@@ -312,66 +341,50 @@ pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
         bt_height,
         delta_b: net.delta_b(),
         delta_l: net.delta_l(),
-        delta_flood,
         nodes: tree.len(),
         backbone_size,
     }
 }
 
-/// Patch `base` (a snapshot of the same net at `base_version`) up to the
-/// net's current structure, recomputing knowledge only over the dirty
-/// closure. Returns the patched snapshot and the closure size, or `None`
-/// when the journal cannot vouch for `base_version` or the dirty set
-/// exceeds `limit` — the caller then falls back to a full rebuild.
-///
-/// Correctness contract (pinned by `knowledge_patch_props` and
-/// `tests/cache_equivalence.rs`): the result is byte-equal to
-/// [`build_knowledge`] run from scratch at the current version.
-fn patch_knowledge(
-    net: &ClusterNet,
-    base: &NetKnowledge,
-    base_version: u64,
-    limit: usize,
-) -> Option<(NetKnowledge, usize)> {
+/// Snapshot Algorithm 1's flood slots of every attached node of `net`:
+/// [`assign_flood_slots`] plus every receiver's expected slot.
+pub fn build_flood_knowledge(net: &ClusterNet) -> FloodKnowledge {
+    let view = net.view();
+    let (slots, delta_flood) = assign_flood_slots(&view);
+    let mut per_node = vec![NodeFlood::default(); slots.len()];
+    let mut scratch: Vec<u32> = Vec::new();
+    for u in net.tree().nodes() {
+        per_node[u.index()] = NodeFlood {
+            flood_slot: slots[u.index()],
+            expected_flood_slot: expected_flood_slot(&view, u, |y| slots[y.index()], &mut scratch),
+        };
+    }
+    FloodKnowledge {
+        per_node,
+        delta_flood,
+    }
+}
+
+/// The dirty closure of everything journalled since `version`: the
+/// sorted set `R = L ∪ N_G(L)`, `L = T ∪ parent(T)`, where `T` is the
+/// journal's dirty set — every node whose knowledge can have changed
+/// (the dirty-closure rules of DESIGN §12, applied to knowledge in §17).
+/// Dead/detached members of `T` contribute no parent/neighbours: their
+/// surviving endpoints were journalled explicitly at removal time.
+/// `None` when the journal cannot vouch for `version` or `T` exceeds
+/// `limit` — the caller then rebuilds from scratch.
+fn dirty_closure(net: &ClusterNet, version: u64, limit: usize) -> Option<Vec<NodeId>> {
     if net.is_empty() {
         return None;
     }
     // T: journalled dirty nodes (tuple writes + surviving edge endpoints).
-    let mut t: Vec<NodeId> = net.dirty_since(base_version)?.collect();
+    let mut t: Vec<NodeId> = net.dirty_since(version)?.collect();
     t.sort_unstable();
     t.dedup();
     if t.len() > limit {
         return None;
     }
-
-    let view = net.view();
     let tree = net.tree();
-    let cap = net.graph().capacity();
-
-    // One flat memcpy: the per-node table. The CSR pool is *not* cloned —
-    // the fused sweep below rebuilds it into a fresh vector, reading the
-    // base pool for untouched segments.
-    let mut k = NetKnowledge {
-        per_node: base.per_node.clone(),
-        bt_pool: Vec::new(),
-        root: base.root,
-        height: base.height,
-        bt_height: base.bt_height,
-        delta_b: base.delta_b,
-        delta_l: base.delta_l,
-        delta_flood: base.delta_flood,
-        nodes: base.nodes,
-        backbone_size: base.backbone_size,
-    };
-    if k.per_node.len() < cap {
-        k.per_node.resize(cap, None);
-    }
-
-    // L = T ∪ parent(T), R = L ∪ N_G(L): every node whose knowledge can
-    // have changed (the dirty-closure rules of DESIGN §12, applied to
-    // knowledge in §17). Dead/detached members of T contribute no
-    // parent/neighbours — their surviving endpoints were journalled
-    // explicitly at removal time.
     let mut l = t.clone();
     for &u in &t {
         if tree.contains(u) {
@@ -390,104 +403,43 @@ fn patch_knowledge(
     }
     r.sort_unstable();
     r.dedup();
+    Some(r)
+}
 
-    // Phase A: recompute every non-flood field over R; tombstone the
-    // departed. Flood fields keep their stale values until phases B/C.
+/// Patch `base` (a snapshot of the same net at `base_version`) up to the
+/// net's current structure, recomputing knowledge only over the dirty
+/// closure. Returns the patched snapshot and the closure size, or `None`
+/// when [`dirty_closure`] refuses — the caller then falls back to a full
+/// rebuild.
+///
+/// Correctness contract (pinned by `knowledge_patch_props` and
+/// `tests/cache_equivalence.rs`): the result is byte-equal to
+/// [`build_knowledge`] run from scratch at the current version.
+fn patch_knowledge(
+    net: &ClusterNet,
+    base: &NetKnowledge,
+    base_version: u64,
+    limit: usize,
+) -> Option<(NetKnowledge, usize)> {
+    let r = dirty_closure(net, base_version, limit)?;
+    let tree = net.tree();
+    let cap = net.graph().capacity();
+
+    // One flat memcpy: the per-node table. The CSR pool is *not* cloned —
+    // the fused sweep below rebuilds it into a fresh vector, reading the
+    // base pool for untouched segments.
+    let mut per_node = base.per_node.clone();
+    if per_node.len() < cap {
+        per_node.resize(cap, None);
+    }
+
+    // Recompute every node of R; tombstone the departed.
     let mut scratch: Vec<u32> = Vec::new();
     for &u in &r {
-        let entry = &mut k.per_node[u.index()];
-        if !tree.contains(u) {
-            *entry = None;
-            continue;
-        }
-        let flood = entry
-            .as_ref()
-            .map_or((None, None), |nk| (nk.flood_slot, nk.expected_flood_slot));
         // The tour range is set by the pool sweep below.
-        *entry = Some(node_knowledge(net, u, flood, &mut scratch));
-    }
-
-    // Phase B: re-run Algorithm 1's assignment over a worklist, in the
-    // exact (depth, id) order of the full pass. Seeds: every attached
-    // node of R plus the flood transmitters of every attached node of R
-    // (structure around a dirty node changed ⇒ its transmitters' inputs
-    // may have). When a recomputed slot differs from the stale value the
-    // change cascades to same-depth co-transmitters with larger id — the
-    // only nodes whose full-pass computation could observe it — and the
-    // shared receivers are marked for expected-slot recomputation.
-    //
-    // At y's turn the full pass sees assigned slots exactly on the
-    // (depth, id)-earlier transmitters; processing the worklist in that
-    // same order keeps every input final by the time it is read.
-    let mut queue: std::collections::BTreeSet<(u32, NodeId)> = std::collections::BTreeSet::new();
-    for &u in &r {
-        if tree.contains(u) {
-            queue.insert((tree.depth(u), u));
-            for y in flood_transmitters(&view, u) {
-                queue.insert((tree.depth(y), y));
-            }
-        }
-    }
-    let mut flood_rx_dirty: Vec<NodeId> = Vec::new();
-    while let Some(&(depth, y)) = queue.iter().next() {
-        queue.remove(&(depth, y));
-        if !tree.contains(y) {
-            continue; // tombstoned: its disappearance was seeded via R
-        }
-        // The settled slots are those of the same-depth co-transmitters
-        // with a smaller id; larger ids may still hold stale values.
-        let settled = |t: NodeId| {
-            if t < y {
-                k.per_node[t.index()].as_ref()?.flood_slot
-            } else {
-                None
-            }
-        };
-        let new_slot = view
-            .cnet_internal(y)
-            .then(|| flood_slot(&view, y, settled, &mut scratch));
-        let entry = k.per_node[y.index()].as_mut().expect("attached node");
-        if entry.flood_slot != new_slot {
-            entry.flood_slot = new_slot;
-            for v in view
-                .attached_neighbors(y)
-                .filter(|&v| view.tree.depth(v) == depth + 1)
-            {
-                flood_rx_dirty.push(v);
-                for t in flood_transmitters(&view, v) {
-                    if t > y {
-                        queue.insert((depth, t));
-                    }
-                }
-            }
-        }
-    }
-
-    // Phase C: expected flood slots over R plus the receivers marked in
-    // phase B (their transmitter slot values are now final).
-    flood_rx_dirty.extend(r.iter().copied());
-    flood_rx_dirty.sort_unstable();
-    flood_rx_dirty.dedup();
-    for &u in &flood_rx_dirty {
-        if !tree.contains(u) {
-            continue;
-        }
-        let expected = if tree.depth(u) >= 1 {
-            scratch.clear();
-            scratch.extend(flood_transmitters(&view, u).filter_map(|y| {
-                k.per_node[y.index()]
-                    .as_ref()
-                    .expect("attached transmitter")
-                    .flood_slot
-            }));
-            unique_slot_sorted(&mut scratch)
-        } else {
-            None
-        };
-        k.per_node[u.index()]
-            .as_mut()
-            .expect("attached node")
-            .expected_flood_slot = expected;
+        per_node[u.index()] = tree
+            .contains(u)
+            .then(|| node_knowledge(net, u, &mut scratch));
     }
 
     // Fused flat sweep: rebuild the CSR pool in canonical increasing-id
@@ -502,12 +454,11 @@ fn patch_knowledge(
     let mut bt_pool: Vec<NodeId> = Vec::with_capacity(base.bt_pool.len() + 8);
     let mut bt_height = 0u32;
     let mut backbone_size = 0usize;
-    let mut delta_flood = 0u32;
     let mut r_cursor = r.iter().peekable();
     // Pending run: `[run_old, run_old + run_len)` in the base pool,
     // destined for the current end of `bt_pool` once flushed.
     let (mut run_old, mut run_len) = (0u32, 0u32);
-    for idx in 0..k.per_node.len() {
+    for (idx, entry) in per_node.iter_mut().enumerate() {
         let u = NodeId(idx as u32);
         while r_cursor.next_if(|&&d| d < u).is_some() {}
         let in_r = r_cursor.peek().is_some_and(|&&d| d == u);
@@ -516,15 +467,12 @@ fn patch_knowledge(
             bt_pool.extend_from_slice(&base.bt_pool[start..start + run_len as usize]);
             run_len = 0;
         }
-        let Some(entry) = k.per_node[idx].as_mut() else {
+        let Some(entry) = entry.as_mut() else {
             continue;
         };
         if entry.status.in_backbone() {
             bt_height = bt_height.max(entry.depth);
             backbone_size += 1;
-        }
-        if let Some(f) = entry.flood_slot {
-            delta_flood = delta_flood.max(f);
         }
         if in_r {
             emit_tour(net, entry, &mut bt_pool);
@@ -545,24 +493,137 @@ fn patch_knowledge(
         let start = run_old as usize;
         bt_pool.extend_from_slice(&base.bt_pool[start..start + run_len as usize]);
     }
-    k.bt_pool = bt_pool;
-    k.root = tree.root();
-    k.height = tree.height();
-    k.bt_height = bt_height;
-    k.delta_b = net.delta_b();
-    k.delta_l = net.delta_l();
-    k.delta_flood = delta_flood;
-    k.nodes = tree.len();
-    k.backbone_size = backbone_size;
-
+    let k = NetKnowledge {
+        per_node,
+        bt_pool,
+        root: tree.root(),
+        height: tree.height(),
+        bt_height,
+        delta_b: net.delta_b(),
+        delta_l: net.delta_l(),
+        nodes: tree.len(),
+        backbone_size,
+    };
     Some((k, r.len()))
 }
 
-/// The retained snapshot and the lifetime counters, under one lock.
+/// Patch the flood part `base` (of the same net at `base_version`) up to
+/// the net's current structure, or `None` when [`dirty_closure`] refuses
+/// — the caller then rebuilds from scratch.
+///
+/// Correctness contract (pinned by `knowledge_patch_props`): the result
+/// is byte-equal to [`build_flood_knowledge`] run from scratch at the
+/// current version.
+fn patch_flood_knowledge(
+    net: &ClusterNet,
+    base: &FloodKnowledge,
+    base_version: u64,
+    limit: usize,
+) -> Option<FloodKnowledge> {
+    let r = dirty_closure(net, base_version, limit)?;
+    let view = net.view();
+    let tree = net.tree();
+    let cap = net.graph().capacity();
+
+    let mut per_node = base.per_node.clone();
+    if per_node.len() < cap {
+        per_node.resize(cap, NodeFlood::default());
+    }
+    // Tombstone the departed; the survivors keep their stale slots until
+    // phases B/C.
+    for &u in &r {
+        if !tree.contains(u) {
+            per_node[u.index()] = NodeFlood::default();
+        }
+    }
+
+    // Phase B: re-run Algorithm 1's assignment over a worklist, in the
+    // exact (depth, id) order of the full pass. Seeds: every attached
+    // node of R plus the flood transmitters of every attached node of R
+    // (structure around a dirty node changed ⇒ its transmitters' inputs
+    // may have). When a recomputed slot differs from the stale value the
+    // change cascades to same-depth co-transmitters with larger id — the
+    // only nodes whose full-pass computation could observe it — and the
+    // shared receivers are marked for expected-slot recomputation.
+    //
+    // At y's turn the full pass sees assigned slots exactly on the
+    // (depth, id)-earlier transmitters; processing the worklist in that
+    // same order keeps every input final by the time it is read.
+    let mut scratch: Vec<u32> = Vec::new();
+    let mut queue: BTreeSet<(u32, NodeId)> = BTreeSet::new();
+    for &u in &r {
+        if tree.contains(u) {
+            queue.insert((tree.depth(u), u));
+            for y in flood_transmitters(&view, u) {
+                queue.insert((tree.depth(y), y));
+            }
+        }
+    }
+    let mut rx_dirty: Vec<NodeId> = Vec::new();
+    while let Some((depth, y)) = queue.pop_first() {
+        if !tree.contains(y) {
+            continue; // tombstoned: its disappearance was seeded via R
+        }
+        // The settled slots are those of the same-depth co-transmitters
+        // with a smaller id; larger ids may still hold stale values.
+        let settled = |t: NodeId| {
+            if t < y {
+                per_node[t.index()].flood_slot
+            } else {
+                None
+            }
+        };
+        let new_slot = view
+            .cnet_internal(y)
+            .then(|| flood_slot(&view, y, settled, &mut scratch));
+        let entry = &mut per_node[y.index()];
+        if entry.flood_slot != new_slot {
+            entry.flood_slot = new_slot;
+            for v in view
+                .attached_neighbors(y)
+                .filter(|&v| view.tree.depth(v) == depth + 1)
+            {
+                rx_dirty.push(v);
+                for t in flood_transmitters(&view, v) {
+                    if t > y {
+                        queue.insert((depth, t));
+                    }
+                }
+            }
+        }
+    }
+
+    // Phase C: expected flood slots over R plus the receivers marked in
+    // phase B (their transmitter slot values are now final).
+    rx_dirty.extend(r.iter().copied());
+    rx_dirty.sort_unstable();
+    rx_dirty.dedup();
+    for &u in &rx_dirty {
+        if !tree.contains(u) {
+            continue;
+        }
+        per_node[u.index()].expected_flood_slot =
+            expected_flood_slot(&view, u, |y| per_node[y.index()].flood_slot, &mut scratch);
+    }
+
+    let delta_flood = per_node
+        .iter()
+        .filter_map(|f| f.flood_slot)
+        .max()
+        .unwrap_or(0);
+    Some(FloodKnowledge {
+        per_node,
+        delta_flood,
+    })
+}
+
+/// The retained parts and the lifetime counters, under one lock.
 #[derive(Debug, Default, Clone)]
 struct CacheState {
     /// The newest `(structure version, snapshot)` pair served.
     entry: Option<(u64, Arc<NetKnowledge>)>,
+    /// The newest `(structure version, flood part)` pair served.
+    flood: Option<(u64, Arc<FloodKnowledge>)>,
     hits: u64,
     misses: u64,
     patched: u64,
@@ -586,7 +647,8 @@ pub struct CacheStats {
     pub fallbacks: u64,
 }
 
-/// A version-keyed cache for [`NetKnowledge`] snapshots.
+/// A version-keyed cache for [`NetKnowledge`] snapshots and their
+/// [`FloodKnowledge`] parts.
 ///
 /// The cache keys snapshots on [`ClusterNet::structure_version`]:
 /// repeated broadcasts over an unchanged structure reuse the `Arc`ed
@@ -607,15 +669,24 @@ pub struct CacheStats {
 /// replaces the entry, releasing the superseded snapshot as soon as no
 /// caller holds it.
 ///
+/// The flood part is built only on demand, by [`KnowledgeCache::flood`],
+/// and kept the same way in an entry of its own with its own version:
+/// served on a version match, else patched from the retained part by
+/// `patch_flood_knowledge` over the dirty closure since *that* part's
+/// version (which may lag the snapshot's by many versions), else rebuilt
+/// by [`build_flood_knowledge`]. The same threshold and switch apply.
+///
 /// Counter semantics: a `get` is a *hit* when the version matches the
 /// retained entry and a *miss* otherwise; `patched` counts the subset of
 /// misses served by the patch path instead of a full rebuild (so
 /// `hits + misses` equals the number of `get` calls regardless of how a
 /// miss was served). [`KnowledgeCache::full_stats`] additionally exposes
-/// the summed patch closure size and the fallback count. Setting the
-/// environment variable `DSNET_KNOWLEDGE_PATCH=off` (read at cache
-/// construction) disables the patch path entirely — the determinism
-/// smoke diffs traced streams between both modes.
+/// the summed patch closure size and the fallback count. The counters
+/// describe `get` alone: a `flood` request moves none of them, so they
+/// read the same whichever protocols ran. Setting the environment
+/// variable `DSNET_KNOWLEDGE_PATCH=off` (read at cache construction)
+/// disables the patch path of both parts — the determinism smoke diffs
+/// traced streams between both modes.
 #[derive(Debug)]
 pub struct KnowledgeCache {
     state: Mutex<CacheState>,
@@ -675,10 +746,7 @@ impl KnowledgeCache {
             .take()
             .filter(|(v, _)| self.patch_enabled && *v < version);
         if let Some((base_version, base)) = base {
-            let limit = self
-                .patch_limit
-                .unwrap_or_else(|| PATCH_MIN_LIMIT.max(net.len() / 8));
-            match patch_knowledge(net, &base, base_version, limit) {
+            match patch_knowledge(net, &base, base_version, self.limit(net)) {
                 Some((patched, scope)) => {
                     state.patched += 1;
                     state.patched_scope += scope as u64;
@@ -692,6 +760,41 @@ impl KnowledgeCache {
         let k = Arc::new(build_knowledge(net));
         state.entry = Some((version, Arc::clone(&k)));
         k
+    }
+
+    /// Algorithm 1's flood part for `net`'s current structure — served
+    /// from cache when the structure version matches the retained part,
+    /// patched from it when the mutation journal covers the gap, rebuilt
+    /// otherwise. Moves none of the [`CacheStats`] counters.
+    pub fn flood(&self, net: &ClusterNet) -> Arc<FloodKnowledge> {
+        let version = net.structure_version();
+        let mut state = self.state.lock().expect("knowledge cache poisoned");
+        if let Some((_, f)) = state.flood.as_ref().filter(|(v, _)| *v == version) {
+            return Arc::clone(f);
+        }
+        let patched = state
+            .flood
+            .take()
+            .filter(|(v, _)| self.patch_enabled && *v < version)
+            .and_then(|(base_version, base)| {
+                patch_flood_knowledge(net, &base, base_version, self.limit(net))
+            });
+        let f = Arc::new(patched.unwrap_or_else(|| build_flood_knowledge(net)));
+        state.flood = Some((version, Arc::clone(&f)));
+        f
+    }
+
+    /// The structure version of the retained flood part; `None` until
+    /// [`KnowledgeCache::flood`] is first called.
+    pub fn flood_version(&self) -> Option<u64> {
+        let state = self.state.lock().expect("knowledge cache poisoned");
+        state.flood.as_ref().map(|(v, _)| *v)
+    }
+
+    /// The largest dirty set either patch path accepts.
+    fn limit(&self, net: &ClusterNet) -> usize {
+        self.patch_limit
+            .unwrap_or_else(|| PATCH_MIN_LIMIT.max(net.len() / 8))
     }
 
     /// Lifetime totals of `(hits, misses, patched)` across every
@@ -774,18 +877,23 @@ mod tests {
     fn slots_present_exactly_on_transmitters() {
         let net = chain_net(15);
         let k = build_knowledge(&net);
+        let flood = build_flood_knowledge(&net);
         for u in net.tree().nodes() {
             let nk = k.of(u);
             assert_eq!(nk.b_slot.is_some(), nk.bt_internal, "{u} b");
             assert_eq!(nk.l_slot.is_some(), nk.cnet_internal, "{u} l");
-            assert_eq!(nk.flood_slot.is_some(), nk.cnet_internal, "{u} flood");
+            let slot = flood.of(u).flood_slot;
+            assert_eq!(slot.is_some(), nk.cnet_internal, "{u} flood");
         }
+        let max = flood.per_node.iter().filter_map(|f| f.flood_slot).max();
+        assert_eq!(max, Some(flood.delta_flood));
     }
 
     #[test]
     fn expected_slots_exist_for_receivers() {
         let net = chain_net(15);
         let k = build_knowledge(&net);
+        let flood = build_flood_knowledge(&net);
         for u in net.tree().nodes() {
             let nk = k.of(u);
             if nk.status.in_backbone() && nk.depth >= 1 {
@@ -794,9 +902,8 @@ mod tests {
             if nk.status == dsnet_cluster::NodeStatus::PureMember {
                 assert!(nk.expected_l_slot.is_some(), "{u} lacks expected l-slot");
             }
-            if nk.depth >= 1 {
-                assert!(nk.expected_flood_slot.is_some(), "{u} lacks flood slot");
-            }
+            let expected = flood.of(u).expected_flood_slot;
+            assert_eq!(expected.is_some(), nk.depth >= 1, "{u} flood expectation");
         }
     }
 
@@ -950,6 +1057,64 @@ mod tests {
             1,
             "the cache must not retain a superseded snapshot"
         );
+    }
+
+    #[test]
+    fn superseded_flood_part_is_released() {
+        let mut net = chain_net(10);
+        let cache = KnowledgeCache::new();
+        let first = cache.flood(&net);
+        net.move_in(&[NodeId(9)]).unwrap();
+        let _second = cache.flood(&net);
+        assert_eq!(
+            Arc::strong_count(&first),
+            1,
+            "the cache must not retain a superseded flood part"
+        );
+    }
+
+    #[test]
+    fn flood_requests_move_no_counter() {
+        let mut net = chain_net(20);
+        let cache = KnowledgeCache::new();
+        assert_eq!(cache.flood_version(), None, "built on demand only");
+        let _ = cache.get(&net);
+        let before = cache.full_stats();
+        let a = cache.flood(&net);
+        assert!(Arc::ptr_eq(&a, &cache.flood(&net)), "same version hits");
+        for _ in 0..3 {
+            net.move_in(&[NodeId(0)]).unwrap();
+            let _ = cache.flood(&net);
+        }
+        assert_eq!(cache.full_stats(), before);
+        assert_eq!(cache.flood_version(), Some(net.structure_version()));
+    }
+
+    #[test]
+    fn flood_part_patches_across_version_gaps() {
+        let mut net = chain_net(24);
+        for limit in [usize::MAX, 0] {
+            let cache = KnowledgeCache::with_patch_limit(limit);
+            let _ = cache.flood(&net);
+            for step in 0..6u32 {
+                // Several mutations between requests: the patch spans them all.
+                for _ in 0..=step % 3 {
+                    net.move_in(&[NodeId(step % 5)]).unwrap();
+                }
+                if step % 2 == 0 {
+                    let leaf = net
+                        .tree()
+                        .nodes()
+                        .max_by_key(|&u| (net.tree().depth(u), u))
+                        .unwrap();
+                    if net.can_move_out(leaf).is_ok() {
+                        net.move_out(leaf).unwrap();
+                    }
+                }
+                let f = cache.flood(&net);
+                assert_eq!(*f, build_flood_knowledge(&net), "limit {limit} step {step}");
+            }
+        }
     }
 
     #[test]

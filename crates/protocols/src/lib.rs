@@ -23,7 +23,8 @@
 //! * [`multicast`] — the multicast front-end over MCNet(G).
 //! * [`knowledge`] — extraction of the per-node knowledge (I)+(II) the
 //!   paper assumes (depth, slots, height, δ, Δ, backbone adjacency) from a
-//!   built [`ClusterNet`](dsnet_cluster::ClusterNet).
+//!   built [`ClusterNet`](dsnet_cluster::ClusterNet), with Algorithm 1's
+//!   flood slots and Δ' as a separate part built only on demand.
 //! * [`arrival`] — the end-to-end distributed `node-move-in` session
 //!   (radio discovery + local Definition-1 parent choice + structural
 //!   attachment), the composed object Theorem 2 prices.
@@ -49,7 +50,7 @@ pub mod multicast;
 pub mod reliable;
 pub mod runner;
 
-pub use knowledge::{KnowledgeCache, NetKnowledge, NodeKnowledge};
+pub use knowledge::{FloodKnowledge, KnowledgeCache, NetKnowledge, NodeKnowledge};
 pub use runner::{Broadcast, BroadcastOutcome, Coverage, Protocol, RunConfig};
 
 /// Test fixture: the path `0 — 1 — … — n-1`, each node arriving next to

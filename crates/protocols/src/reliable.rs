@@ -32,7 +32,7 @@
 //! schedule length, which is the honest trade-off.
 
 use crate::cff::{uplink_step, CffSchedule};
-use crate::knowledge::{NetKnowledge, Session};
+use crate::knowledge::{FloodKnowledge, NetKnowledge, Session};
 use dsnet_geom::rng::splitmix64;
 use dsnet_graph::NodeId;
 use dsnet_radio::{Action, NodeCtx, NodeProgram, Round};
@@ -83,32 +83,35 @@ pub struct ReliableCffProgram {
 }
 
 impl ReliableCffProgram {
-    /// Build the reliable-flood program for node `u`.
+    /// Build the reliable-flood program for node `u` of a session run on
+    /// `sched`, the session's [`CffSchedule::algorithm1`] schedule.
     pub fn new(
         k: &NetKnowledge,
+        flood: &FloodKnowledge,
         session: &Session,
+        sched: CffSchedule,
         u: NodeId,
         uplink_pos: Option<u64>,
         max_retries: u32,
     ) -> Self {
-        let nk = k.of(u);
-        let sched = CffSchedule::algorithm1(k, session);
+        let depth = k.of(u).depth;
+        let f = flood.of(u);
         let epoch_len = 2 * sched.wb * k.height as u64;
         let epochs = 1 + max_retries as u64;
-        let has = u == session.source || (nk.depth == 0 && session.offset == 0);
+        let has = u == session.source || (depth == 0 && session.offset == 0);
         Self {
             id: u,
             sched,
-            depth: nk.depth,
-            flood_slot: nk.flood_slot,
-            expected_slot: nk.expected_flood_slot,
+            depth,
+            flood_slot: f.flood_slot,
+            expected_slot: f.expected_flood_slot,
             epoch_len,
             epochs,
             uplink_pos,
             received: has,
             received_round: has.then_some(0),
             uplink_sent: false,
-            tx_due: has && nk.flood_slot.is_some(),
+            tx_due: has && f.flood_slot.is_some(),
             has_transmitted: false,
             nack_heard: false,
             first_needy_epoch: None,
@@ -260,8 +263,9 @@ impl NodeProgram for ReliableCffProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analytic::cff_reliable_bound;
     use crate::chain_net;
-    use crate::knowledge::build_knowledge;
+    use crate::knowledge::{build_flood_knowledge, build_knowledge};
     use dsnet_cluster::ClusterNet;
     use dsnet_radio::{Engine, EngineConfig, FailurePlan, LossModel, StopReason};
 
@@ -273,7 +277,9 @@ mod tests {
         failures: FailurePlan,
     ) -> (u64, StopReason, Vec<Option<ReliableCffProgram>>) {
         let k = build_knowledge(net);
+        let flood = build_flood_knowledge(net);
         let session = Session::new(&k, source, 1);
+        let sched = CffSchedule::algorithm1(&k, &flood, &session);
         let path = net.tree().path_to_root(source);
         let mut pos = vec![None; net.graph().capacity()];
         for (j, &u) in path.iter().enumerate() {
@@ -282,11 +288,11 @@ mod tests {
         let mut engine = Engine::new(
             net.graph(),
             EngineConfig {
-                max_rounds: crate::analytic::cff_reliable_bound(&k, session.offset, 1, retries) + 4,
+                max_rounds: cff_reliable_bound(&k, &flood, session.offset, 1, retries) + 4,
                 record_trace: true,
                 ..Default::default()
             },
-            |u| ReliableCffProgram::new(&k, &session, u, pos[u.index()], retries),
+            |u| ReliableCffProgram::new(&k, &flood, &session, sched, u, pos[u.index()], retries),
         );
         engine.set_loss(loss);
         engine.set_failures(failures);
@@ -310,8 +316,8 @@ mod tests {
         assert_eq!(delivered(&net, &programs), 12);
         // One epoch suffices without loss; the run must not pay for the
         // retry epochs it never needed.
-        let k = build_knowledge(&net);
-        assert!(rounds <= crate::analytic::cff_reliable_bound(&k, 0, 1, 0) + 1);
+        let (k, flood) = (build_knowledge(&net), build_flood_knowledge(&net));
+        assert!(rounds <= cff_reliable_bound(&k, &flood, 0, 1, 0) + 1);
     }
 
     #[test]
@@ -365,8 +371,8 @@ mod tests {
         assert_ne!(stop, StopReason::RoundLimit);
         let d = delivered(&net, &programs);
         assert!((4..8).contains(&d), "{d}");
-        let k = build_knowledge(&net);
-        assert!(rounds <= crate::analytic::cff_reliable_bound(&k, 0, 1, 2) + 4);
+        let (k, flood) = (build_knowledge(&net), build_flood_knowledge(&net));
+        assert!(rounds <= cff_reliable_bound(&k, &flood, 0, 1, 2) + 4);
     }
 
     #[test]
@@ -385,16 +391,20 @@ mod tests {
     #[test]
     fn multichannel_reliable_covers() {
         let net = chain_net(14);
-        let k = build_knowledge(&net);
+        let (k, flood) = (build_knowledge(&net), build_flood_knowledge(&net));
         let session = Session::new(&k, net.root(), 2);
+        let sched = CffSchedule::algorithm1(&k, &flood, &session);
         let mut engine = Engine::new(
             net.graph(),
             EngineConfig {
                 channels: 2,
-                max_rounds: crate::analytic::cff_reliable_bound(&k, 0, 2, 2) + 4,
+                max_rounds: cff_reliable_bound(&k, &flood, 0, 2, 2) + 4,
                 record_trace: true,
             },
-            |u| ReliableCffProgram::new(&k, &session, u, (u == net.root()).then_some(0), 2),
+            |u| {
+                let pos = (u == net.root()).then_some(0);
+                ReliableCffProgram::new(&k, &flood, &session, sched, u, pos, 2)
+            },
         );
         let out = engine.run();
         assert_eq!(out.stop, StopReason::AllDone);

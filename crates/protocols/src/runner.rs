@@ -2,14 +2,18 @@
 //!
 //! [`run`] takes a [`Broadcast`] request — protocol, source, an optional
 //! multicast group, optional prebuilt knowledge — snapshots the knowledge
-//! of the structure if none was given, instantiates the per-node
+//! of the structure if none was given (the flood part only for the
+//! protocols that read it), instantiates the per-node
 //! programs, executes them on the radio engine (optionally under a
 //! failure plan) and condenses the run into a [`BroadcastOutcome`] — the
 //! unit every bench and figure in the evaluation is built from.
 
 use crate::cff::{CffProgram, CffSchedule, Participation};
 use crate::dfo::DfoProgram;
-use crate::knowledge::{build_knowledge, build_session_knowledge_from, NetKnowledge, Session};
+use crate::knowledge::{
+    build_flood_knowledge, build_knowledge, build_session_knowledge_from, FloodKnowledge,
+    NetKnowledge, Session,
+};
 use crate::reliable::ReliableCffProgram;
 use crate::{analytic, multicast};
 use dsnet_cluster::{ClusterNet, GroupId, McNet, NodeStatus};
@@ -18,6 +22,7 @@ use dsnet_radio::{
     EnergyReport, Engine, EngineConfig, FailurePlan, LossModel, NodeProgram, ShardPlan, StopReason,
     Trace, TraceEvent,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Options shared by all protocol runs.
@@ -262,6 +267,14 @@ pub enum Protocol {
     ReliableCff,
 }
 
+impl Protocol {
+    /// Whether the protocol reads Algorithm 1's [`FloodKnowledge`] part;
+    /// the others read the base snapshot only.
+    pub fn reads_flood(self) -> bool {
+        matches!(self, Protocol::BasicCff | Protocol::ReliableCff)
+    }
+}
+
 /// How a multicast session picks its time-slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MulticastSlots {
@@ -293,6 +306,10 @@ pub struct Broadcast<'k> {
     /// by a [`crate::knowledge::KnowledgeCache`]). `None` = build one
     /// from scratch for this run.
     pub knowledge: Option<&'k NetKnowledge>,
+    /// A prebuilt flood part of the same structure, read only when
+    /// [`Protocol::reads_flood`]. `None` = build one from scratch if the
+    /// protocol reads it.
+    pub flood: Option<&'k FloodKnowledge>,
 }
 
 impl Broadcast<'_> {
@@ -303,6 +320,7 @@ impl Broadcast<'_> {
             source,
             multicast: None,
             knowledge: None,
+            flood: None,
         }
     }
 
@@ -361,13 +379,13 @@ impl Structure for McNet {
 /// trial goes through.
 pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
     let (mc, net) = (net.mcnet(), net.cnet());
-    let owned;
-    let k = match req.knowledge {
-        Some(k) => k,
-        None => {
-            owned = build_knowledge(net);
-            &owned
-        }
+    let k = req
+        .knowledge
+        .map_or_else(|| Cow::Owned(build_knowledge(net)), Cow::Borrowed);
+    let k: &NetKnowledge = &k;
+    let flood = || {
+        req.flood
+            .map_or_else(|| Cow::Owned(build_flood_knowledge(net)), Cow::Borrowed)
     };
     let source = req.source;
     assert!(
@@ -394,9 +412,10 @@ pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
             )
         }
         Protocol::BasicCff => {
+            let flood = flood();
             let session = Session::new(k, source, cfg.channels);
-            let sched = CffSchedule::algorithm1(k, &session);
-            let bound = analytic::cff_basic_bound(k, session.offset, cfg.channels);
+            let sched = CffSchedule::algorithm1(k, &flood, &session);
+            let bound = analytic::cff_basic_bound(k, &flood, session.offset, cfg.channels);
             drive(
                 net,
                 source,
@@ -404,14 +423,19 @@ pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
                 bound + 4,
                 bound,
                 &all(),
-                |u| CffProgram::new(k, &session, sched, u, pos[u.index()], Participation::FULL),
+                |u| {
+                    let (pos, part) = (pos[u.index()], Participation::FULL);
+                    CffProgram::new(k, Some(&flood), &session, sched, u, pos, part)
+                },
                 |p| p.received,
             )
         }
         Protocol::ReliableCff => {
+            let flood = flood();
             let session = Session::new(k, source, cfg.channels);
-            let bound =
-                analytic::cff_reliable_bound(k, session.offset, cfg.channels, cfg.max_retries);
+            let sched = CffSchedule::algorithm1(k, &flood, &session);
+            let (retries, channels) = (cfg.max_retries, cfg.channels);
+            let bound = analytic::cff_reliable_bound(k, &flood, session.offset, channels, retries);
             drive(
                 net,
                 source,
@@ -419,7 +443,7 @@ pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
                 bound + 4,
                 bound,
                 &all(),
-                |u| ReliableCffProgram::new(k, &session, u, pos[u.index()], cfg.max_retries),
+                |u| ReliableCffProgram::new(k, &flood, &session, sched, u, pos[u.index()], retries),
                 |p| p.received,
             )
         }
@@ -486,7 +510,7 @@ fn drive_improved(
         sched.end_round + 4,
         bound,
         targets,
-        |u| CffProgram::new(k, &session, sched, u, pos[u.index()], part(u)),
+        |u| CffProgram::new(k, None, &session, sched, u, pos[u.index()], part(u)),
         |p| p.received,
     );
     // The documented k=1 contract (see `tests/protocol_properties.rs`):

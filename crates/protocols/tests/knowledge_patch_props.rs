@@ -1,5 +1,6 @@
-//! Property tests pinning the dirty-scoped knowledge patch path to the
-//! from-scratch oracle (`build_knowledge`).
+//! Property tests pinning the dirty-scoped knowledge patch paths to their
+//! from-scratch oracles (`build_knowledge` for the base snapshot,
+//! `build_flood_knowledge` for Algorithm 1's flood part).
 //!
 //! Mirrors the shape of the cluster crate's `invariants/incremental_props`
 //! suite, applied to knowledge instead of invariant auditing:
@@ -13,12 +14,19 @@
 //!    forcing fallback-threshold crossings (patch refused, full rebuild
 //!    taken), so the threshold path is exercised, not just configured;
 //! 3. a `get` with no intervening mutation is a no-op hit: same `Arc`,
-//!    hit counted, nothing patched — the empty-dirty case never clones.
+//!    hit counted, nothing patched — the empty-dirty case never clones;
+//! 4. the flood part, requested only at a random subset of versions so
+//!    that its patches span multi-version gaps, is byte-equal to
+//!    `build_flood_knowledge` at every request, under every limit, and
+//!    its requests move none of the cache counters; dense unit-disk
+//!    histories reach the flood patch's cascade, which the sparse
+//!    random histories never need.
 
 use dsnet_cluster::repair::RepairConfig;
 use dsnet_cluster::ClusterNet;
+use dsnet_geom::rng::splitmix64;
 use dsnet_graph::NodeId;
-use dsnet_protocols::knowledge::build_knowledge;
+use dsnet_protocols::knowledge::{build_flood_knowledge, build_knowledge};
 use dsnet_protocols::KnowledgeCache;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -75,6 +83,19 @@ fn mutate(net: &mut ClusterNet, op: u8, a: u16, b: u16) {
     }
 }
 
+/// Request the flood part when bit `i` of `mask` is set and demand it
+/// equal the from-scratch oracle.
+fn check_flood(cache: &KnowledgeCache, net: &ClusterNet, mask: u32, i: usize) {
+    if mask >> (i % 32) & 1 == 1 {
+        let flood = cache.flood(net);
+        assert_eq!(
+            *flood,
+            build_flood_knowledge(net),
+            "flood part diverged at op {i}"
+        );
+    }
+}
+
 fn seed_net(arrivals: &[(u16, u16)]) -> ClusterNet {
     let mut net = ClusterNet::with_defaults();
     net.move_in(&[]).unwrap();
@@ -94,14 +115,16 @@ proptest! {
     fn patched_snapshots_equal_rebuilds_at_every_version(
         arrivals in prop::collection::vec((any::<u16>(), any::<u16>()), 6..30),
         ops in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..25),
+        flood_mask in any::<u32>(),
     ) {
         let mut net = seed_net(&arrivals);
         let cache = KnowledgeCache::new();
-        for &(op, a, b) in &ops {
+        for (i, &(op, a, b)) in ops.iter().enumerate() {
             mutate(&mut net, op, a, b);
             let cached = cache.get(&net);
             let fresh = build_knowledge(&net);
             prop_assert_eq!(&*cached, &fresh, "cached snapshot diverged from rebuild");
+            check_flood(&cache, &net, flood_mask, i);
         }
         let s = cache.full_stats();
         prop_assert_eq!(s.hits + s.misses, ops.len() as u64);
@@ -116,14 +139,16 @@ proptest! {
         arrivals in prop::collection::vec((any::<u16>(), any::<u16>()), 6..20),
         ops in prop::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 1..20),
         limit in 0usize..6,
+        flood_mask in any::<u32>(),
     ) {
         let mut net = seed_net(&arrivals);
         let cache = KnowledgeCache::with_patch_limit(limit);
-        for &(op, a, b) in &ops {
+        for (i, &(op, a, b)) in ops.iter().enumerate() {
             mutate(&mut net, op, a, b);
             let cached = cache.get(&net);
             let fresh = build_knowledge(&net);
             prop_assert_eq!(&*cached, &fresh, "equality broken around the threshold");
+            check_flood(&cache, &net, flood_mask, i);
         }
         if limit == 0 {
             // Every structural change dirties at least one node, so a
@@ -143,6 +168,9 @@ proptest! {
         let first = cache.get(&net);
         let again = cache.get(&net);
         prop_assert!(Arc::ptr_eq(&first, &again), "hit must reuse the snapshot");
+        let flood = cache.flood(&net);
+        let flood_again = cache.flood(&net);
+        prop_assert!(Arc::ptr_eq(&flood, &flood_again), "hit must reuse the flood part");
         let s = cache.full_stats();
         prop_assert_eq!((s.hits, s.misses, s.patched, s.fallbacks), (1, 1, 0, 0));
     }
@@ -161,6 +189,7 @@ fn threshold_witness_patches_and_falls_back() {
         }
         let cache = KnowledgeCache::with_patch_limit(limit);
         let _ = cache.get(&net); // prime
+        let _ = cache.flood(&net);
         for i in 0..12u16 {
             mutate(
                 &mut net,
@@ -170,6 +199,8 @@ fn threshold_witness_patches_and_falls_back() {
             );
             let cached = cache.get(&net);
             assert_eq!(*cached, build_knowledge(&net), "limit {limit} diverged");
+            // Every third version: flood patches span three mutations.
+            check_flood(&cache, &net, 0b100_100_100_100, i as usize);
         }
         cache.full_stats()
     };
@@ -179,4 +210,108 @@ fn threshold_witness_patches_and_falls_back() {
     let zero = build(0);
     assert_eq!(zero.patched, 0, "zero limit must never patch");
     assert!(zero.fallbacks > 0, "zero limit must record its refusals");
+}
+
+/// A unit-disk field of radio range 1: each arrival hears every
+/// attached node in range.
+struct Field {
+    net: ClusterNet,
+    pos: Vec<(f64, f64)>,
+}
+
+impl Field {
+    fn arrive(&mut self, p: (f64, f64)) {
+        let in_range = |q: (f64, f64)| (q.0 - p.0).powi(2) + (q.1 - p.1).powi(2) <= 1.0;
+        let nbrs: Vec<NodeId> = match self.net.is_empty() {
+            true => Vec::new(),
+            false => self
+                .net
+                .tree()
+                .nodes()
+                .filter(|u| in_range(self.pos[u.index()]))
+                .collect(),
+        };
+        if !self.net.is_empty() && nbrs.is_empty() {
+            return; // out of everyone's range: the sensor never joins
+        }
+        if let Ok(report) = self.net.move_in(&nbrs) {
+            let u = report.node.index();
+            if self.pos.len() <= u {
+                self.pos.resize(u + 1, p);
+            }
+            self.pos[u] = p;
+        }
+    }
+}
+
+/// Seeded draws for [`dense_field_flood_patches_cascade`].
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = splitmix64(self.0);
+        self.0
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Dense fields make flood patches cascade: a slot change at one
+/// transmitter must reach a same-depth co-transmitter outside the dirty
+/// closure through a shared receiver. These seeded histories (120
+/// sensors on a 5×5 field, then arrivals, departures and short
+/// relocations with a flood request after each) diverge from the oracle
+/// when phase B's cascade is removed; the random histories above do not.
+#[test]
+fn dense_field_flood_patches_cascade() {
+    let side = 5.0;
+    for seed in [97u64, 197, 306] {
+        let mut d = Draw(seed.wrapping_mul(0x9E37_79B9).wrapping_add(17));
+        let mut f = Field {
+            net: ClusterNet::with_defaults(),
+            pos: Vec::new(),
+        };
+        f.arrive((0.5, side / 2.0));
+        while f.net.len() < 120 {
+            let p = (d.unit() * side, d.unit() * side);
+            f.arrive(p);
+        }
+        let cache = KnowledgeCache::new();
+        let _ = cache.flood(&f.net);
+        for step in 0..25 {
+            let nodes: Vec<NodeId> = f.net.tree().nodes().collect();
+            let pick = nodes[(d.next() % nodes.len() as u64) as usize];
+            let movable = pick != f.net.root();
+            match d.next() % 3 {
+                0 => {
+                    let p = (d.unit() * side, d.unit() * side);
+                    f.arrive(p);
+                }
+                1 => {
+                    if movable {
+                        let _ = f.net.move_out(pick);
+                    }
+                }
+                _ => {
+                    if movable && f.net.move_out(pick).is_ok() {
+                        let q = f.pos[pick.index()];
+                        let p = (
+                            (q.0 + d.unit() * 0.6 - 0.3).clamp(0.0, side),
+                            (q.1 + d.unit() * 0.6 - 0.3).clamp(0.0, side),
+                        );
+                        f.arrive(p);
+                    }
+                }
+            }
+            let flood = cache.flood(&f.net);
+            assert_eq!(
+                *flood,
+                build_flood_knowledge(&f.net),
+                "seed {seed} step {step}"
+            );
+        }
+    }
 }

@@ -123,6 +123,42 @@ fn frames_op_is_a_grammar_error_and_the_connection_stays_open() {
     server.wait();
 }
 
+/// A frame of half a million `[` (under the 1 MiB cap) is refused at
+/// the parser's nesting limit with a typed `malformed_frame` reply, where
+/// unbounded recursion used to overflow the shard's stack and abort the
+/// daemon; the connection keeps answering.
+#[test]
+fn deeply_nested_frame_is_a_typed_error_not_a_crash() {
+    let (server, addr) = serve(1, 0);
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    write_frame_bytes(&mut raw, &[b'['; 500_000]).expect("nested frame");
+    let payload = read_frame_bytes(&mut raw).expect("error reply");
+    let resp = decode_response_bytes(&payload, FrameFormat::Json).expect("decode");
+    assert_eq!(resp.id, 0, "grammar faults are answered at id 0");
+    match resp.body {
+        Body::Err { kind, detail } => {
+            assert_eq!(kind, ErrKind::MalformedFrame);
+            assert!(detail.contains("nesting deeper than 128"), "{detail}");
+        }
+        other => panic!("expected malformed_frame, got {other:?}"),
+    }
+
+    let ping = Request {
+        id: 3,
+        op: Op::Ping,
+    };
+    write_frame_bytes(&mut raw, &encode_request_bytes(&ping, FrameFormat::Json)).expect("ping");
+    let payload = read_frame_bytes(&mut raw).expect("pong");
+    let resp = decode_response_bytes(&payload, FrameFormat::Json).expect("decode");
+    assert_eq!(resp.id, 3);
+    assert!(matches!(resp.body, Body::Ok(_)), "{:?}", resp.body);
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    drop((raw, client));
+    server.wait();
+}
+
 /// A peer parked mid-frame must not stall its shard: with a single
 /// shard and a short read deadline, a healthy neighbor keeps completing
 /// requests the whole time, and the stalled connection is eventually

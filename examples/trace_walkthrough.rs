@@ -46,6 +46,7 @@ fn main() {
         |u| {
             CffProgram::new(
                 &k,
+                None,
                 &session,
                 sched,
                 u,

@@ -25,7 +25,9 @@
 #                   session stream and a mobile campaign must be
 #                   byte-identical between the patch path and a forced
 #                   full-rebuild path (DSNET_KNOWLEDGE_PATCH=off), and
-#                   across 1 vs 2 worker threads
+#                   across 1 vs 2 worker threads; cff1/rcff broadcasts
+#                   between the mutations drive the on-demand flood part
+#                   and its patches across multi-version gaps
 #
 # Artifacts are left in the working directory as t<axis><threads>.json /
 # .csv (tserver_*.stream for the server-reactor axis) so CI can upload
@@ -129,17 +131,22 @@ knowledge_smoke() {
     local script="tknowledge.script"
     cat > "$script" <<'EOS'
 {"cmd": "broadcast", "protocol": "cff"}
+{"cmd": "broadcast", "protocol": "cff1"}
 {"cmd": "mobility", "epochs": 2, "movers": 1, "step_milli": 300}
 {"cmd": "broadcast", "protocol": "cff"}
+{"cmd": "broadcast", "protocol": "rcff", "loss_ppm": 100000, "retries": 3}
 {"cmd": "move_out", "node": 5}
 {"cmd": "broadcast", "protocol": "dfo"}
+{"cmd": "broadcast", "protocol": "cff1"}
 {"cmd": "move_in", "x_milli": 4200, "y_milli": 4700}
 {"cmd": "broadcast", "protocol": "cff", "loss_ppm": 30000, "retries": 2, "min_delivery_ppm": 800000}
 {"cmd": "kill", "node": 7}
+{"cmd": "broadcast", "protocol": "rcff", "loss_ppm": 100000, "retries": 3}
 {"cmd": "mobility", "epochs": 3, "movers": 2, "step_milli": 400}
 {"cmd": "broadcast", "protocol": "dfo"}
 {"cmd": "revive", "node": 7}
 {"cmd": "broadcast", "protocol": "cff"}
+{"cmd": "broadcast", "protocol": "cff1"}
 EOS
     "${DSNET[@]}" direct --script "$script" \
         --nodes 60 --seed 2026 > tknowledge_patch.stream
@@ -147,7 +154,7 @@ EOS
         --nodes 60 --seed 2026 > tknowledge_rebuild.stream
     cmp tknowledge_patch.stream tknowledge_rebuild.stream
 
-    local flags="--ns 40 --reps 2 --protocols cff,dfo \
+    local flags="--ns 40 --reps 2 --protocols cff,dfo,cff1,rcff \
                  --mobility rwp0.06x20p1,gm0.05x15 --quiet"
     for threads in 1 2; do
         # shellcheck disable=SC2086  # flags are a curated word list

@@ -149,7 +149,8 @@ proptest! {
         prop_assert!(cff2.energy.max_awake <= bound,
             "k={}: Alg 2 awake {} > bound {}", k, cff2.energy.max_awake, bound);
         let cff1 = broadcast(net, Protocol::BasicCff, net.root(), &cfg);
-        let bound = analytic::cff_basic_awake_bound(&kn);
+        let flood = dsnet::protocols::knowledge::build_flood_knowledge(net);
+        let bound = analytic::cff_basic_awake_bound(&flood);
         prop_assert!(cff1.energy.max_awake <= bound,
             "k={}: Alg 1 awake {} > bound {}", k, cff1.energy.max_awake, bound);
     }

@@ -300,8 +300,12 @@ impl<'a> Parser<'a> {
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
                                 .map_err(|_| self.err("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            // Four hex digits exactly: `from_str_radix`
+                            // alone would also take a leading `+`.
+                            let code = Some(hex)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             let c = char::from_u32(code)
                                 .ok_or_else(|| self.err("surrogate \\u escape unsupported"))?;
                             out.push(c);
@@ -456,6 +460,7 @@ mod tests {
             "[1 2]",
             "\"bad\\q\"",
             "\"\\ud800\"",
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

@@ -7,6 +7,7 @@
 //! each sensor has a permanent distinct ID.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identity of a node. Dense per-graph index, never recycled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,6 +33,47 @@ impl From<u32> for NodeId {
     }
 }
 
+/// The rows of a [`Graph`] flattened into one compressed-sparse-row
+/// table: `ids()[offsets()[i]..offsets()[i + 1]]` is id `i`'s sorted
+/// neighbour row, empty for a tombstone. One contiguous scan per row
+/// instead of a pointer chase into per-node vectors.
+#[derive(Debug)]
+pub struct FlatAdjacency {
+    offsets: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl FlatAdjacency {
+    fn build(g: &Graph) -> Self {
+        let mut offsets = Vec::with_capacity(g.capacity() + 1);
+        let mut ids = Vec::with_capacity(2 * g.edge_count);
+        for (row, &alive) in g.adj.iter().zip(&g.alive) {
+            offsets.push(ids.len() as u32);
+            if alive {
+                ids.extend_from_slice(row);
+            }
+        }
+        offsets.push(ids.len() as u32);
+        Self { offsets, ids }
+    }
+
+    /// Row starts by id, plus one closing entry (`capacity() + 1` long).
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every row back to back (`2 · edge_count()` long).
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// The row of `u` (empty for a tombstone).
+    pub fn row(&self, u: NodeId) -> &[NodeId] {
+        let i = u.index();
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// Dynamic undirected simple graph.
 ///
 /// ```
@@ -47,13 +89,43 @@ impl From<u32> for NodeId {
 /// assert_eq!(g.add_node(), NodeId(3));
 /// assert_eq!(g.node_count(), 3);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Default)]
 pub struct Graph {
     /// Sorted adjacency lists; `adj[u]` is meaningful only while `alive[u]`.
     adj: Vec<Vec<NodeId>>,
     alive: Vec<bool>,
     live_count: usize,
     edge_count: usize,
+    /// `adj` flattened, built on the first [`Graph::flat`] request and
+    /// dropped by every mutation of a row, so it is built once per
+    /// topology rather than once per reader.
+    flat: OnceLock<FlatAdjacency>,
+}
+
+/// The flattened rows are a cache, invisible in the graph's value.
+impl fmt::Debug for Graph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Graph")
+            .field("adj", &self.adj)
+            .field("alive", &self.alive)
+            .field("live_count", &self.live_count)
+            .field("edge_count", &self.edge_count)
+            .finish()
+    }
+}
+
+/// A clone starts without the flattened rows: clones are mostly taken
+/// to be mutated, and a reader rebuilds them on demand.
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Self {
+            adj: self.adj.clone(),
+            alive: self.alive.clone(),
+            live_count: self.live_count,
+            edge_count: self.edge_count,
+            flat: OnceLock::new(),
+        }
+    }
 }
 
 impl Graph {
@@ -69,6 +141,7 @@ impl Graph {
             alive: vec![true; n],
             live_count: n,
             edge_count: 0,
+            flat: OnceLock::new(),
         }
     }
 
@@ -78,6 +151,7 @@ impl Graph {
         self.adj.push(Vec::new());
         self.alive.push(true);
         self.live_count += 1;
+        self.flat.take();
         id
     }
 
@@ -123,6 +197,7 @@ impl Graph {
         if inserted {
             insert_sorted(&mut self.adj[v.index()], u);
             self.edge_count += 1;
+            self.flat.take();
         }
     }
 
@@ -136,6 +211,7 @@ impl Graph {
         if removed {
             remove_sorted(&mut self.adj[v.index()], u);
             self.edge_count -= 1;
+            self.flat.take();
         }
         removed
     }
@@ -151,6 +227,7 @@ impl Graph {
         self.edge_count -= neighbors.len();
         self.alive[u.index()] = false;
         self.live_count -= 1;
+        self.flat.take();
         neighbors
     }
 
@@ -163,6 +240,16 @@ impl Graph {
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
         self.assert_live(u);
         &self.adj[u.index()]
+    }
+
+    /// Every row flattened into one CSR table, in id order. Built on the
+    /// first request after a mutation and shared by every later reader
+    /// until the next one; concurrent first requests build it once.
+    pub fn flat(&self) -> &FlatAdjacency {
+        let flat = self.flat.get_or_init(|| FlatAdjacency::build(self));
+        debug_assert_eq!(flat.offsets.len(), self.capacity() + 1, "stale flat rows");
+        debug_assert_eq!(flat.ids.len(), 2 * self.edge_count, "stale flat rows");
+        flat
     }
 
     /// Degree of a live node.
@@ -205,6 +292,7 @@ impl Graph {
             alive: in_set.clone(),
             live_count: in_set.iter().filter(|&&b| b).count(),
             edge_count: 0,
+            flat: OnceLock::new(),
         };
         for (u, v) in self.edges() {
             if in_set[u.index()] && in_set[v.index()] {
@@ -219,7 +307,8 @@ impl Graph {
         g
     }
 
-    /// Verify internal symmetry/sortedness invariants. Used by tests.
+    /// Verify internal symmetry/sortedness invariants, and that cached
+    /// flattened rows, if any, equal the rows. Used by tests.
     pub fn check_invariants(&self) {
         let mut edges = 0;
         for u in self.nodes() {
@@ -239,6 +328,14 @@ impl Graph {
         }
         assert_eq!(edges % 2, 0);
         assert_eq!(edges / 2, self.edge_count, "edge_count out of sync");
+        if let Some(flat) = self.flat.get() {
+            assert_eq!(flat.offsets.len(), self.capacity() + 1, "stale flat rows");
+            for i in 0..self.capacity() {
+                let u = NodeId(i as u32);
+                let row: &[NodeId] = if self.is_live(u) { &self.adj[i] } else { &[] };
+                assert_eq!(flat.row(u), row, "stale flat row of {u}");
+            }
+        }
     }
 }
 
@@ -343,6 +440,46 @@ mod tests {
         assert_eq!(g.degree(id), 2);
         assert!(g.has_edge(id, NodeId(0)));
         g.check_invariants();
+    }
+
+    #[test]
+    fn flat_rows_follow_mutations() {
+        let mut g = path(4);
+        assert_eq!(g.flat().offsets(), &[0, 1, 3, 5, 6]);
+        assert_eq!(g.flat().row(NodeId(1)), &[NodeId(0), NodeId(2)]);
+        g.remove_node(NodeId(1));
+        g.add_node_with_neighbors(&[NodeId(0)]);
+        assert_eq!(g.flat().offsets(), &[0, 1, 1, 2, 3, 4]);
+        assert!(g.flat().row(NodeId(1)).is_empty());
+        assert_eq!(g.flat().row(NodeId(4)), &[NodeId(0)]);
+        g.check_invariants();
+    }
+
+    #[test]
+    fn flat_rows_are_invisible_in_the_value() {
+        let g = path(3);
+        let before = format!("{g:?}");
+        g.flat();
+        assert_eq!(format!("{g:?}"), before);
+        assert_eq!(format!("{:?}", g.clone()), before);
+    }
+
+    #[test]
+    fn concurrent_first_requests_share_one_build() {
+        let g = path(1000);
+        let gate = std::sync::Barrier::new(2);
+        let built: Vec<usize> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        g.flat() as *const FlatAdjacency as usize
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(built[0], built[1]);
     }
 
     #[test]

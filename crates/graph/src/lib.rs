@@ -11,6 +11,7 @@
 //! Contents:
 //! * [`Graph`] — a dynamic undirected graph with O(1) node-id stability
 //!   under insertion and removal (ids are never recycled within a graph),
+//!   whose rows flatten on demand into a cached [`FlatAdjacency`],
 //! * [`unit_disk`] — building `G` from a geometric deployment,
 //! * [`traversal`] — BFS with distances and parents,
 //! * [`components`] — connectivity and connected components,
@@ -28,5 +29,5 @@ pub mod traversal;
 pub mod tree;
 pub mod unit_disk;
 
-pub use graph::{Graph, NodeId};
+pub use graph::{FlatAdjacency, Graph, NodeId};
 pub use tree::RootedTree;

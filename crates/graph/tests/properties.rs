@@ -1,7 +1,9 @@
 //! Property-based tests of the graph substrate against brute-force
 //! oracles.
 
-use dsnet_graph::{components, degree, domset, traversal, Graph, NodeId, RootedTree};
+use dsnet_graph::{
+    components, degree, domset, traversal, FlatAdjacency, Graph, NodeId, RootedTree,
+};
 use proptest::prelude::*;
 
 /// Build a graph from an edge-candidate list over `n` nodes.
@@ -28,8 +30,108 @@ fn tree_from(picks: &[u16]) -> RootedTree {
     t
 }
 
+/// One row-changing edit, decoded from raw picks over the live ids:
+/// add a node, add one wired to up to two live nodes, add an edge,
+/// remove an edge (a present one when the picked node has any), or
+/// remove a node.
+fn edit(g: &mut Graph, op: u8, a: u8, b: u8) {
+    let live: Vec<NodeId> = g.nodes().collect();
+    if live.is_empty() {
+        g.add_node();
+        return;
+    }
+    let (u, v) = (live[a as usize % live.len()], live[b as usize % live.len()]);
+    match op % 5 {
+        0 => {
+            g.add_node();
+        }
+        1 => {
+            g.add_node_with_neighbors(&[u, v]);
+        }
+        2 => {
+            if u != v {
+                g.add_edge(u, v);
+            }
+        }
+        3 => {
+            let row = g.neighbors(u);
+            let w = if row.is_empty() {
+                v
+            } else {
+                row[b as usize % row.len()]
+            };
+            g.remove_edge(u, w);
+        }
+        _ => {
+            if live.len() > 1 {
+                g.remove_node(u);
+            }
+        }
+    }
+}
+
+/// Every row of `flat` is the graph's own: `neighbors(u)` for a live id,
+/// empty for a tombstone.
+fn assert_rows_match(g: &Graph, flat: &FlatAdjacency) -> Result<(), TestCaseError> {
+    prop_assert_eq!(flat.offsets().len(), g.capacity() + 1);
+    for i in 0..g.capacity() as u32 {
+        let u = NodeId(i);
+        let row: &[NodeId] = if g.is_live(u) { g.neighbors(u) } else { &[] };
+        prop_assert_eq!(flat.row(u), row, "row of {} is stale", u);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The flattened rows never outlive a mutation. A random sequence of
+    /// edits, clone-then-mutate and induced subgraphs runs with the rows
+    /// requested at random points; after every step `check_invariants`
+    /// compares whatever rows are cached (without building any) against
+    /// the graph, and every request compares the rows it gets.
+    #[test]
+    fn flat_rows_never_go_stale(
+        n in 1u8..12,
+        steps in prop::collection::vec((0u8..8, any::<u8>(), any::<u8>(), any::<u8>()), 1..60),
+    ) {
+        let mut g = Graph::with_nodes(n as usize);
+        for (op, a, b, pick) in steps {
+            if pick % 2 == 0 {
+                assert_rows_match(&g, g.flat())?;
+            }
+            match op {
+                0..=4 => edit(&mut g, op, a, b),
+                5 => {
+                    // Clone, then mutate the clone: each copy keeps rows
+                    // of its own topology.
+                    let mut c = g.clone();
+                    edit(&mut c, a, b, pick);
+                    if pick % 3 == 0 {
+                        assert_rows_match(&c, c.flat())?;
+                    }
+                    edit(&mut c, b, a, pick);
+                    c.check_invariants();
+                    g.check_invariants();
+                    if pick % 4 < 2 {
+                        g = c;
+                    }
+                }
+                _ => {
+                    let keep: Vec<NodeId> = g
+                        .nodes()
+                        .filter(|u| (u64::from(a) << 8 | u64::from(b)) >> (u.0 % 16) & 1 == 1)
+                        .collect();
+                    let sub = g.induced_subgraph(&keep);
+                    assert_rows_match(&sub, sub.flat())?;
+                    if pick % 4 < 2 {
+                        g = sub;
+                    }
+                }
+            }
+            g.check_invariants();
+        }
+    }
 
     #[test]
     fn graph_invariants_survive_edits(

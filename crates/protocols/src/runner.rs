@@ -211,7 +211,7 @@ where
     engine.set_failures(cfg.failures.clone());
     engine.set_loss(cfg.loss);
     if let Some(plan) = &cfg.shards {
-        engine.set_shards((**plan).clone(), cfg.threads);
+        engine.set_shards(Arc::clone(plan), cfg.threads);
     }
     let out = engine.run();
     let collisions = engine.trace().try_collision_count();

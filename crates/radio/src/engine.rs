@@ -8,12 +8,13 @@
 //! 1. **Act** — each due node's `act()` fills flat struct-of-arrays
 //!    scratch tables: `tx_on` (transmit channel per id), `listen_on`,
 //!    and `tx_msg` (the message, stored only for transmitters).
-//! 2. **Resolve** — each listening node scans its CSR adjacency row
-//!    against the *global* `tx_on` table, buffers its dropped
-//!    receptions in per-cell scratch, and applies `on_receive` for
-//!    clean single-transmitter rounds. Writes stay within the node's
-//!    own cell, so cells resolve independently (and, with more than
-//!    one worker, concurrently).
+//! 2. **Resolve** — each listening node scans its row of the graph's
+//!    flattened adjacency ([`Graph::flat`], built once per topology and
+//!    shared by every run over it) against the *global* `tx_on` table,
+//!    buffers its dropped receptions in per-cell scratch, and applies
+//!    `on_receive` for clean single-transmitter rounds. Writes stay
+//!    within the node's own cell, so cells resolve independently (and,
+//!    with more than one worker, concurrently).
 //! 3. **Merge** — the per-cell buffers are serialised into the trace
 //!    in canonical global id order and the done/undone counters are
 //!    aggregated, in deterministic cell order.
@@ -33,9 +34,12 @@
 //! node neither transmits, listens, nor mutates state, the run is
 //! observationally identical to consulting it every round — this is
 //! what makes 100k-node fields cheap: per Theorem 1 a CFF node is
-//! awake O(δ·k + Δ) rounds, so simulation cost tracks *energy*, not
-//! `n × rounds`. Hints are ignored when a failure plan is installed
-//! (dead rounds must not be mis-credited as sleep).
+//! awake O(δ·k + Δ) rounds, so the program callbacks, reception scans
+//! and meter updates track *energy*. The act pass still checks each
+//! id's wake round once per round (an `n × rounds` scan of one integer
+//! per id), so that part of the cost does not. Hints are ignored when a
+//! failure plan is installed (dead rounds must not be mis-credited as
+//! sleep).
 
 use crate::action::Action;
 use crate::energy::{EnergyMeter, EnergyReport};
@@ -46,7 +50,7 @@ use crate::trace::{Trace, TraceEvent};
 use crate::Round;
 use dsnet_graph::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 /// Read-only per-callback context handed to node programs.
 #[derive(Debug, Clone, Copy)]
@@ -299,7 +303,10 @@ unsafe fn pass_act<P: NodeProgram>(
 /// each consulted node's wake hint and done flag.
 ///
 /// Safety: as for [`pass_act`]; additionally all `pass_act` writes must
-/// be complete (barrier in the parallel path).
+/// be complete (barrier in the parallel path), and every id in
+/// `env.csr_adj` must index the tables. It does: the rows are the
+/// engine graph's own, and a graph's ids stay below its capacity, which
+/// sized the tables.
 unsafe fn pass_resolve<P: NodeProgram>(
     env: &PassEnv<'_>,
     t: Tables<P>,
@@ -457,10 +464,11 @@ unsafe fn emit_round<P: NodeProgram>(
 /// Borrow the shared pass inputs field-by-field (not via `&self`, so
 /// the trace and scratch fields stay independently borrowable).
 macro_rules! pass_env {
-    ($e:expr) => {
+    ($e:expr) => {{
+        let flat = $e.graph.flat();
         PassEnv {
-            csr_off: &$e.csr_off,
-            csr_adj: &$e.csr_adj,
+            csr_off: flat.offsets(),
+            csr_adj: flat.ids(),
             failures: &$e.failures,
             failures_empty: $e.failures_empty,
             loss: $e.loss,
@@ -468,7 +476,7 @@ macro_rules! pass_env {
             hints: $e.failures_empty,
             trace_enabled: $e.trace.is_enabled(),
         }
-    };
+    }};
 }
 
 /// Build the raw table views out of the engine's field vectors.
@@ -505,13 +513,8 @@ pub struct Engine<'g, P: NodeProgram> {
     loss: LossModel,
     trace: Trace,
     round: Round,
-    /// Flattened CSR adjacency (`csr_off[i]..csr_off[i+1]` indexes
-    /// `csr_adj`): one contiguous scan per listener instead of a
-    /// pointer-chase into per-node vectors.
-    csr_off: Vec<u32>,
-    csr_adj: Vec<NodeId>,
     /// Installed cell partition (single implicit cell until set).
-    plan: Option<ShardPlan>,
+    plan: Option<Arc<ShardPlan>>,
     /// Worker threads for [`Engine::run`] (capped at the cell count).
     threads: usize,
     /// Scratch: this round's transmit channel per node id ([`NO_TX`] =
@@ -563,16 +566,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             }
             programs.push(p);
         }
-        let mut csr_off = Vec::with_capacity(cap + 1);
-        let mut csr_adj = Vec::with_capacity(graph.edge_count() * 2);
-        for i in 0..cap {
-            csr_off.push(csr_adj.len() as u32);
-            let id = NodeId(i as u32);
-            if graph.is_live(id) {
-                csr_adj.extend_from_slice(graph.neighbors(id));
-            }
-        }
-        csr_off.push(csr_adj.len() as u32);
         Self {
             graph,
             config,
@@ -590,8 +583,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                 Trace::disabled()
             },
             round: 0,
-            csr_off,
-            csr_adj,
             plan: None,
             threads: 1,
             tx_on: vec![NO_TX; cap],
@@ -627,8 +618,9 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     /// [`Engine::run`]. The plan must cover exactly the
     /// program-bearing node ids. The partition and thread count are
     /// invisible in every output — they only change *where* each node's
-    /// round is resolved.
-    pub fn set_shards(&mut self, plan: ShardPlan, threads: usize) {
+    /// round is resolved. The plan is shared, not copied, so one plan
+    /// serves every run over the same structure.
+    pub fn set_shards(&mut self, plan: Arc<ShardPlan>, threads: usize) {
         let cap = self.programs.len();
         let mut covered = vec![false; cap];
         for cell in plan.cells() {
@@ -696,11 +688,10 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     /// scratch. Idempotent.
     fn ensure_plan(&mut self) {
         if self.plan.is_none() {
-            let ids: Vec<NodeId> = (0..self.programs.len())
-                .filter(|&i| self.programs[i].is_some())
-                .map(|i| NodeId(i as u32))
+            let ids = (0..self.programs.len() as u32)
+                .filter(|&i| self.programs[i as usize].is_some())
                 .collect();
-            self.plan = Some(ShardPlan::single(ids));
+            self.plan = Some(Arc::new(ShardPlan::single_ascending(ids)));
         }
         let n_cells = self.plan.as_ref().unwrap().cell_count();
         if self.cells_scratch.len() != n_cells {

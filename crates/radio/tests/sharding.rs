@@ -17,6 +17,7 @@ use dsnet_radio::{
     RunOutcome, ShardPlan, TraceEvent,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A node that replays a fixed script of actions (`properties.rs` idiom).
 struct Scripted {
@@ -111,7 +112,7 @@ fn run_once(
         engine.set_failures(fp);
     }
     if let Some(plan) = plan {
-        engine.set_shards(plan, threads);
+        engine.set_shards(Arc::new(plan), threads);
     }
     let outcome = engine.run();
     let n = g.capacity();

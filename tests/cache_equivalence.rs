@@ -175,6 +175,64 @@ fn cache_stays_fresh_across_each_mutation_step() {
     );
 }
 
+/// The graph's flattened adjacency is a cache as well: a broadcast
+/// builds it, and each later move-out, move-in and relocation must drop
+/// it. After each of those steps a traced broadcast must be
+/// byte-identical to the same broadcast on a twin network, built and
+/// mutated the same way, that never broadcast before the mutations.
+#[test]
+fn flattened_rows_do_not_survive_a_topology_change() {
+    use dsnet::cluster::NodeStatus;
+    use dsnet::geom::Point2;
+    fn move_out(net: &mut SensorNetwork) {
+        let nodes: Vec<NodeId> = net.net().tree().nodes().collect();
+        let leaver = *nodes.iter().rev().find(|&&u| u != net.sink()).unwrap();
+        net.leave(leaver).unwrap();
+    }
+    fn move_in(net: &mut SensorNetwork) {
+        let anchor = net.position(net.sink());
+        net.join(Point2::new(anchor.x + 0.2, anchor.y + 0.1), &[])
+            .unwrap();
+    }
+    /// A member departs and rejoins 0.3 away under a fresh id, as a
+    /// mobility epoch moves it.
+    fn relocate(net: &mut SensorNetwork) {
+        let mover = net
+            .net()
+            .tree()
+            .nodes()
+            .find(|&u| u != net.sink() && net.net().status(u) == NodeStatus::PureMember)
+            .unwrap();
+        let p = net.position(mover);
+        net.leave(mover).unwrap();
+        net.join(Point2::new(p.x + 0.3, p.y), &[]).unwrap();
+    }
+    let steps: [fn(&mut SensorNetwork); 3] = [move_out, move_in, relocate];
+    let build = || NetworkBuilder::paper_field(10.0, 80, 7).build().unwrap();
+    let cfg = RunConfig::default();
+    let mut warmed = build();
+    for done in 0..=steps.len() {
+        if done > 0 {
+            steps[done - 1](&mut warmed);
+            // Compares the rows the last broadcast flattened, if they
+            // are still cached, against the mutated graph.
+            warmed.net().graph().check_invariants();
+        }
+        let mut cold = build();
+        for step in &steps[..done] {
+            step(&mut cold);
+        }
+        for protocol in [Protocol::ImprovedCff, Protocol::Dfo] {
+            let req = Broadcast::new(protocol, warmed.sink());
+            let (w, c) = (warmed.run(&req, &cfg), cold.run(&req, &cfg));
+            assert!(!w.trace.events().is_empty());
+            let label = format!("{protocol:?} after {done} step(s)");
+            assert_eq!(w.trace.events(), c.trace.events(), "{label}: trace");
+            assert_eq!(format!("{w:?}"), format!("{c:?}"), "{label}: run");
+        }
+    }
+}
+
 /// Small churn must be served by the dirty-scoped patch path, not a full
 /// rebuild — and the patched snapshots must still drive broadcasts
 /// byte-identical to from-scratch knowledge. Leaving a pure member

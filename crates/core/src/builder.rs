@@ -16,13 +16,19 @@ pub struct GroupPlan {
     pub membership: f64,
 }
 
-/// Errors from [`NetworkBuilder::build`].
+/// Errors from [`NetworkBuilder::build`] and
+/// [`NetSession::new`](crate::NetSession::new).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
     /// A node arrived with no earlier node in radio range, so the arrival
     /// replay cannot attach it. [`Deployment::generate`] never places such
     /// a node; the check guards the replay's precondition.
     DisconnectedArrival(NodeId),
+    /// A session spec asked for a network of zero nodes, which has no
+    /// sink to broadcast from.
+    NoNodes,
+    /// A session spec asked for a field of side zero.
+    EmptyField,
 }
 
 impl fmt::Display for BuildError {
@@ -31,6 +37,8 @@ impl fmt::Display for BuildError {
             BuildError::DisconnectedArrival(n) => {
                 write!(f, "node {n} arrived out of range of the existing network")
             }
+            BuildError::NoNodes => f.write_str("a network needs at least one node"),
+            BuildError::EmptyField => f.write_str("the field side must be positive"),
         }
     }
 }

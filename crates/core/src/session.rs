@@ -29,6 +29,7 @@ use dsnet_geom::rng::{derive_seed, rng_from_seed};
 use dsnet_geom::Point2;
 use dsnet_graph::NodeId;
 use dsnet_protocols::runner::{Broadcast, MulticastSlots, Protocol, RunConfig};
+use dsnet_radio::loss::PPM_SCALE;
 use dsnet_radio::{FailurePlan, LossModel};
 use rand::Rng as _;
 use std::collections::BTreeSet;
@@ -211,8 +212,15 @@ pub struct NetSession {
 }
 
 impl NetSession {
-    /// Build a session from its spec.
+    /// Build a session from its spec. A spec of zero nodes or a zero
+    /// field side is refused before anything is built.
     pub fn new(spec: SessionSpec) -> Result<Self, BuildError> {
+        if spec.nodes == 0 {
+            return Err(BuildError::NoNodes);
+        }
+        if spec.field_milli == 0 {
+            return Err(BuildError::EmptyField);
+        }
         let mut b = NetworkBuilder::paper_field(
             f64::from(spec.field_milli) / 1000.0,
             spec.nodes,
@@ -347,6 +355,13 @@ impl NetSession {
                 Vec::new(),
             );
         }
+        if loss_ppm > PPM_SCALE {
+            return (
+                CommandStatus::Rejected(format!("loss_ppm must be <= {PPM_SCALE}")),
+                1,
+                Vec::new(),
+            );
+        }
         let src = match self.resolve_source(source) {
             Ok(s) => s,
             Err(e) => return (CommandStatus::Rejected(e), 1, Vec::new()),
@@ -358,7 +373,7 @@ impl NetSession {
                 Vec::new(),
             );
         }
-        let max_attempts = retries + 1;
+        let max_attempts = retries.saturating_add(1);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -893,6 +908,61 @@ mod tests {
         });
         assert_eq!(rec.attempts, 1);
         assert!(rec.status.is_applied());
+    }
+
+    #[test]
+    fn empty_specs_are_typed_build_errors() {
+        let no_nodes = NetSession::new(spec(0, 1)).unwrap_err();
+        assert_eq!(no_nodes, BuildError::NoNodes);
+        let no_field = SessionSpec {
+            field_milli: 0,
+            ..spec(10, 1)
+        };
+        assert_eq!(
+            NetSession::new(no_field).unwrap_err(),
+            BuildError::EmptyField
+        );
+        // The smallest legal spec builds and broadcasts.
+        let mut one = NetSession::new(spec(1, 1)).unwrap();
+        assert!(one.apply(&SessionCommand::Snapshot).status.is_applied());
+        let rec = one.apply(&SessionCommand::Broadcast {
+            protocol: Protocol::Dfo,
+            source: None,
+            channels: 1,
+            loss_ppm: 0,
+            retries: 0,
+            min_delivery_ppm: 0,
+        });
+        assert!(rec.status.is_applied(), "{:?}", rec.status);
+    }
+
+    #[test]
+    fn hostile_broadcast_parameters_are_rejected_not_panics() {
+        let mut s = NetSession::new(spec(30, 2)).unwrap();
+        let bcast = |loss_ppm, retries, min_delivery_ppm| SessionCommand::Broadcast {
+            protocol: Protocol::ImprovedCff,
+            source: None,
+            channels: 1,
+            loss_ppm,
+            retries,
+            min_delivery_ppm,
+        };
+        for loss_ppm in [PPM_SCALE + 1, u32::MAX] {
+            let rec = s.apply(&bcast(loss_ppm, 0, 0));
+            assert_eq!(
+                rec.status,
+                CommandStatus::Rejected("loss_ppm must be <= 1000000".into())
+            );
+            assert!(rec.fields.is_empty());
+        }
+        // Certain loss is still a legal (if useless) channel.
+        let rec = s.apply(&bcast(PPM_SCALE, 0, 0));
+        assert!(rec.status.is_applied(), "{:?}", rec.status);
+        // The largest retry budget saturates instead of overflowing; a
+        // lossless run meets a full floor on the first attempt.
+        let rec = s.apply(&bcast(0, u32::MAX, 1_000_000));
+        assert!(rec.status.is_applied(), "{:?}", rec.status);
+        assert_eq!(rec.attempts, 1);
     }
 
     #[test]

@@ -283,22 +283,4 @@ mod reactor_tests {
         assert!(reactor.wait_idle(Duration::from_secs(5)));
         reactor.join();
     }
-
-    #[test]
-    fn backends_both_echo() {
-        for backend in ["poll", "epoll"] {
-            #[cfg(not(target_os = "linux"))]
-            if backend == "epoll" {
-                continue;
-            }
-            std::env::set_var("DSNET_NETIO_BACKEND", backend);
-            let (reactor, addr) = start_echo(1);
-            let mut s = TcpStream::connect(addr).unwrap();
-            send_frame(&mut s, b"backend check");
-            assert_eq!(read_frame(&mut s), b"backend check");
-            drop(s);
-            reactor.join();
-        }
-        std::env::remove_var("DSNET_NETIO_BACKEND");
-    }
 }

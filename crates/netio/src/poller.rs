@@ -4,9 +4,8 @@
 //! reports readiness as [`Event`]s. Two backends share the facade: a
 //! portable `poll(2)` backend (the registration map is flattened into
 //! a `pollfd` array per wait) and, on Linux, an epoll backend (tokens
-//! ride in `epoll_event.data`). The backend is chosen per-poller at
-//! construction; `DSNET_NETIO_BACKEND=poll|epoll` overrides the
-//! platform default for A/B testing.
+//! ride in `epoll_event.data`). The backend follows the platform:
+//! epoll on Linux, `poll(2)` everywhere else.
 
 use std::io;
 
@@ -52,14 +51,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Platform default, overridable via `DSNET_NETIO_BACKEND`.
+    /// The platform's backend: epoll on Linux, `poll(2)` elsewhere.
     pub fn default_for_platform() -> Backend {
-        match std::env::var("DSNET_NETIO_BACKEND").as_deref() {
-            Ok("poll") => return Backend::Poll,
-            #[cfg(target_os = "linux")]
-            Ok("epoll") => return Backend::Epoll,
-            _ => {}
-        }
         #[cfg(target_os = "linux")]
         {
             Backend::Epoll
@@ -123,14 +116,6 @@ impl Poller {
 
     pub fn with_default_backend() -> io::Result<Poller> {
         Poller::new(Backend::default_for_platform())
-    }
-
-    pub fn backend(&self) -> Backend {
-        match self.imp {
-            Impl::Poll { .. } => Backend::Poll,
-            #[cfg(target_os = "linux")]
-            Impl::Epoll { .. } => Backend::Epoll,
-        }
     }
 
     pub fn register(&mut self, fd: i32, token: usize, interest: Interest) -> io::Result<()> {
@@ -258,4 +243,38 @@ fn epoll_mask(interest: Interest) -> u32 {
         m |= sys::EPOLLOUT;
     }
     m
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wake::wake_pair;
+    use std::time::Duration;
+
+    /// Every backend this platform builds reports a wakeup with its
+    /// token, and reports nothing once the pipe is drained.
+    #[test]
+    fn every_backend_reports_a_wakeup() {
+        let mut backends = vec![Backend::Poll];
+        #[cfg(target_os = "linux")]
+        backends.push(Backend::Epoll);
+        for backend in backends {
+            let (waker, mut reader) = wake_pair().unwrap();
+            let mut poller = Poller::new(backend).unwrap();
+            poller.register(reader.fd(), 3, Interest::READ).unwrap();
+            let mut events = Vec::new();
+            waker.wake();
+            poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .unwrap();
+            assert_eq!(events.len(), 1, "{backend:?}");
+            assert_eq!(events[0].token, 3, "{backend:?}");
+            assert!(events[0].readable, "{backend:?}");
+            reader.drain();
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert!(events.is_empty(), "{backend:?}: drained");
+        }
+    }
 }

@@ -10,8 +10,12 @@
 //! freezes it, and since nobody can tell locally when the broadcast has
 //! finished, every radio stays on for the whole tour. These three costs
 //! are exactly what the paper's CFF protocols attack.
+//!
+//! A node's tour list is held by the cluster structure: its backbone
+//! children in attachment order, then its backbone parent.
+//! [`DfoProgram::new`] reads it straight off the tree.
 
-use crate::knowledge::NetKnowledge;
+use dsnet_cluster::ClusterNet;
 use dsnet_graph::NodeId;
 use dsnet_radio::{Action, NodeCtx, NodeProgram, Round};
 
@@ -48,15 +52,19 @@ pub struct DfoProgram {
 }
 
 impl DfoProgram {
-    /// Build the program for node `u`. `source` is the broadcast origin.
-    pub fn new(k: &NetKnowledge, u: NodeId, source: NodeId) -> Self {
-        let nk = k.of(u);
+    /// Build the program for the attached node `u` of `net`. `source` is
+    /// the broadcast origin.
+    pub fn new(net: &ClusterNet, u: NodeId, source: NodeId) -> Self {
+        let tree = net.tree();
         let is_source = u == source;
-        let neighbors = if nk.status.in_backbone() {
-            k.bt_neighbors_of(nk).to_vec()
+        let neighbors = if net.status(u).in_backbone() {
+            tree.children(u)
+                .filter(|&c| net.status(c).in_backbone())
+                .chain(tree.parent(u))
+                .collect()
         } else if is_source {
             // A pure-member source first hands the message to its head.
-            vec![nk.parent.expect("member has a parent")]
+            vec![tree.parent(u).expect("member has a parent")]
         } else {
             Vec::new()
         };
@@ -154,12 +162,11 @@ impl NodeProgram for DfoProgram {
 mod tests {
     use super::*;
     use crate::chain_net;
-    use crate::knowledge::build_knowledge;
-    use dsnet_cluster::ClusterNet;
+    use dsnet_cluster::NodeStatus;
+    use dsnet_geom::rng::splitmix64;
     use dsnet_radio::{Engine, EngineConfig, StopReason};
 
     fn dfo_raw(net: &ClusterNet, source: NodeId) -> (u64, Vec<Option<DfoProgram>>) {
-        let k = build_knowledge(net);
         let mut engine = Engine::new(
             net.graph(),
             EngineConfig {
@@ -167,7 +174,7 @@ mod tests {
                 record_trace: true,
                 ..Default::default()
             },
-            |u| DfoProgram::new(&k, u, source),
+            |u| DfoProgram::new(net, u, source),
         );
         let out = engine.run();
         assert_eq!(out.stop, StopReason::AllDone);
@@ -232,6 +239,64 @@ mod tests {
         assert_eq!(rounds, 1);
         for u in net.tree().nodes() {
             assert!(programs[u.index()].as_ref().unwrap().received);
+        }
+    }
+
+    /// A bushy structure whose attachment order is not id order: arrivals
+    /// hear up to three earlier nodes, and departures re-home orphans.
+    fn scrambled_net() -> ClusterNet {
+        let mut net = ClusterNet::with_defaults();
+        net.move_in(&[]).unwrap();
+        let mut state = 0u64;
+        let mut pick = |nodes: &[NodeId]| {
+            state += 1;
+            nodes[(splitmix64(state) % nodes.len() as u64) as usize]
+        };
+        for i in 1..160 {
+            let nodes: Vec<NodeId> = net.tree().nodes().collect();
+            let mut nbrs: Vec<NodeId> = (0..3).map(|_| pick(&nodes)).collect();
+            nbrs.sort_unstable();
+            nbrs.dedup();
+            net.move_in(&nbrs).unwrap();
+            if i % 7 == 0 {
+                let _ = net.move_out(pick(&nodes));
+            }
+        }
+        net
+    }
+
+    #[test]
+    fn tour_lists_are_bt_children_in_attachment_order_then_the_parent() {
+        let net = scrambled_net();
+        let bt = net.backbone_tree();
+        let mut reordered = 0;
+        for u in bt.nodes() {
+            let program = DfoProgram::new(&net, u, net.root());
+            let (children, parent) = program.neighbors.split_at(bt.child_count(u));
+            let attached: Vec<NodeId> =
+                net.tree().children(u).filter(|&c| bt.contains(c)).collect();
+            assert_eq!(children, attached.as_slice(), "{u}: attachment order");
+            let mut sorted = children.to_vec();
+            sorted.sort_unstable();
+            let mut bt_children: Vec<NodeId> = bt.children(u).collect();
+            bt_children.sort_unstable();
+            assert_eq!(sorted, bt_children, "{u}: BT children");
+            assert_eq!(parent, bt.parent(u).as_slice(), "{u}: BT parent last");
+            reordered += usize::from(!children.is_sorted());
+        }
+        assert!(reordered > 0, "the fixture must exercise non-id order");
+
+        let members: Vec<NodeId> = net
+            .tree()
+            .nodes()
+            .filter(|&u| net.status(u) == NodeStatus::PureMember)
+            .collect();
+        assert!(!members.is_empty());
+        for &m in &members {
+            let head = net.tree().parent(m).unwrap();
+            assert_eq!(net.status(head), NodeStatus::ClusterHead);
+            assert_eq!(DfoProgram::new(&net, m, m).neighbors, [head], "{m}");
+            assert!(DfoProgram::new(&net, m, net.root()).neighbors.is_empty());
         }
     }
 }

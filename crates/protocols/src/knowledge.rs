@@ -17,20 +17,17 @@
 //!
 //! ## Layout
 //!
-//! The snapshot is flat: [`NodeKnowledge`] is `Copy` (no per-node heap
-//! allocation), and the DFO tour lists live in one shared CSR pool
-//! ([`NetKnowledge::bt_pool`]) addressed by per-node `(bt_off, bt_len)`
-//! ranges. The canonical pool layout is the concatenation of every
-//! attached node's tour list in increasing-id order, with `bt_off` equal
-//! to the pool length at that node's turn even when the list is empty —
-//! both the full build and the patch path emit exactly this layout, so
-//! derived `PartialEq` remains byte-meaningful.
+//! The snapshot is one flat table: [`NodeKnowledge`] is `Copy` (no
+//! per-node heap allocation), indexed by id, with the global scalars
+//! beside it. DFO's tour lists are not part of it: each
+//! [`DfoProgram`](crate::dfo::DfoProgram) reads its own off the tree.
 //!
 //! ## Two parts, the second on demand
 //!
 //! Knowledge comes in two parts. The base snapshot, [`NetKnowledge`],
 //! holds knowledge (I) and the b-/l-slot half of (II): everything
-//! Algorithm 2 (Theorem 1), DFO and the multicasts read. Algorithm 1's
+//! Algorithm 2 (Theorem 1) and the multicasts read, plus the backbone
+//! size DFO's bound needs. Algorithm 1's
 //! flood slots and `Δ'` form a separate [`FloodKnowledge`] part, read
 //! only by `cff1`, `rcff` and their Lemma-1 bounds, so a run of any
 //! other protocol never pays for them. [`build_knowledge`] and
@@ -45,9 +42,9 @@
 //! nodes `T` since their own part's version, clone the flat per-node
 //! table (one memcpy), and recompute only over the dirty closure
 //! `R = L ∪ N_G(L)`, `L = T ∪ parent(T)` — the same closure rules the
-//! dirty invariant audit uses (DESIGN §12/§17). The base patch
-//! maintains its global scalars in the same fused flat sweep that
-//! rebuilds the CSR pool. The flood patch re-runs Algorithm 1's
+//! dirty invariant audit uses (DESIGN §12/§17). The base patch then
+//! re-derives its global scalars in the one pass it shares with
+//! [`build_knowledge`]. The flood patch re-runs Algorithm 1's
 //! assignment over a worklist seeded from `R` in the exact `(depth, id)`
 //! order of the full pass, cascading to same-depth co-transmitters when
 //! a slot actually changes, so the patched assignment is byte-equal to
@@ -65,14 +62,10 @@ use std::sync::{Arc, Mutex};
 /// Everything one node knows before a broadcast session starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeKnowledge {
-    /// The node's own id.
-    pub id: NodeId,
     /// Depth in CNet(G) (root = 0).
     pub depth: u32,
     /// Head / gateway / pure-member role.
     pub status: NodeStatus,
-    /// CNet parent (`None` for the root).
-    pub parent: Option<NodeId>,
     /// Phase-1 transmission slot (BT-internal nodes only).
     pub b_slot: Option<u32>,
     /// Phase-2 transmission slot (CNet-internal nodes only).
@@ -86,13 +79,6 @@ pub struct NodeKnowledge {
     pub expected_b_slot: Option<u32>,
     /// The collision-free slot this member leaf should expect in phase 2.
     pub expected_l_slot: Option<u32>,
-    /// Start of this node's DFO tour list in [`NetKnowledge::bt_pool`]
-    /// (backbone children followed by the backbone parent, in tour-visit
-    /// order; empty for pure members). Canonically the pool length at
-    /// this node's increasing-id emission turn.
-    pub bt_off: u32,
-    /// Length of the tour list.
-    pub bt_len: u32,
 }
 
 /// Network-wide constants of a session (what the paper stores at the root
@@ -101,10 +87,6 @@ pub struct NodeKnowledge {
 pub struct NetKnowledge {
     /// Per-node knowledge, indexed by id (`None` off-structure).
     pub per_node: Vec<Option<NodeKnowledge>>,
-    /// CSR pool backing every node's DFO tour list (`bt_off`/`bt_len`).
-    pub bt_pool: Vec<NodeId>,
-    /// The sink.
-    pub root: NodeId,
     /// Height of CNet(G).
     pub height: u32,
     /// Height of BT(G) (= deepest backbone node).
@@ -127,15 +109,26 @@ impl NetKnowledge {
             .expect("node has no knowledge (not attached)")
     }
 
-    /// The node's DFO tour list: backbone children followed by the
-    /// backbone parent. Empty for pure members.
-    pub fn bt_neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.bt_neighbors_of(self.of(u))
-    }
-
-    /// [`NetKnowledge::bt_neighbors`] for an already-fetched entry.
-    pub fn bt_neighbors_of(&self, nk: &NodeKnowledge) -> &[NodeId] {
-        &self.bt_pool[nk.bt_off as usize..(nk.bt_off + nk.bt_len) as usize]
+    /// Wrap a complete per-node table with the global scalars: the one
+    /// pass shared by [`build_knowledge`] and the patch path.
+    fn from_table(net: &ClusterNet, per_node: Vec<Option<NodeKnowledge>>) -> Self {
+        let (mut bt_height, mut backbone_size) = (0u32, 0usize);
+        for nk in per_node.iter().flatten() {
+            if nk.status.in_backbone() {
+                bt_height = bt_height.max(nk.depth);
+                backbone_size += 1;
+            }
+        }
+        let tree = net.tree();
+        Self {
+            per_node,
+            height: tree.height(),
+            bt_height,
+            delta_b: net.delta_b(),
+            delta_l: net.delta_l(),
+            nodes: tree.len(),
+            backbone_size,
+        }
     }
 }
 
@@ -238,42 +231,21 @@ fn expected_flood_slot(
 }
 
 /// The knowledge rule for one attached node `u`, shared by the full build
-/// and the patch path. The tour range is left empty for [`emit_tour`] to
-/// fill.
+/// and the patch path.
 fn node_knowledge(net: &ClusterNet, u: NodeId, scratch: &mut Vec<u32>) -> NodeKnowledge {
     let (view, slots, tree) = (net.view(), net.slots(), net.tree());
     let (expected_b_slot, expected_l_slot) =
         expected_slots(view, net.mode(), u, |y| slots.b(y), |y| slots.l(y), scratch);
     NodeKnowledge {
-        id: u,
         depth: tree.depth(u),
         status: net.status(u),
-        parent: tree.parent(u),
         b_slot: slots.b(u),
         l_slot: slots.l(u),
         bt_internal: view.bt_internal(u),
         cnet_internal: view.cnet_internal(u),
         expected_b_slot,
         expected_l_slot,
-        bt_off: 0,
-        bt_len: 0,
     }
-}
-
-/// Append `nk`'s DFO tour list (backbone children, then the backbone
-/// parent; empty for pure members) to `pool` — the canonical CSR
-/// emission, run in increasing-id order — and record its range.
-fn emit_tour(net: &ClusterNet, nk: &mut NodeKnowledge, pool: &mut Vec<NodeId>) {
-    let tree = net.tree();
-    nk.bt_off = pool.len() as u32;
-    if nk.status.in_backbone() {
-        pool.extend(
-            tree.children(nk.id)
-                .filter(|&c| net.status(c).in_backbone()),
-        );
-        pool.extend(nk.parent);
-    }
-    nk.bt_len = pool.len() as u32 - nk.bt_off;
 }
 
 /// Snapshot the knowledge of every attached node for a *session* with its
@@ -285,8 +257,7 @@ fn emit_tour(net: &ClusterNet, nk: &mut NodeKnowledge, pool: &mut Vec<NodeId>) {
 /// Starts from an already-built base snapshot of the same `net` (e.g. one
 /// served by a [`KnowledgeCache`]): the session rewrite only touches slots
 /// and expected slots, so the expensive base pass is amortised across
-/// sessions. The base is cloned internally (two flat memcpys thanks to the
-/// CSR layout).
+/// sessions. The base is cloned internally (one flat memcpy).
 pub fn build_session_knowledge_from(
     net: &ClusterNet,
     base: &NetKnowledge,
@@ -316,34 +287,12 @@ pub fn build_session_knowledge_from(
 /// Snapshot the base knowledge of every attached node of `net` (no
 /// Algorithm-1 work: see [`build_flood_knowledge`]).
 pub fn build_knowledge(net: &ClusterNet) -> NetKnowledge {
-    let tree = net.tree();
     let mut per_node: Vec<Option<NodeKnowledge>> = vec![None; net.graph().capacity()];
-    let mut bt_pool: Vec<NodeId> = Vec::new();
-    let mut bt_height = 0u32;
-    let mut backbone_size = 0usize;
     let mut scratch: Vec<u32> = Vec::new();
-
-    for u in tree.nodes() {
-        let mut nk = node_knowledge(net, u, &mut scratch);
-        if nk.status.in_backbone() {
-            bt_height = bt_height.max(nk.depth);
-            backbone_size += 1;
-        }
-        emit_tour(net, &mut nk, &mut bt_pool);
-        per_node[u.index()] = Some(nk);
+    for u in net.tree().nodes() {
+        per_node[u.index()] = Some(node_knowledge(net, u, &mut scratch));
     }
-
-    NetKnowledge {
-        per_node,
-        bt_pool,
-        root: tree.root(),
-        height: tree.height(),
-        bt_height,
-        delta_b: net.delta_b(),
-        delta_l: net.delta_l(),
-        nodes: tree.len(),
-        backbone_size,
-    }
+    NetKnowledge::from_table(net, per_node)
 }
 
 /// Snapshot Algorithm 1's flood slots of every attached node of `net`:
@@ -425,9 +374,7 @@ fn patch_knowledge(
     let tree = net.tree();
     let cap = net.graph().capacity();
 
-    // One flat memcpy: the per-node table. The CSR pool is *not* cloned —
-    // the fused sweep below rebuilds it into a fresh vector, reading the
-    // base pool for untouched segments.
+    // One flat memcpy: the per-node table.
     let mut per_node = base.per_node.clone();
     if per_node.len() < cap {
         per_node.resize(cap, None);
@@ -436,75 +383,11 @@ fn patch_knowledge(
     // Recompute every node of R; tombstone the departed.
     let mut scratch: Vec<u32> = Vec::new();
     for &u in &r {
-        // The tour range is set by the pool sweep below.
         per_node[u.index()] = tree
             .contains(u)
             .then(|| node_knowledge(net, u, &mut scratch));
     }
-
-    // Fused flat sweep: rebuild the CSR pool in canonical increasing-id
-    // order and recompute the global max/count scalars the closure may
-    // have touched. Nodes in R re-derive their tour list from the tree;
-    // maximal runs of untouched nodes keep their old segments, copied in
-    // one memcpy per run with offsets shifted by the accumulated drift.
-    // Run contiguity holds because the base pool is written in the same
-    // increasing-id order and any node whose attachment changed since
-    // `base` is necessarily in R (the journal recorded it) — so a run is
-    // only ever interrupted at an R index, where it is flushed.
-    let mut bt_pool: Vec<NodeId> = Vec::with_capacity(base.bt_pool.len() + 8);
-    let mut bt_height = 0u32;
-    let mut backbone_size = 0usize;
-    let mut r_cursor = r.iter().peekable();
-    // Pending run: `[run_old, run_old + run_len)` in the base pool,
-    // destined for the current end of `bt_pool` once flushed.
-    let (mut run_old, mut run_len) = (0u32, 0u32);
-    for (idx, entry) in per_node.iter_mut().enumerate() {
-        let u = NodeId(idx as u32);
-        while r_cursor.next_if(|&&d| d < u).is_some() {}
-        let in_r = r_cursor.peek().is_some_and(|&&d| d == u);
-        if in_r && run_len > 0 {
-            let start = run_old as usize;
-            bt_pool.extend_from_slice(&base.bt_pool[start..start + run_len as usize]);
-            run_len = 0;
-        }
-        let Some(entry) = entry.as_mut() else {
-            continue;
-        };
-        if entry.status.in_backbone() {
-            bt_height = bt_height.max(entry.depth);
-            backbone_size += 1;
-        }
-        if in_r {
-            emit_tour(net, entry, &mut bt_pool);
-        } else {
-            if run_len == 0 {
-                run_old = entry.bt_off;
-            }
-            debug_assert_eq!(
-                entry.bt_off,
-                run_old + run_len,
-                "untouched pool segments must stay id-ordered and contiguous"
-            );
-            entry.bt_off = bt_pool.len() as u32 + run_len;
-            run_len += entry.bt_len;
-        }
-    }
-    if run_len > 0 {
-        let start = run_old as usize;
-        bt_pool.extend_from_slice(&base.bt_pool[start..start + run_len as usize]);
-    }
-    let k = NetKnowledge {
-        per_node,
-        bt_pool,
-        root: tree.root(),
-        height: tree.height(),
-        bt_height,
-        delta_b: net.delta_b(),
-        delta_l: net.delta_l(),
-        nodes: tree.len(),
-        backbone_size,
-    };
-    Some((k, r.len()))
+    Some((NetKnowledge::from_table(net, per_node), r.len()))
 }
 
 /// Patch the flood part `base` (of the same net at `base_version`) up to
@@ -865,7 +748,6 @@ mod tests {
         let net = chain_net(12);
         let k = build_knowledge(&net);
         assert_eq!(k.nodes, 12);
-        assert_eq!(k.root, NodeId(0));
         for u in net.tree().nodes() {
             let nk = k.of(u);
             assert_eq!(nk.depth, net.tree().depth(u));
@@ -915,31 +797,6 @@ mod tests {
         assert_eq!(k.bt_height as usize, bt.height() as usize);
         assert_eq!(k.backbone_size, bt.len());
         assert!(k.bt_height <= k.height);
-    }
-
-    #[test]
-    fn csr_pool_matches_tree_tour_lists() {
-        let net = chain_net(13);
-        let k = build_knowledge(&net);
-        for u in net.tree().nodes() {
-            let expected: Vec<NodeId> = if net.status(u).in_backbone() {
-                let mut v: Vec<NodeId> = net
-                    .tree()
-                    .children(u)
-                    .filter(|&c| net.status(c).in_backbone())
-                    .collect();
-                if let Some(p) = net.tree().parent(u) {
-                    v.push(p);
-                }
-                v
-            } else {
-                Vec::new()
-            };
-            assert_eq!(k.bt_neighbors(u), expected.as_slice(), "node {u}");
-        }
-        // The pool is exactly the concatenation — no gaps, no garbage.
-        let total: usize = net.tree().nodes().map(|u| k.of(u).bt_len as usize).sum();
-        assert_eq!(k.bt_pool.len(), total);
     }
 
     #[test]

@@ -407,7 +407,7 @@ pub fn run(net: &impl Structure, req: &Broadcast<'_>, cfg: &RunConfig) -> Run {
                 bound + 8,
                 bound,
                 &all(),
-                |u| DfoProgram::new(k, u, source),
+                |u| DfoProgram::new(net, u, source),
                 |p| p.received,
             )
         }

@@ -159,6 +159,80 @@ fn deeply_nested_frame_is_a_typed_error_not_a_crash() {
     server.wait();
 }
 
+/// Hostile session inputs — a zero-sided field, an empty network, a loss
+/// probability above 1, a retry budget of `u32::MAX` — each get a typed
+/// reply on a single-shard daemon, where each used to panic the shard's
+/// thread; the shard then keeps answering on the same connection and on
+/// a new one.
+#[test]
+fn hostile_session_inputs_get_typed_replies_and_the_shard_survives() {
+    let (server, addr) = serve(1, 0);
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut next_id = 0;
+    let mut call = |raw: &mut TcpStream, op: Op| {
+        next_id += 1;
+        let req = Request { id: next_id, op };
+        write_frame_bytes(raw, &encode_request_bytes(&req, FrameFormat::Json)).expect("request");
+        let payload = read_frame_bytes(raw).expect("reply before the timeout");
+        let resp = decode_response_bytes(&payload, FrameFormat::Json).expect("decode");
+        assert_eq!(resp.id, next_id);
+        resp.body
+    };
+    let rejected = |body: Body, want: &str| match body {
+        Body::Err { kind, detail } => {
+            assert_eq!(kind, ErrKind::CommandRejected);
+            assert!(detail.contains(want), "{detail}");
+        }
+        other => panic!("expected command_rejected, got {other:?}"),
+    };
+    let create = |name: &str, spec: SessionSpec| Op::Create {
+        session: name.into(),
+        spec,
+    };
+    let bcast = |loss_ppm, retries, min_delivery_ppm| Op::Cmd {
+        session: "s".into(),
+        cmd: SessionCommand::Broadcast {
+            protocol: Protocol::ImprovedCff,
+            source: None,
+            channels: 1,
+            loss_ppm,
+            retries,
+            min_delivery_ppm,
+        },
+    };
+
+    let flat = SessionSpec {
+        field_milli: 0,
+        ..spec()
+    };
+    rejected(
+        call(&mut raw, create("f", flat)),
+        "field side must be positive",
+    );
+    let empty = SessionSpec { nodes: 0, ..spec() };
+    rejected(call(&mut raw, create("e", empty)), "at least one node");
+    assert!(matches!(call(&mut raw, create("s", spec())), Body::Ok(_)));
+    rejected(
+        call(&mut raw, bcast(1_000_001, 0, 0)),
+        "loss_ppm must be <= 1000000",
+    );
+    rejected(
+        call(&mut raw, bcast(u32::MAX, 0, 0)),
+        "loss_ppm must be <= 1000000",
+    );
+    let body = call(&mut raw, bcast(0, u32::MAX, 1_000_000));
+    assert!(matches!(body, Body::Ok(_)), "{body:?}");
+
+    assert!(matches!(call(&mut raw, Op::Ping), Body::Ok(_)));
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    client.ping().expect("a new connection is served");
+    client.shutdown().expect("shutdown");
+    drop((raw, client));
+    server.wait();
+}
+
 /// A peer parked mid-frame must not stall its shard: with a single
 /// shard and a short read deadline, a healthy neighbor keeps completing
 /// requests the whole time, and the stalled connection is eventually

@@ -17,10 +17,11 @@
 #   resume          crash a journaled campaign at a fixed injected point,
 #                   resume from the journal, and require the resumed
 #                   artifacts byte-identical to an uninterrupted run
-#   scale           10k-node density-scaled broadcast with cell-sharded
-#                   parallel delivery: the full traced event stream on
-#                   1 thread must be byte-for-byte identical to 2
-#                   threads (and to a different shard-cell count)
+#   scale           10k-node density-scaled broadcasts (CFF, then DFO)
+#                   with cell-sharded parallel delivery: each full traced
+#                   event stream on 1 thread must be byte-for-byte
+#                   identical to 2 threads (and to a different shard-cell
+#                   count)
 #   knowledge       dirty-scoped snapshot patching: a churn-heavy traced
 #                   session stream and a mobile campaign must be
 #                   byte-identical between the patch path and a forced
@@ -96,23 +97,30 @@ resume_smoke() {
     cmp tresume_base.csv tresume_run.csv
 }
 
-# Parallel-delivery determinism: one 10k-node broadcast, traced, on 1
-# and 2 worker threads (and once more on 2 threads with a different
-# spatial-cell count). The engine's contract is that the merged event
-# stream never depends on the partition or the worker count, so all
-# three stdout streams must be byte-for-byte identical.
+# Parallel-delivery determinism: one 10k-node broadcast per protocol,
+# traced, on 1 and 2 worker threads (and once more on 2 threads with a
+# different spatial-cell count). The engine's contract is that the
+# merged event stream never depends on the partition or the worker
+# count, so all three stdout streams must be byte-for-byte identical.
+# CFF exercises the slotted schedule; DFO is the heaviest resolve load
+# (every node listens every round) and rides its token along the tour
+# each node reads off the tree.
 scale_smoke() {
-    local flags="--nodes 10000 --seed 7 --quiet"
-    # shellcheck disable=SC2086  # flags are a curated word list
-    "${DSNET[@]}" scale $flags --threads 1 > tscale1.stream
-    # shellcheck disable=SC2086
-    "${DSNET[@]}" scale $flags --threads 2 > tscale2.stream
-    cmp tscale1.stream tscale2.stream
-    # A different partition must also be invisible — compare past the
-    # header line, which records the cell count by design.
-    # shellcheck disable=SC2086
-    "${DSNET[@]}" scale $flags --threads 2 --shards 23 > tscale_cells.stream
-    cmp <(tail -n +2 tscale1.stream) <(tail -n +2 tscale_cells.stream)
+    local protocol tag flags
+    for protocol in cff dfo; do
+        tag="tscale_${protocol}"
+        flags="--nodes 10000 --seed 7 --protocol ${protocol} --quiet"
+        # shellcheck disable=SC2086  # flags are a curated word list
+        "${DSNET[@]}" scale $flags --threads 1 > "${tag}1.stream"
+        # shellcheck disable=SC2086
+        "${DSNET[@]}" scale $flags --threads 2 > "${tag}2.stream"
+        cmp "${tag}1.stream" "${tag}2.stream"
+        # A different partition must also be invisible — compare past the
+        # header line, which records the cell count by design.
+        # shellcheck disable=SC2086
+        "${DSNET[@]}" scale $flags --threads 2 --shards 23 > "${tag}_cells.stream"
+        cmp <(tail -n +2 "${tag}1.stream") <(tail -n +2 "${tag}_cells.stream")
+    done
 }
 
 # Knowledge-patch determinism: the dirty-scoped snapshot patch must be

@@ -264,3 +264,52 @@ fn improved_cff_k1_leaf_window_collisions_are_benign_and_pinned() {
         "k=2 designates one phase-2 slot per leaf — collision-free"
     );
 }
+
+/// FNV-1a over the `Debug` rendering of every trace event, one per line:
+/// a compact fingerprint of who transmitted what, to whom, in which round.
+fn trace_digest(events: &[dsnet::radio::TraceEvent]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for ev in events {
+        for b in format!("{ev:?}\n").bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// DFO's token tour, event by event, on the paper's 200-node network
+/// from the sink and from the smallest-id pure member. Aggregate round
+/// and awake counts cannot see a change in tour order; these digests of
+/// the full traced stream can.
+#[test]
+fn dfo_traces_on_the_paper_network_are_pinned() {
+    let net = dsnet::NetworkBuilder::paper(200, 7).build().unwrap();
+    let cnet = net.net();
+    let member = cnet
+        .tree()
+        .nodes()
+        .filter(|&u| cnet.status(u) == dsnet::cluster::NodeStatus::PureMember)
+        .min()
+        .expect("the paper network has pure members");
+    let cfg = RunConfig::default();
+    let mut got = Vec::new();
+    for source in [net.sink(), member] {
+        let run = net.run(&Broadcast::new(Protocol::Dfo, source), &cfg);
+        assert!(run.outcome.completed(), "source {source}");
+        let events = run.trace.events();
+        got.push((
+            source.0,
+            run.outcome.rounds,
+            events.len(),
+            trace_digest(events),
+        ));
+    }
+    assert_eq!(
+        got,
+        [
+            (0, 138, 1385, 0x2bd3_6ae4_7320_0c78),
+            (2, 140, 1412, 0xb957_4b1b_d851_ee63),
+        ]
+    );
+}

@@ -40,6 +40,12 @@ use std::time::Instant;
 /// event stream.
 pub const STREAM_SCHEMA: &str = "dsnet-session/1";
 
+/// Largest `retries` a broadcast accepts. Attempt `a` of command `seq`
+/// salts its loss stream with `(seq << 8) | (a % 256)`, so the at most
+/// 256 attempts of one command take distinct low bytes and never draw
+/// another command's stream.
+const MAX_RETRIES: u32 = 255;
+
 /// How a session's network is built. All quantities are integers (milli-
 /// units, ppm) so wire round-trips and stream renderings are exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +91,8 @@ pub enum SessionCommand {
         channels: u8,
         /// Per-link Bernoulli loss in parts-per-million.
         loss_ppm: u32,
-        /// Extra attempts allowed when chasing `min_delivery_ppm`.
+        /// Extra attempts allowed when chasing `min_delivery_ppm`, at
+        /// most 255 (a larger budget is rejected before any run).
         retries: u32,
         /// Minimum acceptable delivery ratio in parts-per-million
         /// (`0` = accept any outcome on the first attempt).
@@ -362,6 +369,13 @@ impl NetSession {
                 Vec::new(),
             );
         }
+        if retries > MAX_RETRIES {
+            return (
+                CommandStatus::Rejected(format!("retries must be <= {MAX_RETRIES}")),
+                1,
+                Vec::new(),
+            );
+        }
         let src = match self.resolve_source(source) {
             Ok(s) => s,
             Err(e) => return (CommandStatus::Rejected(e), 1, Vec::new()),
@@ -373,7 +387,7 @@ impl NetSession {
                 Vec::new(),
             );
         }
-        let max_attempts = retries.saturating_add(1);
+        let max_attempts = retries + 1;
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -384,7 +398,7 @@ impl NetSession {
             } else {
                 LossModel::from_ppm(
                     loss_ppm,
-                    derive_seed(self.spec.seed, (seq << 8) | u64::from(attempt)),
+                    derive_seed(self.spec.seed, (seq << 8) | u64::from(attempt % 256)),
                 )
             };
             let cfg = RunConfig {
@@ -958,11 +972,41 @@ mod tests {
         // Certain loss is still a legal (if useless) channel.
         let rec = s.apply(&bcast(PPM_SCALE, 0, 0));
         assert!(rec.status.is_applied(), "{:?}", rec.status);
-        // The largest retry budget saturates instead of overflowing; a
-        // lossless run meets a full floor on the first attempt.
-        let rec = s.apply(&bcast(0, u32::MAX, 1_000_000));
+        // A retry budget past 255 is refused before any run.
+        for retries in [MAX_RETRIES + 1, u32::MAX] {
+            let rec = s.apply(&bcast(0, retries, 1_000_000));
+            assert_eq!(
+                rec.status,
+                CommandStatus::Rejected("retries must be <= 255".into())
+            );
+            assert!(rec.fields.is_empty(), "no engine run reports rounds");
+        }
+    }
+
+    #[test]
+    fn the_largest_retry_budget_runs_every_attempt() {
+        let mut s = NetSession::new(spec(12, 3)).unwrap();
+        let bcast = |loss_ppm| SessionCommand::Broadcast {
+            protocol: Protocol::BasicCff,
+            source: None,
+            channels: 1,
+            loss_ppm,
+            retries: MAX_RETRIES,
+            min_delivery_ppm: 1_000_000,
+        };
+        let rec = s.apply(&bcast(0));
         assert!(rec.status.is_applied(), "{:?}", rec.status);
         assert_eq!(rec.attempts, 1);
+        // Certain loss never meets a full floor, so all 256 attempts run.
+        let rec = s.apply(&bcast(PPM_SCALE));
+        assert_eq!(rec.attempts, 256);
+        let delivery = rec.fields.iter().find(|(k, _)| k == "delivery_ppm");
+        assert!(delivery.is_some_and(|&(_, ppm)| ppm < 1_000_000));
+        assert!(
+            matches!(&rec.status, CommandStatus::Rejected(m) if m.ends_with("after 256 attempts")),
+            "{:?}",
+            rec.status
+        );
     }
 
     #[test]

@@ -61,15 +61,6 @@ impl ShardPlan {
         Self::from_cells(vec![ids.into_iter().collect()])
     }
 
-    /// The single cell over ids already ascending and unique, such as
-    /// the engine's implicit plan over `0..capacity`: no copy, sort or
-    /// duplicate check, which [`ShardPlan::from_cells`] keeps for
-    /// caller input.
-    pub(crate) fn single_ascending(ids: Vec<u32>) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
-        Self { cells: vec![ids] }
-    }
-
     /// Number of cells (including empty ones).
     pub fn cell_count(&self) -> usize {
         self.cells.len()

@@ -222,8 +222,10 @@ fn hostile_session_inputs_get_typed_replies_and_the_shard_survives() {
         call(&mut raw, bcast(u32::MAX, 0, 0)),
         "loss_ppm must be <= 1000000",
     );
-    let body = call(&mut raw, bcast(0, u32::MAX, 1_000_000));
-    assert!(matches!(body, Body::Ok(_)), "{body:?}");
+    rejected(
+        call(&mut raw, bcast(0, u32::MAX, 1_000_000)),
+        "retries must be <= 255",
+    );
 
     assert!(matches!(call(&mut raw, Op::Ping), Body::Ok(_)));
     let mut client = Client::connect_tcp(&addr).expect("connect");

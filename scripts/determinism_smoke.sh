@@ -17,8 +17,9 @@
 #   resume          crash a journaled campaign at a fixed injected point,
 #                   resume from the journal, and require the resumed
 #                   artifacts byte-identical to an uninterrupted run
-#   scale           10k-node density-scaled broadcasts (CFF, then DFO)
-#                   with cell-sharded parallel delivery: each full traced
+#   scale           10k-node density-scaled broadcasts (CFF, DFO, the
+#                   reliable flood, and CFF on 3 channels) with
+#                   cell-sharded parallel delivery: each full traced
 #                   event stream on 1 thread must be byte-for-byte
 #                   identical to 2 threads (and to a different shard-cell
 #                   count)
@@ -102,14 +103,19 @@ resume_smoke() {
 # different spatial-cell count). The engine's contract is that the
 # merged event stream never depends on the partition or the worker
 # count, so all three stdout streams must be byte-for-byte identical.
-# CFF exercises the slotted schedule; DFO is the heaviest resolve load
-# (every node listens every round) and rides its token along the tour
-# each node reads off the tree.
+# CFF exercises the slotted schedule and its wake hints, and on 3
+# channels the single-round tuned listens; DFO is the heaviest resolve
+# load (every node listens every round) and rides its token along the
+# tour each node reads off the tree; the reliable flood gives no wake
+# hints, so every node is on its cell's wake calendar every round.
 scale_smoke() {
-    local protocol tag flags
-    for protocol in cff dfo; do
-        tag="tscale_${protocol}"
-        flags="--nodes 10000 --seed 7 --protocol ${protocol} --quiet"
+    local run tag flags
+    for run in cff dfo rcff cff:3; do
+        tag="tscale_${run/:/_k}"
+        flags="--nodes 10000 --seed 7 --protocol ${run%%:*} --quiet"
+        if [ "${run}" != "${run%%:*}" ]; then
+            flags="${flags} --channels ${run##*:}"
+        fi
         # shellcheck disable=SC2086  # flags are a curated word list
         "${DSNET[@]}" scale $flags --threads 1 > "${tag}1.stream"
         # shellcheck disable=SC2086

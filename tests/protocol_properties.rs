@@ -278,38 +278,78 @@ fn trace_digest(events: &[dsnet::radio::TraceEvent]) -> u64 {
     h
 }
 
-/// DFO's token tour, event by event, on the paper's 200-node network
-/// from the sink and from the smallest-id pure member. Aggregate round
-/// and awake counts cannot see a change in tour order; these digests of
-/// the full traced stream can.
+/// Full traced streams on the paper's 200-node network, event by event:
+/// DFO's token tour, improved CFF at k = 1 and k = 3, Algorithm 1, and
+/// the reliable flood under 10% loss with a transient gateway outage
+/// (a failure plan, so the engine consults every node every round),
+/// each from the sink and from the smallest-id pure member. Aggregate
+/// round and awake counts cannot see a change in who heard what when;
+/// these digests of the whole stream can, so they pin the engine's
+/// output across commits. A two-worker run over a 9-cell shard plan
+/// must reproduce each pinned stream.
 #[test]
-fn dfo_traces_on_the_paper_network_are_pinned() {
+fn traces_on_the_paper_network_are_pinned() {
+    use dsnet::radio::{FailurePlan, LossModel};
     let net = dsnet::NetworkBuilder::paper(200, 7).build().unwrap();
     let cnet = net.net();
-    let member = cnet
-        .tree()
-        .nodes()
-        .filter(|&u| cnet.status(u) == dsnet::cluster::NodeStatus::PureMember)
-        .min()
-        .expect("the paper network has pure members");
-    let cfg = RunConfig::default();
+    let smallest = |status| {
+        cnet.tree()
+            .nodes()
+            .filter(|&u| cnet.status(u) == status)
+            .min()
+            .expect("the paper network has every status")
+    };
+    let member = smallest(dsnet::cluster::NodeStatus::PureMember);
+    let mut outage = FailurePlan::new();
+    outage.kill_node_for(smallest(dsnet::cluster::NodeStatus::Gateway), 3, 10);
+    let lossy = LossModel::from_ppm(100_000, 7);
+    let clean = || (LossModel::none(), FailurePlan::new());
+    let cases = [
+        ("dfo", Protocol::Dfo, 1, clean()),
+        ("cff k=1", Protocol::ImprovedCff, 1, clean()),
+        ("cff k=3", Protocol::ImprovedCff, 3, clean()),
+        ("cff1", Protocol::BasicCff, 1, clean()),
+        ("rcff", Protocol::ReliableCff, 1, (lossy, outage)),
+    ];
     let mut got = Vec::new();
-    for source in [net.sink(), member] {
-        let run = net.run(&Broadcast::new(Protocol::Dfo, source), &cfg);
-        assert!(run.outcome.completed(), "source {source}");
-        let events = run.trace.events();
-        got.push((
-            source.0,
-            run.outcome.rounds,
-            events.len(),
-            trace_digest(events),
-        ));
+    for (label, protocol, channels, (loss, failures)) in cases {
+        for source in [net.sink(), member] {
+            let mut streams = Vec::new();
+            for (shards, threads) in [(None, 1), (Some(net.shard_plan(9)), 2)] {
+                let cfg = RunConfig {
+                    channels,
+                    loss,
+                    failures: failures.clone(),
+                    shards,
+                    threads,
+                    ..RunConfig::default()
+                };
+                let run = net.run(&Broadcast::new(protocol, source), &cfg);
+                assert!(
+                    run.outcome.completed() || protocol == Protocol::ReliableCff,
+                    "{label} from {source}"
+                );
+                let events = run.trace.events();
+                streams.push((run.outcome.rounds, events.len(), trace_digest(events)));
+            }
+            assert_eq!(streams[0], streams[1], "{label} from {source}: 2 workers");
+            let (rounds, events, digest) = streams[0];
+            got.push((label, source.0, rounds, events, digest));
+        }
     }
     assert_eq!(
         got,
         [
-            (0, 138, 1385, 0x2bd3_6ae4_7320_0c78),
-            (2, 140, 1412, 0xb957_4b1b_d851_ee63),
+            ("dfo", 0, 138, 1385, 0x2bd3_6ae4_7320_0c78),
+            ("dfo", 2, 140, 1412, 0xb957_4b1b_d851_ee63),
+            ("cff k=1", 0, 20, 352, 0x9510_e72e_72c0_e7ea),
+            ("cff k=1", 2, 21, 352, 0x9a33_507b_c442_3b21),
+            ("cff k=3", 0, 18, 311, 0xa771_2838_f9bc_f0a7),
+            ("cff k=3", 2, 19, 312, 0xa9db_0171_3256_4c61),
+            ("cff1", 0, 31, 257, 0x1258_4c74_dfcc_59c1),
+            ("cff1", 2, 32, 258, 0x3926_c60d_15cc_ab90),
+            ("rcff", 0, 192, 356, 0x0c7c_8619_1643_0416),
+            ("rcff", 2, 193, 477, 0x5d82_9ac3_a25e_759c),
         ]
     );
 }

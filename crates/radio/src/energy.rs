@@ -2,12 +2,9 @@
 //!
 //! The paper's energy claim (Theorem 1(2), Figure 9) is stated in *awake
 //! rounds*: a node spends energy whenever its radio is on, i.e. while
-//! transmitting or listening. The meter additionally separates transmit
-//! and listen rounds so that weighted energy models (tx usually costs more
-//! than rx) can be reported, and records the last awake round, which gives
-//! the "how long until this node could power down for good" view.
-
-use crate::Round;
+//! transmitting or listening. The meter keeps transmit and listen rounds
+//! apart, since reports total each kind separately; rounds with the radio
+//! off, whether asleep or dead, cost nothing and are not counted.
 
 /// Energy counters for a single node.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -16,38 +13,22 @@ pub struct EnergyMeter {
     pub tx_rounds: u64,
     /// Rounds spent listening.
     pub listen_rounds: u64,
-    /// Rounds with the radio off.
-    pub sleep_rounds: u64,
-    /// Last round (1-based) in which the node was awake; 0 if never.
-    pub last_awake_round: Round,
 }
 
 impl EnergyMeter {
     /// Count a transmitting round.
-    pub fn record_tx(&mut self, round: Round) {
+    pub fn record_tx(&mut self) {
         self.tx_rounds += 1;
-        self.last_awake_round = round;
     }
 
     /// Count a listening round.
-    pub fn record_listen(&mut self, round: Round) {
+    pub fn record_listen(&mut self) {
         self.listen_rounds += 1;
-        self.last_awake_round = round;
-    }
-
-    /// Count a sleeping round.
-    pub fn record_sleep(&mut self) {
-        self.sleep_rounds += 1;
     }
 
     /// Rounds with the radio powered on — the paper's "awake" metric.
     pub fn awake_rounds(&self) -> u64 {
         self.tx_rounds + self.listen_rounds
-    }
-
-    /// Weighted energy: `tx_cost·tx + rx_cost·listen` in arbitrary units.
-    pub fn weighted(&self, tx_cost: f64, rx_cost: f64) -> f64 {
-        self.tx_rounds as f64 * tx_cost + self.listen_rounds as f64 * rx_cost
     }
 }
 
@@ -94,32 +75,21 @@ mod tests {
     #[test]
     fn awake_counts_tx_and_listen() {
         let mut m = EnergyMeter::default();
-        m.record_tx(1);
-        m.record_listen(2);
-        m.record_sleep();
-        m.record_listen(4);
+        m.record_tx();
+        m.record_listen();
+        m.record_listen();
+        assert_eq!((m.tx_rounds, m.listen_rounds), (1, 2));
         assert_eq!(m.awake_rounds(), 3);
-        assert_eq!(m.sleep_rounds, 1);
-        assert_eq!(m.last_awake_round, 4);
-    }
-
-    #[test]
-    fn weighted_energy() {
-        let mut m = EnergyMeter::default();
-        m.record_tx(1);
-        m.record_tx(2);
-        m.record_listen(3);
-        assert_eq!(m.weighted(2.0, 1.0), 5.0);
     }
 
     #[test]
     fn report_aggregates() {
         let mut a = EnergyMeter::default();
-        a.record_tx(1);
+        a.record_tx();
         let mut b = EnergyMeter::default();
-        b.record_listen(1);
-        b.record_listen(2);
-        b.record_listen(3);
+        b.record_listen();
+        b.record_listen();
+        b.record_listen();
         let r = EnergyReport::from_meters([&a, &b]);
         assert_eq!(r.max_awake, 3);
         assert_eq!(r.mean_awake, 2.0);

@@ -37,17 +37,18 @@
 //! next round they could possibly act in. Each cell keeps a wake
 //! calendar — one list of ids per upcoming round, linked through a
 //! per-id column — and the act pass consults only the ids listed for
-//! its round, crediting the skipped rounds to the sleep meter in one
-//! batch. Because a skipped node neither transmits, listens, nor
+//! its round. Because a skipped node neither transmits, listens, nor
 //! mutates state, the run is observationally identical to consulting it
-//! every round. Per Theorem 1 a CFF node is awake O(δ·k + Δ) rounds,
-//! and delivery walks only the transmitters' rows, so program
-//! callbacks, reception counting and meter updates all track *energy*.
-//! Besides building the engine, the per-id work left in a run is
-//! seeding the calendars when it starts (one `next_wake` call per
-//! program) and crediting the trailing sleep when it ends. Hints are ignored when a failure plan is installed
-//! (dead rounds must not be mis-credited as sleep): every node is then
-//! due every round, and a node found dead is queued again for the next.
+//! every round, and the meters, which count only transmit and listen
+//! rounds, need nothing for the skipped ones. Per Theorem 1 a CFF node
+//! is awake O(δ·k + Δ) rounds, and delivery walks only the
+//! transmitters' rows, so program callbacks, reception counting and
+//! meter updates all track *energy*. Besides building the engine, the
+//! per-id work left in a run is seeding the calendars when it starts
+//! (one `next_wake` call per program). Under a failure plan a node due
+//! in a round it is dead in is queued again for the next round, so its
+//! revival is seen on time; a dead round is no more metered than a
+//! skipped one.
 
 use crate::action::Action;
 use crate::energy::{EnergyMeter, EnergyReport};
@@ -101,14 +102,13 @@ pub trait NodeProgram {
     /// than sleep, given its state after the `now` callbacks. Returning
     /// `Some(w)` promises that every `act()` between `now` and `w`
     /// (exclusive) would return [`Action::Sleep`] *without mutating any
-    /// state* — the engine then skips those calls and batch-credits the
-    /// sleep meter. `None` (the default) means "consult me every round".
+    /// state* — the engine then skips those calls. `None` (the default)
+    /// means "consult me every round".
     ///
     /// The engine asks once when a run starts (`now` = the last round
     /// already run, so 0 on a fresh engine) and again after every round
     /// in which it consulted the node, so a program woken early by
-    /// `on_receive` can shorten its own schedule. Hints are ignored while
-    /// a failure plan is installed.
+    /// `on_receive` can shorten its own schedule.
     fn next_wake(&self, now: Round) -> Option<Round> {
         let _ = now;
         None
@@ -221,10 +221,9 @@ impl Calendar {
 }
 
 /// The round to consult `p` in after the `now` callbacks: its wake
-/// hint when hints are honoured, else the next round.
-fn wake_round<P: NodeProgram>(p: &P, now: Round, hints: bool) -> Round {
-    let hint = if hints { p.next_wake(now) } else { None };
-    hint.map_or(now + 1, |w| w.max(now + 1))
+/// hint, else the next round.
+fn wake_round<P: NodeProgram>(p: &P, now: Round) -> Round {
+    p.next_wake(now).map_or(now + 1, |w| w.max(now + 1))
 }
 
 /// Per-cell scratch, reused across rounds. Written only by the worker
@@ -248,7 +247,6 @@ struct Tables<P: NodeProgram> {
     programs: *mut Option<P>,
     meters: *mut EnergyMeter,
     next: *mut u32,
-    last_acct: *mut Round,
     done_flag: *mut bool,
     tx_on: *mut u8,
     listen_on: *mut u8,
@@ -265,8 +263,8 @@ impl<P: NodeProgram> Clone for Tables<P> {
 impl<P: NodeProgram> Copy for Tables<P> {}
 
 // SAFETY: see `Tables` — per-node writes are partitioned: `programs`,
-// `meters`, `next`, `last_acct`, `done_flag`, `tx_on`, `listen_on` and
-// `tx_msg` of an id are written only by the worker owning its cell, and
+// `meters`, `next`, `done_flag`, `tx_on`, `listen_on` and `tx_msg` of
+// an id are written only by the worker owning its cell, and
 // `rx_count`/`rx_from` by that same worker (the owner column maps each id
 // to the worker of its cell). The barrier protocol orders cross-cell
 // reads after the writes they observe. `P: Send` lets `&mut P` callbacks
@@ -296,8 +294,6 @@ struct PassEnv<'a> {
     failures_empty: bool,
     loss: LossModel,
     channels: u8,
-    /// Sleep-skip hints honoured (no failure plan installed).
-    hints: bool,
     trace_enabled: bool,
 }
 
@@ -335,14 +331,6 @@ unsafe fn pass_act<P: NodeProgram>(
             sc.calendar.queue(t.next, iu, round + 1);
             continue;
         }
-        if env.hints {
-            let last = *t.last_acct.add(i);
-            if round > last + 1 {
-                // Rounds skipped on a wake hint are, by contract, sleep.
-                (*t.meters.add(i)).sleep_rounds += round - last - 1;
-            }
-        }
-        *t.last_acct.add(i) = round;
         let ctx = NodeCtx {
             id,
             round,
@@ -447,11 +435,9 @@ unsafe fn pass_settle<P: NodeProgram>(
             .as_mut()
             .expect("calendars hold only program-bearing ids");
         if *t.tx_on.add(i) != NO_TX {
-            (*t.meters.add(i)).record_tx(round);
-        } else if *t.listen_on.add(i) == NO_TX {
-            (*t.meters.add(i)).record_sleep();
-        } else {
-            (*t.meters.add(i)).record_listen(round);
+            (*t.meters.add(i)).record_tx();
+        } else if *t.listen_on.add(i) != NO_TX {
+            (*t.meters.add(i)).record_listen();
             if *t.rx_count.add(i) == 1 {
                 // Hand the message over by reference straight out of the
                 // sender's slot — no per-delivery clone. The slot was
@@ -469,7 +455,7 @@ unsafe fn pass_settle<P: NodeProgram>(
                 program.on_receive(&ctx, NodeId(from), msg);
             }
         }
-        calendar.queue(t.next, iu, wake_round(program, round, env.hints));
+        calendar.queue(t.next, iu, wake_round(program, round));
         let now_done = program.done();
         let flag = &mut *t.done_flag.add(i);
         if now_done != *flag {
@@ -563,7 +549,6 @@ macro_rules! pass_env {
             failures_empty: $e.failures_empty,
             loss: $e.loss,
             channels: $e.config.channels,
-            hints: $e.failures_empty,
             trace_enabled: $e.trace.is_enabled(),
         }
     }};
@@ -576,7 +561,6 @@ macro_rules! tables {
             programs: $e.programs.as_mut_ptr(),
             meters: $e.meters.as_mut_ptr(),
             next: $e.next.as_mut_ptr(),
-            last_acct: $e.last_acct.as_mut_ptr(),
             done_flag: $e.done_flag.as_mut_ptr(),
             tx_on: $e.tx_on.as_mut_ptr(),
             listen_on: $e.listen_on.as_mut_ptr(),
@@ -627,8 +611,6 @@ pub struct Engine<'g, P: NodeProgram> {
     rx_from: Vec<u32>,
     /// Wake-calendar links: the next id in the same calendar bucket.
     next: Vec<u32>,
-    /// Last round accounted in the node's energy meter (sleep batching).
-    last_acct: Vec<Round>,
     /// Cached `done()` per node, maintained incrementally.
     done_flag: Vec<bool>,
     /// Number of program-bearing nodes with `done_flag == false`.
@@ -691,7 +673,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             rx_count: vec![0; cap],
             rx_from: vec![0; cap],
             next: vec![NIL; cap],
-            last_acct: vec![0; cap],
             done_flag,
             undone,
             cells_scratch: Vec::new(),
@@ -793,9 +774,9 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
     }
 
     /// Size the per-cell and per-worker scratch and fill every cell's
-    /// wake calendar for a run continuing after `self.round`: under
-    /// hints each program is queued for its `next_wake` (its first wake
-    /// on a fresh engine), otherwise every program for the next round.
+    /// wake calendar for a run continuing after `self.round`: each
+    /// program is queued for its `next_wake` (its first wake on a fresh
+    /// engine), or for the next round if it gives no hint.
     fn seed_calendars(&mut self) {
         let n_cells = self.plan.as_ref().map_or(1, |p| p.cell_count());
         if self.cells_scratch.len() != n_cells {
@@ -803,7 +784,7 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             self.cell_tx = vec![Vec::new(); n_cells];
         }
         self.worker_drops.resize_with(self.workers, Vec::new);
-        let (now, hints, last) = (self.round, self.failures_empty, self.config.max_rounds);
+        let (now, last) = (self.round, self.config.max_rounds);
         let programs = &self.programs;
         let next = self.next.as_mut_ptr();
         let seed = |sc: &mut CellScratch, iu: u32| {
@@ -813,7 +794,7 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
             // SAFETY: `next` is this engine's link column, sized to the
             // graph capacity that bounds every program-bearing id, and no
             // worker runs yet.
-            unsafe { sc.calendar.queue(next, iu, wake_round(p, now, hints)) };
+            unsafe { sc.calendar.queue(next, iu, wake_round(p, now)) };
         };
         match &self.plan {
             Some(plan) => {
@@ -832,21 +813,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                         seed(sc, i as u32);
                     }
                 }
-            }
-        }
-    }
-
-    /// Credit every remaining hinted-away round as sleep, so meters read
-    /// identically to a run that consulted each node every round.
-    fn flush_sleep(&mut self) {
-        if !self.failures_empty {
-            return;
-        }
-        let end = self.round;
-        for (i, p) in self.programs.iter().enumerate() {
-            if p.is_some() && end > self.last_acct[i] {
-                self.meters[i].sleep_rounds += end - self.last_acct[i];
-                self.last_acct[i] = end;
             }
         }
     }
@@ -981,26 +947,26 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
                         emit_round(t, cells, drops, trace, order, drop_buf, round);
                     }
                 }
-                let done = if env.failures_empty {
-                    unsafe {
-                        for c in 0..n_cells {
-                            undone += (*cells_ptr.0.add(c)).undone_delta;
-                        }
+                // Not-done nodes dead in `round + 1` don't block
+                // completion while they're dark; only the plan's own
+                // ids can be, and `i < cap` keeps an id naming no graph
+                // slot out of the tables.
+                let dark = unsafe {
+                    for c in 0..n_cells {
+                        undone += (*cells_ptr.0.add(c)).undone_delta;
                     }
-                    undone == 0
-                } else {
-                    // Nodes dead in `round + 1` don't block completion
-                    // while they're dark.
-                    unsafe {
-                        (0..cap).all(|i| match (*t.programs.add(i)).as_ref() {
-                            None => true,
-                            Some(p) => {
-                                p.done() || env.failures.node_dead(NodeId(i as u32), round + 1)
-                            }
+                    affected
+                        .iter()
+                        .filter(|&&u| {
+                            let i = u.index();
+                            i < cap
+                                && (*t.programs.add(i)).is_some()
+                                && !*t.done_flag.add(i)
+                                && env.failures.node_dead(u, round + 1)
                         })
-                    }
+                        .count() as i64
                 };
-                if done {
+                if undone == dark {
                     stop = StopReason::AllDone;
                     break;
                 }
@@ -1013,7 +979,6 @@ impl<'g, P: NodeProgram> Engine<'g, P> {
         });
         self.round = round;
         self.undone = undone.max(0) as usize;
-        self.flush_sleep();
         RunOutcome {
             rounds: round,
             stop,

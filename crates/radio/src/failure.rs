@@ -114,18 +114,6 @@ impl FailurePlan {
         self.node_outages.is_empty() && self.link_death.is_empty()
     }
 
-    /// Nodes scheduled to die *permanently* (never revive), with the
-    /// earliest round their permanent death takes effect.
-    pub fn doomed_nodes(&self) -> impl Iterator<Item = (NodeId, Round)> + '_ {
-        self.node_outages.iter().filter_map(|(&n, os)| {
-            os.iter()
-                .filter(|o| o.until.is_none())
-                .map(|o| o.from)
-                .min()
-                .map(|r| (n, r))
-        })
-    }
-
     /// Every node with any scheduled outage (permanent or transient).
     pub fn affected_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_outages.keys().copied()
@@ -208,13 +196,14 @@ mod tests {
     #[test]
     fn killing_an_already_dead_node_is_a_noop() {
         // Dead at round 0; a second, later schedule must not delay the
-        // death, and the plan must still report a single doomed entry at
-        // the earliest round.
+        // death: the earliest permanent kill wins, on both sides of the
+        // later one's boundary and for good.
         let mut p = FailurePlan::new();
         p.kill_node(NodeId(7), 0).kill_node(NodeId(7), 12);
-        assert!(p.node_dead(NodeId(7), 0));
-        let doomed: Vec<_> = p.doomed_nodes().collect();
-        assert_eq!(doomed, vec![(NodeId(7), 0)]);
+        for r in [0, 1, 11, 12, 13, Round::MAX] {
+            assert!(p.node_dead(NodeId(7), r), "round {r}");
+        }
+        assert_eq!(p.affected_nodes().count(), 1);
     }
 
     #[test]
@@ -225,8 +214,8 @@ mod tests {
         assert!(p.node_dead(NodeId(2), 5));
         assert!(p.node_dead(NodeId(2), 7));
         assert!(!p.node_dead(NodeId(2), 8));
-        // A transient outage is not a doomed node.
-        assert_eq!(p.doomed_nodes().count(), 0);
+        // A transient outage alone is not permanent.
+        assert!(!p.node_dead(NodeId(2), Round::MAX));
         assert_eq!(p.affected_nodes().count(), 1);
     }
 
@@ -257,9 +246,12 @@ mod tests {
         p.kill_node(NodeId(5), 10); // dead 10..
         assert!(p.node_dead(NodeId(5), 3));
         assert!(!p.node_dead(NodeId(5), 5));
+        // The permanent death takes effect at round 10, not earlier, and
+        // holds for good.
+        assert!(!p.node_dead(NodeId(5), 9));
+        assert!(p.node_dead(NodeId(5), 10));
         assert!(p.node_dead(NodeId(5), 11));
-        let doomed: Vec<_> = p.doomed_nodes().collect();
-        assert_eq!(doomed, vec![(NodeId(5), 10)]);
+        assert!(p.node_dead(NodeId(5), Round::MAX));
     }
 
     #[test]

@@ -13,11 +13,13 @@ use std::sync::Arc;
 
 /// A node that replays a fixed script of actions and records receptions.
 /// With `hints` it reports the round of its script's next non-`Sleep`
-/// action as its wake round.
+/// action as its wake round; with `done_on_rx` it is done once it has
+/// received anything.
 struct Scripted {
     script: Vec<Action<u32>>,
     received: Vec<(u64, NodeId, u32)>,
     hints: bool,
+    done_on_rx: bool,
 }
 
 impl Scripted {
@@ -26,6 +28,7 @@ impl Scripted {
             script,
             received: Vec::new(),
             hints,
+            done_on_rx: false,
         }
     }
 }
@@ -42,7 +45,7 @@ impl NodeProgram for Scripted {
         self.received.push((ctx.round, from, *msg));
     }
     fn done(&self) -> bool {
-        false
+        self.done_on_rx && !self.received.is_empty()
     }
     fn next_wake(&self, now: u64) -> Option<u64> {
         if !self.hints {
@@ -84,6 +87,36 @@ fn graph_of(n: usize, edges: &[(u8, u8)]) -> Graph {
     g
 }
 
+/// A failure plan on `n` nodes from raw draws: each outage `(node, from,
+/// duration)` darkens a node from round `from` for `duration` rounds,
+/// for good if `duration` is 0; each cut `(edge, round)` severs one of
+/// `edges` (as `graph_of` reads them) from `round` on.
+fn plan_of(
+    n: usize,
+    outages: &[(u8, u64, u64)],
+    edges: &[(u8, u8)],
+    cuts: &[(u8, u64)],
+) -> FailurePlan {
+    let mut plan = FailurePlan::new();
+    for &(node, from, duration) in outages {
+        let node = NodeId(node as u32 % n as u32);
+        if duration == 0 {
+            plan.kill_node(node, from);
+        } else {
+            plan.kill_node_for(node, from, duration);
+        }
+    }
+    for &(edge, round) in cuts {
+        let (a, b) = edges[edge as usize % edges.len()];
+        plan.kill_link(
+            NodeId(a as u32 % n as u32),
+            NodeId(b as u32 % n as u32),
+            round,
+        );
+    }
+    plan
+}
+
 /// The node × round action table of raw scripts (node i plays script
 /// i mod the script count).
 fn table_of(n: usize, scripts: &[Vec<u8>], rounds: usize, channels: u8) -> Vec<Vec<Action<u32>>> {
@@ -98,7 +131,7 @@ fn table_of(n: usize, scripts: &[Vec<u8>], rounds: usize, channels: u8) -> Vec<V
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
     fn engine_matches_brute_force_collision_rule(
@@ -208,7 +241,9 @@ proptest! {
     /// Wake hints are invisible: a script that reports its next
     /// non-`Sleep` round as its wake round yields the same trace, meters,
     /// receptions and outcome as the same script consulted every round,
-    /// on one worker and over a random partition at 1 and 2 workers.
+    /// on one worker and over a random partition at 1 and 2 workers —
+    /// under a random failure plan too (node outages, permanent kills
+    /// and link cuts), and when nodes finish early.
     #[test]
     fn wake_hints_match_consulting_every_round(
         n in 2u8..16,
@@ -220,6 +255,9 @@ proptest! {
         loss_seed in any::<u64>(),
         cells in 1usize..5,
         assign in prop::collection::vec(any::<u8>(), 16),
+        outages in prop::collection::vec((any::<u8>(), 0u64..11, 0u64..6), 0..4),
+        cuts in prop::collection::vec((any::<u8>(), 0u64..11), 0..3),
+        done_on_rx in any::<bool>(),
     ) {
         let n = n.max(2) as usize;
         let g = graph_of(n, &edges);
@@ -235,13 +273,18 @@ proptest! {
                 }
             }
         }
+        let failures = plan_of(n, &outages, &edges, &cuts);
         let run = |hints: bool, plan: Option<(ShardPlan, usize)>| {
             let mut engine = Engine::new(
                 &g,
                 EngineConfig { channels, max_rounds: rounds as u64, record_trace: true },
-                |u| Scripted::new(table[u.index()].clone(), hints),
+                |u| Scripted {
+                    done_on_rx,
+                    ..Scripted::new(table[u.index()].clone(), hints)
+                },
             );
             engine.set_loss(LossModel::from_ppm(if lossy { 300_000 } else { 0 }, loss_seed));
+            engine.set_failures(failures.clone());
             if let Some((plan, threads)) = plan {
                 engine.set_shards(Arc::new(plan), threads);
             }
@@ -262,7 +305,19 @@ proptest! {
             ShardPlan::from_cells(parts)
         };
         let base = run(false, None);
-        prop_assert!(base.0.rounds == rounds as u64);
+        // The run ends after the first round in which every node is done
+        // (with `done_on_rx`, once it has heard something) or dark in the
+        // next round.
+        let heard = |i: usize, r: u64| {
+            base.3[i].as_ref().is_some_and(|rx| rx.first().is_some_and(|e| e.0 <= r))
+        };
+        let settled = |r: u64| {
+            (0..n).all(|i| {
+                (done_on_rx && heard(i, r)) || failures.node_dead(NodeId(i as u32), r + 1)
+            })
+        };
+        let last = rounds as u64;
+        prop_assert_eq!(base.0.rounds, (1..=last).find(|&r| settled(r)).unwrap_or(last));
         prop_assert_eq!(&run(true, None), &base, "hinted, one worker");
         for threads in [1usize, 2] {
             prop_assert_eq!(
@@ -275,9 +330,14 @@ proptest! {
         }
     }
 
+    /// Each meter counts exactly the node's scripted transmit and listen
+    /// rounds, leaving out the rounds a random failure plan darkens it
+    /// in, with and without wake hints.
     #[test]
     fn energy_meters_count_every_round(
         scripts in prop::collection::vec(prop::collection::vec(any::<u8>(), 8), 3..6),
+        outages in prop::collection::vec((any::<u8>(), 0u64..9, 0u64..5), 0..4),
+        hints in any::<bool>(),
     ) {
         let n = scripts.len();
         let mut g = Graph::with_nodes(n);
@@ -288,17 +348,26 @@ proptest! {
         let table: Vec<Vec<Action<u32>>> = (0..n)
             .map(|i| (0..8).map(|r| decode(scripts[i][r], i as u32, r, 1)).collect())
             .collect();
+        let plan = plan_of(n, &outages, &[], &[]);
         let mut engine = Engine::new(
             &g,
             EngineConfig { max_rounds: rounds, ..Default::default() },
-            |u| Scripted::new(table[u.index()].clone(), false),
+            |u| Scripted::new(table[u.index()].clone(), hints),
         );
-        engine.run();
+        engine.set_failures(plan.clone());
+        // Shorter only if every node is dark in the next round.
+        let ran = engine.run().rounds;
+        prop_assert!(ran <= rounds);
         for (i, script) in table.iter().enumerate() {
-            let m = engine.meter(NodeId(i as u32));
-            prop_assert_eq!(m.tx_rounds + m.listen_rounds + m.sleep_rounds, rounds);
-            let expected_tx = script.iter().filter(|a| a.is_transmit()).count() as u64;
-            prop_assert_eq!(m.tx_rounds, expected_tx);
+            let id = NodeId(i as u32);
+            let m = engine.meter(id);
+            let live = |kind: fn(&Action<u32>) -> bool| {
+                (1..=ran)
+                    .filter(|&r| kind(&script[r as usize - 1]) && !plan.node_dead(id, r))
+                    .count() as u64
+            };
+            prop_assert_eq!(m.tx_rounds, live(Action::is_transmit), "node {} tx", i);
+            prop_assert_eq!(m.listen_rounds, live(Action::is_listen), "node {} listen", i);
         }
     }
 }

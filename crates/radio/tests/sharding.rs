@@ -75,7 +75,7 @@ fn unit_disk(points: &[(f64, f64)]) -> Graph {
 struct RunResult {
     outcome: RunOutcome,
     events: Vec<TraceEvent>,
-    meters: Vec<(u64, u64, u64)>,
+    meters: Vec<(u64, u64)>,
 }
 
 /// One full run: fresh engine over `graph`/`table`, with the given
@@ -122,7 +122,7 @@ fn run_once(
         meters: (0..n)
             .map(|i| {
                 let m = engine.meter(NodeId(i as u32));
-                (m.tx_rounds, m.listen_rounds, m.sleep_rounds)
+                (m.tx_rounds, m.listen_rounds)
             })
             .collect(),
     }

@@ -46,8 +46,11 @@ DSNET=(cargo run --release -p dsnet-server --bin dsnet --)
 axis_flags() {
     case "$1" in
         core)
+            # bb2@3+6 darkens two backbone nodes for rounds 3-8, so CFF's
+            # wake calendar meets an outage and a revival as well as the
+            # permanent kill of bb1@1.
             echo "--ns 30,40 --reps 2 --protocols cff,dfo --channels 1,2 \
-                  --failures none,bb1@1 --churn none,j2l1"
+                  --failures none,bb1@1,bb2@3+6 --churn none,j2l1"
             ;;
         mobility)
             echo "--ns 30 --reps 2 --protocols cff,dfo \

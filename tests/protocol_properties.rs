@@ -281,35 +281,47 @@ fn trace_digest(events: &[dsnet::radio::TraceEvent]) -> u64 {
 /// Full traced streams on the paper's 200-node network, event by event:
 /// DFO's token tour, improved CFF at k = 1 and k = 3, Algorithm 1, and
 /// the reliable flood under 10% loss with a transient gateway outage
-/// (a failure plan, so the engine consults every node every round),
-/// each from the sink and from the smallest-id pure member. Aggregate
-/// round and awake counts cannot see a change in who heard what when;
-/// these digests of the whole stream can, so they pin the engine's
-/// output across commits. A two-worker run over a 9-cell shard plan
-/// must reproduce each pinned stream.
+/// (it gives no wake hints, so the engine consults every node every
+/// round); then CFF at k = 1 and k = 3 and Algorithm 1 under that same
+/// outage, and CFF at k = 1 with the largest-id pure member killed for
+/// good in round 1: there the wake calendar meets reviving and dead
+/// nodes. Each runs from the sink and from the smallest-id pure member.
+/// Aggregate round and awake counts cannot see a change in who heard
+/// what when; these digests of the whole stream can, so they pin the
+/// engine's output across commits. A listen that hears nothing leaves
+/// no event, so the delivered count and the total listen rounds are
+/// pinned beside each digest. A two-worker run over a 9-cell shard plan
+/// must reproduce each pinned row.
 #[test]
 fn traces_on_the_paper_network_are_pinned() {
+    use dsnet::cluster::NodeStatus;
     use dsnet::radio::{FailurePlan, LossModel};
     let net = dsnet::NetworkBuilder::paper(200, 7).build().unwrap();
     let cnet = net.net();
-    let smallest = |status| {
+    let of_status = |status| {
         cnet.tree()
             .nodes()
-            .filter(|&u| cnet.status(u) == status)
-            .min()
-            .expect("the paper network has every status")
+            .filter(move |&u| cnet.status(u) == status)
     };
-    let member = smallest(dsnet::cluster::NodeStatus::PureMember);
+    let every = "the paper network has every status";
+    let member = of_status(NodeStatus::PureMember).min().expect(every);
     let mut outage = FailurePlan::new();
-    outage.kill_node_for(smallest(dsnet::cluster::NodeStatus::Gateway), 3, 10);
+    outage.kill_node_for(of_status(NodeStatus::Gateway).min().expect(every), 3, 10);
+    let mut kill = FailurePlan::new();
+    kill.kill_node(of_status(NodeStatus::PureMember).max().expect(every), 1);
     let lossy = LossModel::from_ppm(100_000, 7);
-    let clean = || (LossModel::none(), FailurePlan::new());
+    let lossless = |plan: &FailurePlan| (LossModel::none(), plan.clone());
+    let clean = || lossless(&FailurePlan::new());
     let cases = [
         ("dfo", Protocol::Dfo, 1, clean()),
         ("cff k=1", Protocol::ImprovedCff, 1, clean()),
         ("cff k=3", Protocol::ImprovedCff, 3, clean()),
         ("cff1", Protocol::BasicCff, 1, clean()),
-        ("rcff", Protocol::ReliableCff, 1, (lossy, outage)),
+        ("rcff", Protocol::ReliableCff, 1, (lossy, outage.clone())),
+        ("cff k=1 out", Protocol::ImprovedCff, 1, lossless(&outage)),
+        ("cff k=3 out", Protocol::ImprovedCff, 3, lossless(&outage)),
+        ("cff1 out", Protocol::BasicCff, 1, lossless(&outage)),
+        ("cff k=1 kill", Protocol::ImprovedCff, 1, lossless(&kill)),
     ];
     let mut got = Vec::new();
     for (label, protocol, channels, (loss, failures)) in cases {
@@ -326,30 +338,44 @@ fn traces_on_the_paper_network_are_pinned() {
                 };
                 let run = net.run(&Broadcast::new(protocol, source), &cfg);
                 assert!(
-                    run.outcome.completed() || protocol == Protocol::ReliableCff,
+                    run.outcome.completed() || !cfg.failures.is_empty(),
                     "{label} from {source}"
                 );
                 let events = run.trace.events();
-                streams.push((run.outcome.rounds, events.len(), trace_digest(events)));
+                streams.push((
+                    run.outcome.rounds,
+                    run.outcome.delivered,
+                    run.outcome.energy.total_listen,
+                    events.len(),
+                    trace_digest(events),
+                ));
             }
             assert_eq!(streams[0], streams[1], "{label} from {source}: 2 workers");
-            let (rounds, events, digest) = streams[0];
-            got.push((label, source.0, rounds, events, digest));
+            let (rounds, delivered, listens, events, digest) = streams[0];
+            got.push((label, source.0, rounds, delivered, listens, events, digest));
         }
     }
     assert_eq!(
         got,
         [
-            ("dfo", 0, 138, 1385, 0x2bd3_6ae4_7320_0c78),
-            ("dfo", 2, 140, 1412, 0xb957_4b1b_d851_ee63),
-            ("cff k=1", 0, 20, 352, 0x9510_e72e_72c0_e7ea),
-            ("cff k=1", 2, 21, 352, 0x9a33_507b_c442_3b21),
-            ("cff k=3", 0, 18, 311, 0xa771_2838_f9bc_f0a7),
-            ("cff k=3", 2, 19, 312, 0xa9db_0171_3256_4c61),
-            ("cff1", 0, 31, 257, 0x1258_4c74_dfcc_59c1),
-            ("cff1", 2, 32, 258, 0x3926_c60d_15cc_ab90),
-            ("rcff", 0, 192, 356, 0x0c7c_8619_1643_0416),
-            ("rcff", 2, 193, 477, 0x5d82_9ac3_a25e_759c),
+            ("dfo", 0, 138, 200, 27462, 1385, 0x2bd3_6ae4_7320_0c78),
+            ("dfo", 2, 140, 200, 27860, 1412, 0xb957_4b1b_d851_ee63),
+            ("cff k=1", 0, 20, 200, 278, 352, 0x9510_e72e_72c0_e7ea),
+            ("cff k=1", 2, 21, 200, 276, 352, 0x9a33_507b_c442_3b21),
+            ("cff k=3", 0, 18, 200, 199, 311, 0xa771_2838_f9bc_f0a7),
+            ("cff k=3", 2, 19, 200, 199, 312, 0xa9db_0171_3256_4c61),
+            ("cff1", 0, 31, 200, 209, 257, 0x1258_4c74_dfcc_59c1),
+            ("cff1", 2, 32, 200, 209, 258, 0x3926_c60d_15cc_ab90),
+            ("rcff", 0, 192, 177, 541, 356, 0x0c7c_8619_1643_0416),
+            ("rcff", 2, 193, 103, 872, 477, 0x5d82_9ac3_a25e_759c),
+            ("cff k=1 out", 0, 20, 200, 278, 354, 0xdecf_771b_d111_1ade),
+            ("cff k=1 out", 2, 21, 178, 302, 313, 0xc186_16ad_3838_ddc5),
+            ("cff k=3 out", 0, 18, 200, 199, 313, 0xce2b_2032_829d_fba3),
+            ("cff k=3 out", 2, 19, 176, 199, 275, 0x8fb3_4f6a_839a_9310),
+            ("cff1 out", 0, 32, 177, 232, 228, 0xdb8a_9905_1ff8_7a58),
+            ("cff1 out", 2, 33, 177, 232, 229, 0x3971_06f8_cf4c_482c),
+            ("cff k=1 kill", 0, 20, 199, 276, 351, 0x4b49_7088_8d12_c418),
+            ("cff k=1 kill", 2, 21, 199, 274, 351, 0x53e4_6f12_a311_1f75),
         ]
     );
 }

@@ -82,11 +82,10 @@ pub fn assign_flood_slots(view: &NetView<'_>) -> (Vec<Option<u32>>, u32) {
 
 /// Algorithm 1's slot for internal node `y`: the shared selection rule
 /// over `y`'s receivers one depth below, where `slot_of(t)` is the slot
-/// co-transmitter `t` holds at `y`'s turn (`None` while unassigned).
-/// [`assign_flood_slots`] passes the slots assigned so far; an
-/// incremental re-run passes the settled slots of the transmitters
-/// earlier in its `(depth, id)` order. `scratch` is caller-owned.
-pub fn flood_slot(
+/// co-transmitter `t` holds at `y`'s turn (`None` while unassigned) —
+/// [`assign_flood_slots`] passes the slots assigned so far. `scratch` is
+/// caller-owned.
+fn flood_slot(
     view: &NetView<'_>,
     y: NodeId,
     slot_of: impl Fn(NodeId) -> Option<u32>,

@@ -478,6 +478,21 @@ mod tests {
     }
 
     #[test]
+    fn outage_ending_past_the_last_round_never_revives() {
+        let records = |failure: &str| {
+            let mut spec = tiny_spec();
+            spec.protocols = vec![ProtocolSpec::ImprovedCff];
+            spec.failures = vec![FailureTemplate::parse(failure).unwrap()];
+            run(&spec, 0, None).records
+        };
+        // 2 + u64::MAX does not fit in a round: the outage lasts for good,
+        // like one that ends long after the broadcast.
+        let forever = records("bb1@2+18446744073709551615");
+        assert_eq!(forever, records("bb1@2+1000000"));
+        assert!(forever.iter().any(|r| !r.completed()), "{forever:?}");
+    }
+
+    #[test]
     fn mobile_cells_record_maintenance_and_complete() {
         let mut spec = tiny_spec();
         spec.protocols = vec![ProtocolSpec::ImprovedCff];

@@ -92,7 +92,12 @@ pub enum SessionCommand {
         /// Per-link Bernoulli loss in parts-per-million.
         loss_ppm: u32,
         /// Extra attempts allowed when chasing `min_delivery_ppm`, at
-        /// most 255 (a larger budget is rejected before any run).
+        /// most 255 (a larger budget is rejected before any run). The
+        /// same value is also the reliable flood's NACK retry budget
+        /// (`RunConfig::max_retries`, read by `rcff` only). The wire
+        /// default is 0, so an `rcff` broadcast that omits it runs one
+        /// epoch and no retries, while the CLI's `--retries` defaults
+        /// to 2.
         retries: u32,
         /// Minimum acceptable delivery ratio in parts-per-million
         /// (`0` = accept any outcome on the first attempt).

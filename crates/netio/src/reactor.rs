@@ -6,9 +6,8 @@
 //! through per-connection [`FrameReader`]/[`FrameWriter`] state
 //! machines. Protocol logic lives behind the [`Handler`] trait: the
 //! reactor hands every readiness burst's *complete* frames to the
-//! handler in one call (enabling batched application downstream) and
-//! flushes whatever the handler queued as the sockets allow — frames
-//! are never torn or interleaved.
+//! handler in one call and flushes whatever the handler queued as the
+//! sockets allow — frames are never torn or interleaved.
 //!
 //! Out-of-band senders (watch streams) get a [`PushHandle`]: a
 //! cross-thread queue plus shard wakeup that merges pushed frames

@@ -30,33 +30,30 @@
 //! size DFO's bound needs. Algorithm 1's
 //! flood slots and `Δ'` form a separate [`FloodKnowledge`] part, read
 //! only by `cff1`, `rcff` and their Lemma-1 bounds, so a run of any
-//! other protocol never pays for them. [`build_knowledge`] and
-//! [`build_flood_knowledge`] are the from-scratch oracles of the two
-//! parts.
+//! other protocol never pays for them. [`build_knowledge`] is the base
+//! snapshot's from-scratch oracle; [`build_flood_knowledge`] is the only
+//! way the flood part is built.
 //!
 //! ## Incremental maintenance
 //!
-//! [`KnowledgeCache`] keeps the newest copy of each part and serves a
-//! stale one by patching it rather than rebuilding from scratch. Both
-//! patches ask [`ClusterNet::dirty_since`] for the journal of dirty
-//! nodes `T` since their own part's version, clone the flat per-node
-//! table (one memcpy), and recompute only over the dirty closure
-//! `R = L ∪ N_G(L)`, `L = T ∪ parent(T)` — the same closure rules the
-//! dirty invariant audit uses (DESIGN §12/§17). The base patch then
-//! re-derives its global scalars in the one pass it shares with
-//! [`build_knowledge`]. The flood patch re-runs Algorithm 1's
-//! assignment over a worklist seeded from `R` in the exact `(depth, id)`
-//! order of the full pass, cascading to same-depth co-transmitters when
-//! a slot actually changes, so the patched assignment is byte-equal to
-//! [`assign_flood_slots`] from scratch. Past a staleness/size threshold
-//! (or when the journal cannot vouch for the cached version) either part
-//! falls back to a full rebuild.
+//! [`KnowledgeCache`] keeps the newest copy of each part. A stale base
+//! snapshot is patched rather than rebuilt from scratch: the patch asks
+//! [`ClusterNet::dirty_since`] for the journal of dirty nodes `T` since
+//! the snapshot's version, clones the flat per-node table (one memcpy),
+//! recomputes only over the dirty closure `R = L ∪ N_G(L)`,
+//! `L = T ∪ parent(T)` — the same closure rules the dirty invariant
+//! audit uses (DESIGN §12/§17) — and re-derives the global scalars in
+//! the one pass it shares with [`build_knowledge`]. Past a
+//! staleness/size threshold (or when the journal cannot vouch for the
+//! cached version) it falls back to a full rebuild. A stale flood part
+//! is rebuilt: no benchmark workload, ledger scenario or example asks
+//! for one across a structure change, so it has no patch of its own
+//! (DESIGN §17).
 
-use dsnet_cluster::slots::validate::{assign_flood_slots, flood_slot, flood_transmitters};
+use dsnet_cluster::slots::validate::{assign_flood_slots, flood_transmitters};
 use dsnet_cluster::slots::view::NetView;
 use dsnet_cluster::{ClusterNet, NodeStatus, SlotMode};
 use dsnet_graph::NodeId;
-use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// Everything one node knows before a broadcast session starts.
@@ -390,116 +387,6 @@ fn patch_knowledge(
     Some((NetKnowledge::from_table(net, per_node), r.len()))
 }
 
-/// Patch the flood part `base` (of the same net at `base_version`) up to
-/// the net's current structure, or `None` when [`dirty_closure`] refuses
-/// — the caller then rebuilds from scratch.
-///
-/// Correctness contract (pinned by `knowledge_patch_props`): the result
-/// is byte-equal to [`build_flood_knowledge`] run from scratch at the
-/// current version.
-fn patch_flood_knowledge(
-    net: &ClusterNet,
-    base: &FloodKnowledge,
-    base_version: u64,
-    limit: usize,
-) -> Option<FloodKnowledge> {
-    let r = dirty_closure(net, base_version, limit)?;
-    let view = net.view();
-    let tree = net.tree();
-    let cap = net.graph().capacity();
-
-    let mut per_node = base.per_node.clone();
-    if per_node.len() < cap {
-        per_node.resize(cap, NodeFlood::default());
-    }
-    // Tombstone the departed; the survivors keep their stale slots until
-    // phases B/C.
-    for &u in &r {
-        if !tree.contains(u) {
-            per_node[u.index()] = NodeFlood::default();
-        }
-    }
-
-    // Phase B: re-run Algorithm 1's assignment over a worklist, in the
-    // exact (depth, id) order of the full pass. Seeds: every attached
-    // node of R plus the flood transmitters of every attached node of R
-    // (structure around a dirty node changed ⇒ its transmitters' inputs
-    // may have). When a recomputed slot differs from the stale value the
-    // change cascades to same-depth co-transmitters with larger id — the
-    // only nodes whose full-pass computation could observe it — and the
-    // shared receivers are marked for expected-slot recomputation.
-    //
-    // At y's turn the full pass sees assigned slots exactly on the
-    // (depth, id)-earlier transmitters; processing the worklist in that
-    // same order keeps every input final by the time it is read.
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut queue: BTreeSet<(u32, NodeId)> = BTreeSet::new();
-    for &u in &r {
-        if tree.contains(u) {
-            queue.insert((tree.depth(u), u));
-            for y in flood_transmitters(&view, u) {
-                queue.insert((tree.depth(y), y));
-            }
-        }
-    }
-    let mut rx_dirty: Vec<NodeId> = Vec::new();
-    while let Some((depth, y)) = queue.pop_first() {
-        if !tree.contains(y) {
-            continue; // tombstoned: its disappearance was seeded via R
-        }
-        // The settled slots are those of the same-depth co-transmitters
-        // with a smaller id; larger ids may still hold stale values.
-        let settled = |t: NodeId| {
-            if t < y {
-                per_node[t.index()].flood_slot
-            } else {
-                None
-            }
-        };
-        let new_slot = view
-            .cnet_internal(y)
-            .then(|| flood_slot(&view, y, settled, &mut scratch));
-        let entry = &mut per_node[y.index()];
-        if entry.flood_slot != new_slot {
-            entry.flood_slot = new_slot;
-            for v in view
-                .attached_neighbors(y)
-                .filter(|&v| view.tree.depth(v) == depth + 1)
-            {
-                rx_dirty.push(v);
-                for t in flood_transmitters(&view, v) {
-                    if t > y {
-                        queue.insert((depth, t));
-                    }
-                }
-            }
-        }
-    }
-
-    // Phase C: expected flood slots over R plus the receivers marked in
-    // phase B (their transmitter slot values are now final).
-    rx_dirty.extend(r.iter().copied());
-    rx_dirty.sort_unstable();
-    rx_dirty.dedup();
-    for &u in &rx_dirty {
-        if !tree.contains(u) {
-            continue;
-        }
-        per_node[u.index()].expected_flood_slot =
-            expected_flood_slot(&view, u, |y| per_node[y.index()].flood_slot, &mut scratch);
-    }
-
-    let delta_flood = per_node
-        .iter()
-        .filter_map(|f| f.flood_slot)
-        .max()
-        .unwrap_or(0);
-    Some(FloodKnowledge {
-        per_node,
-        delta_flood,
-    })
-}
-
 /// The retained parts and the lifetime counters, under one lock.
 #[derive(Debug, Default, Clone)]
 struct CacheState {
@@ -554,10 +441,9 @@ pub struct CacheStats {
 ///
 /// The flood part is built only on demand, by [`KnowledgeCache::flood`],
 /// and kept the same way in an entry of its own with its own version:
-/// served on a version match, else patched from the retained part by
-/// `patch_flood_knowledge` over the dirty closure since *that* part's
-/// version (which may lag the snapshot's by many versions), else rebuilt
-/// by [`build_flood_knowledge`]. The same threshold and switch apply.
+/// served on a version match, else rebuilt by [`build_flood_knowledge`].
+/// The staleness threshold above and the `DSNET_KNOWLEDGE_PATCH` switch
+/// below apply to the base snapshot only.
 ///
 /// Counter semantics: a `get` is a *hit* when the version matches the
 /// retained entry and a *miss* otherwise; `patched` counts the subset of
@@ -568,8 +454,8 @@ pub struct CacheStats {
 /// describe `get` alone: a `flood` request moves none of them, so they
 /// read the same whichever protocols ran. Setting the environment
 /// variable `DSNET_KNOWLEDGE_PATCH=off` (read at cache construction)
-/// disables the patch path of both parts — the determinism smoke diffs
-/// traced streams between both modes.
+/// disables the patch path — the determinism smoke diffs traced streams
+/// between both modes.
 #[derive(Debug)]
 pub struct KnowledgeCache {
     state: Mutex<CacheState>,
@@ -647,22 +533,14 @@ impl KnowledgeCache {
 
     /// Algorithm 1's flood part for `net`'s current structure — served
     /// from cache when the structure version matches the retained part,
-    /// patched from it when the mutation journal covers the gap, rebuilt
-    /// otherwise. Moves none of the [`CacheStats`] counters.
+    /// rebuilt otherwise. Moves none of the [`CacheStats`] counters.
     pub fn flood(&self, net: &ClusterNet) -> Arc<FloodKnowledge> {
         let version = net.structure_version();
         let mut state = self.state.lock().expect("knowledge cache poisoned");
         if let Some((_, f)) = state.flood.as_ref().filter(|(v, _)| *v == version) {
             return Arc::clone(f);
         }
-        let patched = state
-            .flood
-            .take()
-            .filter(|(v, _)| self.patch_enabled && *v < version)
-            .and_then(|(base_version, base)| {
-                patch_flood_knowledge(net, &base, base_version, self.limit(net))
-            });
-        let f = Arc::new(patched.unwrap_or_else(|| build_flood_knowledge(net)));
+        let f = Arc::new(build_flood_knowledge(net));
         state.flood = Some((version, Arc::clone(&f)));
         f
     }
@@ -674,7 +552,7 @@ impl KnowledgeCache {
         state.flood.as_ref().map(|(v, _)| *v)
     }
 
-    /// The largest dirty set either patch path accepts.
+    /// The largest dirty set the patch path accepts.
     fn limit(&self, net: &ClusterNet) -> usize {
         self.patch_limit
             .unwrap_or_else(|| PATCH_MIN_LIMIT.max(net.len() / 8))
@@ -950,27 +828,26 @@ mod tests {
     #[test]
     fn flood_part_patches_across_version_gaps() {
         let mut net = chain_net(24);
-        for limit in [usize::MAX, 0] {
-            let cache = KnowledgeCache::with_patch_limit(limit);
-            let _ = cache.flood(&net);
-            for step in 0..6u32 {
-                // Several mutations between requests: the patch spans them all.
-                for _ in 0..=step % 3 {
-                    net.move_in(&[NodeId(step % 5)]).unwrap();
-                }
-                if step % 2 == 0 {
-                    let leaf = net
-                        .tree()
-                        .nodes()
-                        .max_by_key(|&u| (net.tree().depth(u), u))
-                        .unwrap();
-                    if net.can_move_out(leaf).is_ok() {
-                        net.move_out(leaf).unwrap();
-                    }
-                }
-                let f = cache.flood(&net);
-                assert_eq!(*f, build_flood_knowledge(&net), "limit {limit} step {step}");
+        let cache = KnowledgeCache::new();
+        let _ = cache.flood(&net);
+        for step in 0..6u32 {
+            // Several mutations between requests: one request catches up
+            // on them all.
+            for _ in 0..=step % 3 {
+                net.move_in(&[NodeId(step % 5)]).unwrap();
             }
+            if step % 2 == 0 {
+                let leaf = net
+                    .tree()
+                    .nodes()
+                    .max_by_key(|&u| (net.tree().depth(u), u))
+                    .unwrap();
+                if net.can_move_out(leaf).is_ok() {
+                    net.move_out(leaf).unwrap();
+                }
+            }
+            let f = cache.flood(&net);
+            assert_eq!(*f, build_flood_knowledge(&net), "step {step}");
         }
     }
 

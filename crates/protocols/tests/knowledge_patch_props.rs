@@ -1,6 +1,6 @@
-//! Property tests pinning the dirty-scoped knowledge patch paths to their
-//! from-scratch oracles (`build_knowledge` for the base snapshot,
-//! `build_flood_knowledge` for Algorithm 1's flood part).
+//! Property tests pinning the cache's knowledge to its from-scratch
+//! builds: the dirty-scoped base patch to `build_knowledge`, and
+//! Algorithm 1's flood part to `build_flood_knowledge`.
 //!
 //! Mirrors the shape of the cluster crate's `invariants/incremental_props`
 //! suite, applied to knowledge instead of invariant auditing:
@@ -16,15 +16,12 @@
 //! 3. a `get` with no intervening mutation is a no-op hit: same `Arc`,
 //!    hit counted, nothing patched — the empty-dirty case never clones;
 //! 4. the flood part, requested only at a random subset of versions so
-//!    that its patches span multi-version gaps, is byte-equal to
+//!    that a request spans multi-version gaps, is byte-equal to
 //!    `build_flood_knowledge` at every request, under every limit, and
-//!    its requests move none of the cache counters; dense unit-disk
-//!    histories reach the flood patch's cascade, which the sparse
-//!    random histories never need.
+//!    its requests move none of the cache counters.
 
 use dsnet_cluster::repair::RepairConfig;
 use dsnet_cluster::ClusterNet;
-use dsnet_geom::rng::splitmix64;
 use dsnet_graph::NodeId;
 use dsnet_protocols::knowledge::{build_flood_knowledge, build_knowledge};
 use dsnet_protocols::KnowledgeCache;
@@ -210,108 +207,4 @@ fn threshold_witness_patches_and_falls_back() {
     let zero = build(0);
     assert_eq!(zero.patched, 0, "zero limit must never patch");
     assert!(zero.fallbacks > 0, "zero limit must record its refusals");
-}
-
-/// A unit-disk field of radio range 1: each arrival hears every
-/// attached node in range.
-struct Field {
-    net: ClusterNet,
-    pos: Vec<(f64, f64)>,
-}
-
-impl Field {
-    fn arrive(&mut self, p: (f64, f64)) {
-        let in_range = |q: (f64, f64)| (q.0 - p.0).powi(2) + (q.1 - p.1).powi(2) <= 1.0;
-        let nbrs: Vec<NodeId> = match self.net.is_empty() {
-            true => Vec::new(),
-            false => self
-                .net
-                .tree()
-                .nodes()
-                .filter(|u| in_range(self.pos[u.index()]))
-                .collect(),
-        };
-        if !self.net.is_empty() && nbrs.is_empty() {
-            return; // out of everyone's range: the sensor never joins
-        }
-        if let Ok(report) = self.net.move_in(&nbrs) {
-            let u = report.node.index();
-            if self.pos.len() <= u {
-                self.pos.resize(u + 1, p);
-            }
-            self.pos[u] = p;
-        }
-    }
-}
-
-/// Seeded draws for [`dense_field_flood_patches_cascade`].
-struct Draw(u64);
-
-impl Draw {
-    fn next(&mut self) -> u64 {
-        self.0 = splitmix64(self.0);
-        self.0
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Dense fields make flood patches cascade: a slot change at one
-/// transmitter must reach a same-depth co-transmitter outside the dirty
-/// closure through a shared receiver. These seeded histories (120
-/// sensors on a 5×5 field, then arrivals, departures and short
-/// relocations with a flood request after each) diverge from the oracle
-/// when phase B's cascade is removed; the random histories above do not.
-#[test]
-fn dense_field_flood_patches_cascade() {
-    let side = 5.0;
-    for seed in [97u64, 197, 306] {
-        let mut d = Draw(seed.wrapping_mul(0x9E37_79B9).wrapping_add(17));
-        let mut f = Field {
-            net: ClusterNet::with_defaults(),
-            pos: Vec::new(),
-        };
-        f.arrive((0.5, side / 2.0));
-        while f.net.len() < 120 {
-            let p = (d.unit() * side, d.unit() * side);
-            f.arrive(p);
-        }
-        let cache = KnowledgeCache::new();
-        let _ = cache.flood(&f.net);
-        for step in 0..25 {
-            let nodes: Vec<NodeId> = f.net.tree().nodes().collect();
-            let pick = nodes[(d.next() % nodes.len() as u64) as usize];
-            let movable = pick != f.net.root();
-            match d.next() % 3 {
-                0 => {
-                    let p = (d.unit() * side, d.unit() * side);
-                    f.arrive(p);
-                }
-                1 => {
-                    if movable {
-                        let _ = f.net.move_out(pick);
-                    }
-                }
-                _ => {
-                    if movable && f.net.move_out(pick).is_ok() {
-                        let q = f.pos[pick.index()];
-                        let p = (
-                            (q.0 + d.unit() * 0.6 - 0.3).clamp(0.0, side),
-                            (q.1 + d.unit() * 0.6 - 0.3).clamp(0.0, side),
-                        );
-                        f.arrive(p);
-                    }
-                }
-            }
-            let flood = cache.flood(&f.net);
-            assert_eq!(
-                *flood,
-                build_flood_knowledge(&f.net),
-                "seed {seed} step {step}"
-            );
-        }
-    }
 }

@@ -71,16 +71,18 @@ impl FailurePlan {
 
     /// `node` goes dark at the start of `round` and revives `duration`
     /// rounds later: it is dead during rounds `round .. round + duration`
-    /// and acts normally again from round `round + duration` on. A zero
-    /// `duration` is a no-op. Outage windows compose freely with each
-    /// other, with permanent kills and with link kills.
+    /// and acts normally again from round `round + duration` on. When
+    /// `round + duration` does not fit in a [`Round`] the node never
+    /// revives, as after [`FailurePlan::kill_node`]. A zero `duration` is
+    /// a no-op. Outage windows compose freely with each other, with
+    /// permanent kills and with link kills.
     pub fn kill_node_for(&mut self, node: NodeId, round: Round, duration: Round) -> &mut Self {
         if duration == 0 {
             return self;
         }
         self.node_outages.entry(node).or_default().push(Outage {
             from: round,
-            until: Some(round + duration),
+            until: round.checked_add(duration),
         });
         self
     }
@@ -217,6 +219,18 @@ mod tests {
         // A transient outage alone is not permanent.
         assert!(!p.node_dead(NodeId(2), Round::MAX));
         assert_eq!(p.affected_nodes().count(), 1);
+    }
+
+    #[test]
+    fn outage_past_the_last_round_never_revives() {
+        let mut p = FailurePlan::new();
+        p.kill_node_for(NodeId(2), 2, Round::MAX);
+        assert!(!p.node_dead(NodeId(2), 1));
+        assert!(p.node_dead(NodeId(2), 2));
+        assert!(p.node_dead(NodeId(2), Round::MAX));
+        for r in [0, 1, 2, 3, 1_000_000, Round::MAX - 1, Round::MAX] {
+            assert!(!p.revives_at(NodeId(2), r), "round {r}");
+        }
     }
 
     #[test]

@@ -197,68 +197,26 @@ impl Host {
     }
 
     /// Apply one command to a session and return its record. Watchers
-    /// receive the record as a deterministic event line. Equivalent to
-    /// a one-element [`Host::apply_batch`] (it is one).
+    /// receive the record as a deterministic event line, pushed after the
+    /// session lock is released. The drain flag is checked again once the
+    /// lock is held, so a command that waited behind an in-flight one
+    /// while the drain began answers `shutting_down`.
     pub fn apply(&self, name: &str, cmd: &SessionCommand) -> Result<CommandRecord, HostError> {
-        self.apply_batch(name, std::slice::from_ref(cmd))
-            .pop()
-            .expect("one command yields one outcome")
-    }
-
-    /// Apply a run of commands to one session under a single slot-lock
-    /// acquisition, returning one outcome per command in order.
-    ///
-    /// Semantically identical to calling [`Host::apply`] per command —
-    /// the drain flag is re-checked before each one, so a drain landing
-    /// mid-batch rejects the remainder with `shutting_down` exactly as
-    /// it would reject separate requests. The payoff is lock traffic:
-    /// a pipelined client's burst of commands costs one write-lock
-    /// acquisition instead of one per command. Watcher lines are pushed
-    /// after the session lock is released, in application order.
-    pub fn apply_batch(
-        &self,
-        name: &str,
-        cmds: &[SessionCommand],
-    ) -> Vec<Result<CommandRecord, HostError>> {
-        if cmds.is_empty() {
-            return Vec::new();
-        }
-        let shutting_down = || {
-            HostError::new(
-                ErrKind::ShuttingDown,
-                "host is draining; no new work accepted",
-            )
-        };
-        // Match apply()'s check order: draining answers shutting_down
-        // even for a session that doesn't exist.
-        if self.is_draining() {
-            return cmds.iter().map(|_| Err(shutting_down())).collect();
-        }
-        let slot = match self.slot(name) {
-            Ok(slot) => slot,
-            Err(e) => return cmds.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let mut out = Vec::with_capacity(cmds.len());
-        let mut lines = Vec::with_capacity(cmds.len());
-        {
+        // Draining answers shutting_down even for a session that doesn't
+        // exist.
+        self.reject_if_draining()?;
+        let slot = self.slot(name)?;
+        let record = {
             let mut session = slot.session.write().expect("session lock");
-            for cmd in cmds {
-                if self.is_draining() {
-                    out.push(Err(shutting_down()));
-                    continue;
-                }
-                let record = session.apply(cmd);
-                lines.push(render_record(&record, false));
-                out.push(Ok(record));
-            }
-        }
-        if !lines.is_empty() {
-            let mut watchers = slot.watchers.lock().expect("watchers lock");
-            for line in &lines {
-                watchers.retain_mut(|w| w(line));
-            }
-        }
-        out
+            self.reject_if_draining()?;
+            session.apply(cmd)
+        };
+        let line = render_record(&record, false);
+        slot.watchers
+            .lock()
+            .expect("watchers lock")
+            .retain_mut(|w| w(&line));
+        Ok(record)
     }
 
     /// Render a session's full deterministic event stream (the
@@ -459,62 +417,18 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_matches_sequential_applies() {
-        let a = Host::new(HostConfig::default());
-        let b = Host::new(HostConfig::default());
-        a.create("s", small_spec(7)).unwrap();
-        b.create("s", small_spec(7)).unwrap();
-        let cmds = vec![
-            bcast(),
-            SessionCommand::Kill { node: 1 },
-            SessionCommand::Snapshot,
-            SessionCommand::Revive { node: 1 },
-        ];
-        let sequential: Vec<_> = cmds.iter().map(|c| a.apply("s", c)).collect();
-        let batched = b.apply_batch("s", &cmds);
-        assert_eq!(batched.len(), sequential.len());
-        for (lhs, rhs) in sequential.iter().zip(batched.iter()) {
-            // wall_us is timing; everything else is deterministic.
-            let mut lhs = lhs.as_ref().unwrap().clone();
-            let mut rhs = rhs.as_ref().unwrap().clone();
-            lhs.wall_us = 0;
-            rhs.wall_us = 0;
-            assert_eq!(lhs, rhs);
-        }
-        assert_eq!(a.stream("s").unwrap(), b.stream("s").unwrap());
-    }
-
-    #[test]
-    fn apply_batch_rejects_like_apply() {
+    fn apply_answers_draining_before_unknown_session() {
         let host = Host::new(HostConfig::default());
-        let outs = host.apply_batch("ghost", &[bcast(), bcast()]);
-        assert_eq!(outs.len(), 2);
-        for out in &outs {
-            assert_eq!(out.as_ref().unwrap_err().kind, ErrKind::UnknownSession);
-        }
-        host.begin_drain();
-        let outs = host.apply_batch("ghost", &[bcast()]);
         assert_eq!(
-            outs[0].as_ref().unwrap_err().kind,
+            host.apply("ghost", &bcast()).unwrap_err().kind,
+            ErrKind::UnknownSession
+        );
+        host.begin_drain();
+        assert_eq!(
+            host.apply("ghost", &bcast()).unwrap_err().kind,
             ErrKind::ShuttingDown,
-            "draining outranks unknown-session, matching apply()"
+            "draining outranks unknown-session"
         );
-        assert!(host.apply_batch("ghost", &[]).is_empty());
-    }
-
-    #[test]
-    fn apply_batch_feeds_watchers_in_order() {
-        let host = Host::new(HostConfig::default());
-        host.create("s", small_spec(7)).unwrap();
-        let rx = watch_channel(&host, "s");
-        host.apply_batch(
-            "s",
-            &[SessionCommand::Kill { node: 1 }, SessionCommand::Snapshot],
-        );
-        let first = rx.recv().unwrap();
-        let second = rx.recv().unwrap();
-        assert!(first.contains("\"cmd\": \"kill\""), "{first}");
-        assert!(second.contains("\"cmd\": \"snapshot\""), "{second}");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! A sharded readiness reactor ([`dsnet_netio`]) multiplexes every
 //! connection across `min(cores, 8)` event loops — no per-connection
-//! thread, no idle wakeups. Pipelined command bursts to one session are
-//! applied as a batch under a single slot-lock acquisition
-//! ([`Host::apply_batch`]), and watch subscribers push rendered event
-//! lines straight into the owning shard's write queue.
+//! thread, no idle wakeups. Each request is answered before the next
+//! frame of its connection is decoded, so replies keep request order;
+//! watch subscribers push rendered event lines straight into the owning
+//! shard's write queue.
 //!
 //! Shutdown — whether from SIGINT, the wire `shutdown` op, or
 //! [`Server::begin_shutdown`] — follows one path: the host starts
@@ -26,7 +26,6 @@ use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use dsnet::SessionCommand;
 use dsnet_netio::sys::{poll_fds, PollFd, POLLIN};
 use dsnet_netio::{
     wake_pair, Action, ConnCx, FrameError, Handler, HandlerFactory, Listener as NetListener,
@@ -236,21 +235,12 @@ fn block_until_stop(signal: &StopSignal, stop_rx: &mut WakeReader) {
 
 // ---- connections --------------------------------------------------------
 
-/// Per-connection protocol state: watch mode and the current command
-/// batch.
-///
-/// Consecutive `cmd` requests for the same session within one
-/// readiness burst are applied through [`Host::apply_batch`] under a
-/// single slot-lock acquisition; responses still go out one frame per
-/// request, in request order. The batch never outlives the
-/// [`Handler::on_frames`] call that opened it.
+/// Per-connection protocol state: whether the connection has turned
+/// into a watch stream.
 struct ConnHandler {
     host: Arc<Host>,
     signal: StopSignal,
     watching: bool,
-    batch_session: Option<String>,
-    batch_ids: Vec<u64>,
-    batch_cmds: Vec<SessionCommand>,
 }
 
 impl ConnHandler {
@@ -259,26 +249,11 @@ impl ConnHandler {
             host,
             signal,
             watching: false,
-            batch_session: None,
-            batch_ids: Vec::new(),
-            batch_cmds: Vec::new(),
         }
     }
 
     fn reply(&self, id: u64, body: Body, cx: &mut ConnCx<'_>) {
         cx.send(&encode_response_bytes(&Response { id, body }));
-    }
-
-    fn flush_cmds(&mut self, cx: &mut ConnCx<'_>) {
-        let Some(session) = self.batch_session.take() else {
-            return;
-        };
-        let ids = std::mem::take(&mut self.batch_ids);
-        let cmds = std::mem::take(&mut self.batch_cmds);
-        let outcomes = self.host.apply_batch(&session, &cmds);
-        for (id, outcome) in ids.into_iter().zip(outcomes) {
-            self.reply(id, cmd_outcome_body(outcome), cx);
-        }
     }
 }
 
@@ -293,7 +268,6 @@ impl Handler for ConnHandler {
             let req = match decode_request_bytes(&frame) {
                 Ok(req) => req,
                 Err(fault) => {
-                    self.flush_cmds(cx);
                     let keep = matches!(fault, PayloadFault::Grammar(_));
                     self.reply(
                         0,
@@ -309,18 +283,7 @@ impl Handler for ConnHandler {
                     return Action::Close;
                 }
             };
-            if !matches!(req.op, Op::Cmd { .. }) {
-                self.flush_cmds(cx);
-            }
             match req.op {
-                Op::Cmd { session, cmd } => {
-                    if self.batch_session.as_deref() != Some(session.as_str()) {
-                        self.flush_cmds(cx);
-                        self.batch_session = Some(session);
-                    }
-                    self.batch_ids.push(req.id);
-                    self.batch_cmds.push(cmd);
-                }
                 Op::Watch { session } => {
                     let push = cx.push_handle();
                     let registered = self.host.watch_fn(&session, move |line| {
@@ -348,7 +311,6 @@ impl Handler for ConnHandler {
                 }
             }
         }
-        self.flush_cmds(cx);
         Action::Continue
     }
 
@@ -406,9 +368,9 @@ fn cmd_outcome_body(outcome: Result<dsnet::CommandRecord, HostError>) -> Body {
     }
 }
 
-/// Body for every op that answers with a single, stateless reply.
-/// `cmd` (batched) and `watch` (a subscription) change connection state
-/// and are handled by [`ConnHandler`] itself.
+/// Body for every op that answers with a single reply. `watch` turns
+/// the connection into an event stream and is handled by
+/// [`ConnHandler`] itself.
 fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Body {
     match op {
         Op::Ping => Body::Ok(obj(vec![
@@ -449,9 +411,8 @@ fn op_body(op: &Op, host: &Arc<Host>, signal: &StopSignal) -> Body {
             ])),
             Err(e) => host_err_body(e),
         },
-        Op::Cmd { .. } | Op::Watch { .. } => {
-            unreachable!("connection-state ops are handled by the handler")
-        }
+        Op::Cmd { session, cmd } => cmd_outcome_body(host.apply(session, cmd)),
+        Op::Watch { .. } => unreachable!("a watch is handled by the handler"),
         Op::Shutdown => {
             host.begin_drain();
             signal.trigger();

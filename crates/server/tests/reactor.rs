@@ -311,8 +311,8 @@ fn pipelined_requests_answer_in_order() {
         )
         .expect("encode cmd");
     }
-    // One syscall delivers the whole pipeline; the reactor batches the
-    // session commands under a single lock acquisition.
+    // One syscall delivers the whole pipeline; the handler answers each
+    // frame before it decodes the next.
     raw.write_all(&batch).expect("pipelined write");
 
     for want_id in 1..=9u64 {

@@ -28,8 +28,9 @@
 #                   byte-identical between the patch path and a forced
 #                   full-rebuild path (DSNET_KNOWLEDGE_PATCH=off), and
 #                   across 1 vs 2 worker threads; cff1/rcff broadcasts
-#                   between the mutations drive the on-demand flood part
-#                   and its patches across multi-version gaps
+#                   between the mutations request the on-demand flood
+#                   part, which is rebuilt on every version change in
+#                   both modes, so they check the base patch beside it
 #
 # Artifacts are left in the working directory as t<axis><threads>.json /
 # .csv (tserver_*.stream for the server-reactor axis) so CI can upload
@@ -142,6 +143,8 @@ scale_smoke() {
 #    and max_awake fields are digests of each broadcast's recorded
 #    trace — must be byte-identical.  The script deliberately has no
 #    `snapshot` command: cache_patched is path-dependent by design.
+#    Algorithm 1's flood part has no patch: cff1/rcff rebuild it on
+#    every version change in both modes.
 # 2. A mobile campaign across {patch, full-rebuild} × {1, 2 threads}:
 #    all four JSON/CSV artifact pairs must be byte-identical.
 knowledge_smoke() {
